@@ -1,8 +1,9 @@
 """Watch the refrigerator converge, round by round and cycle by cycle.
 
 A 5-qubit register with 2 reset qubits is driven toward its steady state.
-The first few rounds buy most of the polarization; the recycle fixed point
-is reached after a handful of cycles.  The asymptotic line is
+The first few rounds buy most of the polarization.  The recycle fixed point
+is solved directly from the cycle's matrix and then polished by one or two
+recycle cycles, which the "cycles" column counts.  The asymptotic line is
 tanh(m 2^(n-m-1) artanh(alpha)).
 
 Run:  python demos/refrigerator_rounds.py

@@ -6,8 +6,10 @@ polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed, regardless of ``--jobs``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 output I/O
-error, 4 budget too small.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+parameters a config or grid rejects), 3 output I/O error, 4 budget too
+small, 5 a fixed point that did not converge.  Errors are reported on
+stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+EXIT_CONVERGENCE = 5
 
 FIGURES = (
     "single-shot-polarization",
@@ -352,9 +355,16 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.suite:
         return cmd_verify(args.suite)
-    if args.figure:
-        return cmd_figure(args.figure, spec)
-    return cmd_sample(spec)
+    try:
+        if args.figure:
+            return cmd_figure(args.figure, spec)
+        return cmd_sample(spec)
+    except refrigerator.ConvergenceError as exc:
+        print(f"coolsign: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except ValueError as exc:
+        print(f"coolsign: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ string.  Each round applies a staircase of compression swaps and then replaces
 the reset qubits with fresh ones at the reservoir polarization ``alpha``.
 After ``rounds`` rounds the enhanced target is extracted; the remaining
 qubits, plus one fresh qubit appended at the end, are recycled as the next
-input.  Iterating that cycle drives the register to a steady state whose
-target polarization is the protocol's figure of merit.
+input.  The recycle cycle has a fixed point whose target polarization is the
+protocol's figure of merit.
 
 Everything here is linear in the diagonal vector of the non-reset subsystem,
 so a round is equivalently a column-stochastic matrix acting on that vector;
-both representations are provided and kept numerically interchangeable.
+both representations are provided and kept numerically interchangeable.  The
+fixed point is solved directly from the cycle's matrix and then polished by a
+few order-canonical recycle cycles (:func:`steady_state`).
 
 None of the protocol code inspects the sign of ``alpha``: the same staircase
 amplifies whichever bias the sample carries.  The only sign-aware routine is
@@ -24,15 +26,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
+from .single_shot import reduction_from_excited_mass
 from .states import (
     DiagonalState,
     PermutationSpec,
     ground_excited_pair,
+    marginal_target,
     pairwise_sum,
     permutation_from_swaps,
+    product_state,
 )
 
 LOCALITIES = ("full", "3local")
@@ -73,12 +79,29 @@ class RefrigeratorConfig:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Fixed point of the recycle cycle and the polarization it delivers."""
+    """Fixed point of the recycle cycle and the polarization it delivers.
+
+    ``ground`` and ``excited`` are the target's masses after the rounds run
+    on ``a_fixed``, and ``alpha_enhanced`` is their difference.  ``residual``
+    is the L1 distance between ``a_fixed`` and its own recycled image.
+    """
 
     a_fixed: np.ndarray
     alpha_enhanced: float
     cycles_used: int
     residual: float
+    ground: float
+    excited: float
+
+    def reduction_factor(self, alpha: float, cost: float) -> float:
+        """``(alpha^-2 - 1) / (alpha_enhanced^-2 - 1) / cost`` at reservoir
+        polarization ``alpha``.
+
+        The enhanced term is read off the target's smaller mass, so it stays
+        finite when ``alpha_enhanced`` rounds to +-1, and it is exactly even
+        in ``alpha`` because the two masses swap.
+        """
+        return reduction_from_excited_mass(alpha, min(self.ground, self.excited), cost)
 
 
 @lru_cache(maxsize=None)
@@ -116,20 +139,12 @@ def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
     return build_uqr_3local(cfg.n)
 
 
-def _product_probs(alpha: float, k: int) -> np.ndarray:
-    cell = ground_excited_pair(alpha)
-    out = np.array([1.0])
-    for _ in range(k):
-        out = np.kron(out, cell)
-    return out
-
-
 def _round_array(v: np.ndarray, perm: np.ndarray, n: int, m: int, reset: np.ndarray) -> np.ndarray:
     """One round on a raw length-2^n vector: permute, trace resets, refresh."""
     w = np.empty_like(v)
     w[perm] = v
     reduced = pairwise_sum(w.reshape(1 << (n - m), 1 << m), axis=1)
-    return np.kron(reduced, reset)
+    return np.multiply.outer(reduced, reset).ravel()
 
 
 def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> DiagonalState:
@@ -137,7 +152,7 @@ def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> Di
     if d.n != cfg.n:
         raise ValueError(f"state has {d.n} qubits, config expects {cfg.n}")
     perm = compression_permutation_for(cfg)
-    reset = _product_probs(alpha, cfg.m)
+    reset = product_state(alpha, cfg.m).probs
     return DiagonalState(cfg.n, _round_array(d.probs, perm.perm, cfg.n, cfg.m, reset))
 
 
@@ -154,7 +169,7 @@ def build_round_matrix(
         raise ValueError(f"need n - m >= 1, got n={n}, m={m}")
     perm = (permutation if permutation is not None else build_uqr(n)).perm
     dim, res_dim = 1 << (n - m), 1 << m
-    reset = _product_probs(alpha, m)
+    reset = product_state(alpha, m).probs
     scattered = np.zeros((dim * res_dim, dim))
     src = np.arange(dim * res_dim)
     scattered[perm[src], src // res_dim] = reset[src % res_dim]
@@ -166,37 +181,27 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
     return pairwise_sum(matrix * a[np.newaxis, :], axis=1)
 
 
-def _marginal(a: np.ndarray) -> float:
-    half = a.size >> 1
-    return float(pairwise_sum(a[:half]) - pairwise_sum(a[half:]))
+def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """Trace the target out of each row and append a qubit in state ``fresh``."""
+    half = evolved.shape[-1] >> 1
+    reduced = evolved[..., :half] + evolved[..., half:]
+    return np.multiply.outer(reduced, fresh).reshape(evolved.shape)
 
 
-def _reduction_from_vector(alpha: float, evolved: np.ndarray, cost: float) -> float:
-    """Reduction factor read off the evolved vector's target masses.
-
-    ``alpha_qr^-2 - 1`` is evaluated as ``4 g u / (g - u)^2`` from the ground
-    and excited masses ``g``, ``u`` of the target qubit.  This keeps the value
-    accurate when the enhanced polarization saturates to 1 in double
-    precision, and is exactly even under ``alpha -> -alpha`` (the masses swap,
-    the gap flips sign).
-    """
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    half = evolved.size >> 1
-    ground = float(pairwise_sum(evolved[:half]))
-    excited = float(pairwise_sum(evolved[half:]))
-    gap = ground - excited
-    num = (1.0 - alpha * alpha) / (alpha * alpha)
-    den = 4.0 * ground * excited / (gap * gap)
-    if den == 0.0:
-        return math.inf
-    return num / den / cost
+#: one recycle cycle: ``step(a)`` returns ``(recycled, evolved)``, where
+#: ``evolved`` is ``a`` after the rounds and ``recycled`` the next input
+Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _recycle_array(evolved: np.ndarray, alpha: float) -> np.ndarray:
-    half = evolved.size >> 1
-    reduced = evolved[:half] + evolved[half:]
-    return np.kron(reduced, ground_excited_pair(alpha))
+def _protocol_step(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> Step:
+    fresh = ground_excited_pair(alpha)
+
+    def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for _ in range(cfg.rounds):
+            a = _matvec(matrix, a)
+        return _recycle_array(a, fresh), a
+
+    return step
 
 
 def recycle_cycle(
@@ -211,10 +216,96 @@ def recycle_cycle(
     if a.size != 1 << (cfg.n - cfg.m):
         raise ValueError(f"vector has {a.size} entries, expected {1 << (cfg.n - cfg.m)}")
     matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
-    evolved = a
-    for _ in range(cfg.rounds):
-        evolved = _matvec(matrix, evolved)
-    return _recycle_array(evolved, alpha), _marginal(evolved)
+    recycled, evolved = _protocol_step(cfg, alpha, matrix)(a)
+    return recycled, marginal_target(evolved)
+
+
+def fixed_point(
+    step: Step, start: np.ndarray, tol: float, max_cycles: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Iterate the recycle ``step`` from ``start`` until one cycle moves the
+    vector by at most ``tol`` in L1 distance.
+
+    Returns ``(a, evolved, cycles, residual)``: the last iterate, its evolved
+    vector, the cycle count and the L1 distance from ``a`` to its own image.
+    The cycle maps are L1 non-expansive, so that residual is at most the last
+    cycle's move.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    a = start
+    image, _ = step(a)
+    moved = math.inf
+    for cycle in range(1, max_cycles + 1):
+        moved = float(pairwise_sum(np.abs(image - a)))
+        a = image
+        image, evolved = step(a)
+        if moved <= tol:
+            return a, evolved, cycle, float(pairwise_sum(np.abs(image - a)))
+    raise ConvergenceError(
+        f"did not converge within {max_cycles} cycles (last residual {moved:.3e})", moved
+    )
+
+
+def _steady_result(
+    step: Step, start: np.ndarray, tol: float, max_cycles: int, where: str
+) -> SteadyStateResult:
+    try:
+        a, evolved, cycles, residual = fixed_point(step, start, tol, max_cycles)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
+    half = evolved.size >> 1
+    ground = float(pairwise_sum(evolved[:half]))
+    excited = float(pairwise_sum(evolved[half:]))
+    return SteadyStateResult(a, ground - excited, cycles, residual, ground, excited)
+
+
+def _stationary_gth(rows: np.ndarray) -> np.ndarray:
+    """Stationary vector of a row-stochastic matrix by Grassmann-Taksar-Heyman
+    elimination.
+
+    Each pivot is the off-diagonal mass of its row, so no entry is formed by
+    subtraction and tiny stationary masses keep their relative accuracy.
+    Raises ZeroDivisionError when a pivot vanishes: some closed set of
+    states then avoids index 0.
+    """
+    p = np.array(rows, dtype=float)
+    dim = p.shape[0]
+    for k in range(dim - 1, 0, -1):
+        pivot = p[k, :k].sum()
+        if not pivot > 0.0:
+            raise ZeroDivisionError(f"GTH pivot {k} vanishes: the chain has a closed subset")
+        p[:k, k] /= pivot
+        p[:k, :k] += np.multiply.outer(p[:k, k], p[k, :k])
+    pi = np.ones(dim)
+    for k in range(1, dim):
+        pi[k] = (pi[:k] * p[:k, k]).sum()
+    return pi / pi.sum()
+
+
+def _cycle_rows(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> np.ndarray:
+    """The recycle cycle ``K R^rounds`` as a row-stochastic matrix: row ``j``
+    is the next input when the current one is the basis vector ``e_j``."""
+    evolved = np.linalg.matrix_power(matrix, cfg.rounds).T
+    return _recycle_array(evolved, ground_excited_pair(alpha))
+
+
+def _mirrored_seed(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> np.ndarray:
+    """Direct solve of the recycle fixed point, made exactly mirror-symmetric.
+
+    The cycle at ``-alpha`` is the cycle at ``alpha`` with every bit flipped,
+    so its solution reversed is the same vector up to rounding.  Averaging
+    the two makes ``seed(-alpha) == seed(alpha)[::-1]`` hold bit for bit,
+    since addition commutes.  At ``|alpha| = 1`` a pure reset leaves one of
+    the chains with a closed subset; the product state is the seed there.
+    """
+    mirror = build_round_matrix(cfg.n, cfg.m, -alpha, compression_permutation_for(cfg))
+    try:
+        up = _stationary_gth(_cycle_rows(cfg, alpha, matrix))
+        down = _stationary_gth(_cycle_rows(cfg, -alpha, mirror))
+    except ZeroDivisionError:
+        return product_state(alpha, cfg.n - cfg.m).probs
+    return (up + down[::-1]) / 2.0
 
 
 def steady_state(
@@ -223,29 +314,20 @@ def steady_state(
     tol: float = 1e-12,
     max_cycles: int = 10_000,
 ) -> SteadyStateResult:
-    """Iterate recycle cycles from the all-fresh start until the input vector
-    stops changing (L1 distance below ``tol``)."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    """Fixed point of the recycle cycle, to an L1 residual of ``tol``.
+
+    The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
+    and ``-alpha`` are solved directly and averaged into an exactly
+    mirror-symmetric seed.  Order-canonical recycle cycles then polish it
+    until one cycle moves it by at most ``tol``; one or two cycles suffice.
+    """
     matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
-
-    def evolve(vec: np.ndarray) -> np.ndarray:
-        for _ in range(cfg.rounds):
-            vec = _matvec(matrix, vec)
-        return vec
-
-    a = _product_probs(alpha, cfg.n - cfg.m)
-    residual = np.inf
-    for cycle in range(1, max_cycles + 1):
-        nxt = _recycle_array(evolve(a), alpha)
-        residual = float(pairwise_sum(np.abs(nxt - a)))
-        a = nxt
-        if residual <= tol:
-            return SteadyStateResult(a, _marginal(evolve(a)), cycle, residual)
-    raise ConvergenceError(
-        f"recycle iteration did not converge within {max_cycles} cycles "
-        f"(last residual {residual:.3e})",
-        residual,
+    return _steady_result(
+        _protocol_step(cfg, alpha, matrix),
+        _mirrored_seed(cfg, alpha, matrix),
+        tol,
+        max_cycles,
+        f"steady state at alpha={alpha!r}, rounds={cfg.rounds}",
     )
 
 
@@ -276,18 +358,10 @@ def reduction_factor_qr(cfg: RefrigeratorConfig, alpha: float) -> float:
     """Error-bound reduction of the refrigerator at matched qubit budget.
 
     ``(alpha^-2 - 1) / (alpha_qr^-2 - 1) / (m * rounds + 1)`` with
-    ``alpha_qr`` taken from the steady state.  The enhanced term is computed
-    from the steady vector's target masses so values stay finite even when
-    the enhanced polarization saturates to 1 in double precision.
+    ``alpha_qr`` taken from the steady state's target masses (see
+    :meth:`SteadyStateResult.reduction_factor`).
     """
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
-    result = steady_state(cfg, alpha)
-    evolved = result.a_fixed
-    for _ in range(cfg.rounds):
-        evolved = _matvec(matrix, evolved)
-    return _reduction_from_vector(alpha, evolved, cfg.cost)
+    return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
 
 
 def optimal_bound_simulate(
@@ -302,49 +376,32 @@ def optimal_bound_simulate(
 
     Unlike the protocol itself, this benchmark is allowed to branch on the
     sign of ``alpha``: it sorts descending for positive bias and ascending for
-    negative bias, which is the best any compression can do.
+    negative bias, which is the best any compression can do.  The sort is
+    only piecewise linear, so the iteration starts from the all-fresh state
+    rather than from a direct solve.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     n, m = cfg.n, cfg.m
     dim, res_dim = 1 << (n - m), 1 << m
-    reset = _product_probs(alpha, m)
+    reset = product_state(alpha, m).probs
+    fresh = ground_excited_pair(alpha)
     descending = alpha > 0
 
-    def evolve(a: np.ndarray) -> np.ndarray:
+    def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(cfg.rounds):
-            full = np.kron(a, reset)
+            full = np.multiply.outer(a, reset).ravel()
             full = np.sort(full)[::-1] if descending else np.sort(full)
             a = pairwise_sum(full.reshape(dim, res_dim), axis=1)
-        return a
+        return _recycle_array(a, fresh), a
 
-    a = _product_probs(alpha, n - m)
-    residual = np.inf
-    for cycle in range(1, max_cycles + 1):
-        nxt = _recycle_array(evolve(a), alpha)
-        residual = float(pairwise_sum(np.abs(nxt - a)))
-        a = nxt
-        if residual <= tol:
-            return SteadyStateResult(a, _marginal(evolve(a)), cycle, residual)
-    raise ConvergenceError(
-        f"optimal-bound iteration did not converge within {max_cycles} cycles "
-        f"(last residual {residual:.3e})",
-        residual,
+    return _steady_result(
+        step,
+        product_state(alpha, n - m).probs,
+        tol,
+        max_cycles,
+        f"optimal bound at alpha={alpha!r}, rounds={cfg.rounds}",
     )
 
 
 def reduction_factor_bound(cfg: RefrigeratorConfig, alpha: float) -> float:
     """Reduction factor of the sort-based upper bound, same cost accounting."""
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    result = optimal_bound_simulate(cfg, alpha)
-    n, m = cfg.n, cfg.m
-    dim, res_dim = 1 << (n - m), 1 << m
-    reset = _product_probs(alpha, m)
-    descending = alpha > 0
-    evolved = result.a_fixed
-    for _ in range(cfg.rounds):
-        full = np.kron(evolved, reset)
-        full = np.sort(full)[::-1] if descending else np.sort(full)
-        evolved = pairwise_sum(full.reshape(dim, res_dim), axis=1)
-    return _reduction_from_vector(alpha, evolved, cfg.cost)
+    return optimal_bound_simulate(cfg, alpha).reduction_factor(alpha, cfg.cost)

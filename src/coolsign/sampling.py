@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import binom
 
-from .refrigerator import RefrigeratorConfig, reduction_factor_qr, steady_state
+from .refrigerator import RefrigeratorConfig, steady_state
 
 #: trials per RNG substream; chunk boundaries depend only on the trial count,
 #: so results are identical however the chunks are scheduled
@@ -141,6 +140,8 @@ def exact_sign_error(alpha: float, k: int) -> float:
         raise ValueError(f"need k >= 1, got {k}")
     if alpha == 0.0:
         return 0.5
+    from scipy.stats import binom  # costs ~0.8 s on import; only this function needs it
+
     p = (1.0 + abs(alpha)) / 2.0
     err = float(binom.cdf((k - 1) // 2, k, p))
     if k % 2 == 0:
@@ -209,7 +210,8 @@ def resource_matched_comparison(
         raise BudgetError(
             f"budget {total_budget} cannot afford one cooled shot (cost {cfg.cost})"
         )
-    alpha_cooled = steady_state(cfg, alpha).alpha_enhanced
+    steady = steady_state(cfg, alpha)
+    alpha_cooled = steady.alpha_enhanced
 
     exact_raw = exact_sign_error(alpha, k_raw)
     exact_cooled = exact_sign_error(alpha_cooled, k_cooled)
@@ -225,7 +227,7 @@ def resource_matched_comparison(
     else:
         bound_raw = predict_error_bound(alpha, k_raw)
         bound_cooled = predict_error_bound(alpha_cooled, k_cooled)
-        reduction = reduction_factor_qr(cfg, alpha)
+        reduction = steady.reduction_factor(alpha, cfg.cost)
     ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
     return ResourceComparison(
         alpha_raw=alpha,

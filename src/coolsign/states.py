@@ -164,7 +164,7 @@ def product_state(alpha: float, n: int) -> DiagonalState:
     cell = ground_excited_pair(alpha)
     probs = np.array([1.0])
     for _ in range(n):
-        probs = np.kron(probs, cell)
+        probs = np.multiply.outer(probs, cell).ravel()
     return DiagonalState(n, probs)
 
 

@@ -1,11 +1,21 @@
 import csv
+import functools
 import json
 import math
 
 import pytest
 
-from coolsign import alpha_ac, alpha_infinity, reduction_factor_ac
-from coolsign.cli import EXIT_BUDGET, EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_alpha_grid
+from coolsign import alpha_ac, alpha_infinity, reduction_factor_ac, refrigerator, verify
+from coolsign.cli import (
+    EXIT_BUDGET,
+    EXIT_CONVERGENCE,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+    parse_alpha_grid,
+)
 
 
 def read_csv(path):
@@ -203,6 +213,56 @@ class TestSampleCommand:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_BUDGET
+
+
+class TestExitCodes:
+    """One test per documented exit code that the classes above do not cover;
+    every failure is one line on stderr, never a traceback."""
+
+    def one_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_verification_failure(self, capsys, monkeypatch):
+        failing = verify.CheckResult("always fails", False, 1.0, 0.0)
+        monkeypatch.setitem(verify.SUITES, "theorem1", lambda: [failing])
+        assert main(["--suite", "theorem1"]) == EXIT_VERIFY
+        assert "FAILED" in self.one_line(capsys)
+
+    def test_config_rejected_is_usage_error(self, tmp_path, capsys):
+        code = main(["--figure", "bqr-reduction", "--n", "5", "--m", "9",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "m=9" in self.one_line(capsys)
+
+    def test_polarization_out_of_range_is_usage_error(self, tmp_path, capsys):
+        code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "1",
+                     "--alpha-grid", "0.5:1.5:0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert "1.5" in self.one_line(capsys)
+
+    def test_sample_config_rejected_is_usage_error(self, tmp_path, capsys):
+        code = main(["--sample", "--n", "4", "--m", "4", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        self.one_line(capsys)
+
+    def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
+        # a zero cycle budget can never converge
+        stalled = functools.partial(refrigerator.steady_state, max_cycles=0)
+        monkeypatch.setattr(refrigerator, "steady_state", stalled)
+        code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "3",
+                     "--alpha-grid", "0.25:0.25:0.1", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONVERGENCE
+        err = self.one_line(capsys)
+        assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
+
+    def test_large_registers_on_default_grid(self, tmp_path):
+        # power iteration stalled on these near saturation
+        for figure, n in (("bqr-reduction", "8"), ("klocal-reduction", "7")):
+            code = main(["--figure", figure, "--n", n, "--m", "2", "--rounds", "3,4",
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == EXIT_OK
 
 
 def test_mutually_exclusive_modes():

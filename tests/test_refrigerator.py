@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coolsign import (
     ConvergenceError,
+    DiagonalState,
     RefrigeratorConfig,
     alpha_infinity,
     build_round_matrix,
@@ -22,6 +26,7 @@ from coolsign import (
     trace_out_first,
     trace_out_last,
 )
+from coolsign.refrigerator import fixed_point
 
 
 def expected_m4(p):
@@ -245,13 +250,158 @@ class TestSteadyState:
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
     def test_convergence_failure_carries_residual(self):
+        # swapping [1, 0] moves the vector by exactly 2.0 every cycle
+        def swap(a):
+            return a[::-1].copy(), a
+
         with pytest.raises(ConvergenceError) as excinfo:
-            steady_state(RefrigeratorConfig(5, 2, 1), 0.5, tol=1e-300, max_cycles=5)
+            fixed_point(swap, np.array([1.0, 0.0]), tol=1e-300, max_cycles=5)
         assert excinfo.value.residual >= 0.0
+        assert excinfo.value.residual == 2.0
+
+    def test_failure_message_names_alpha_rounds_and_residual(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            steady_state(RefrigeratorConfig(5, 2, 3), 0.25, max_cycles=0)
+        message = str(excinfo.value)
+        assert "alpha=0.25" in message and "rounds=3" in message and "residual" in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "cfg,alpha",
+        [(RefrigeratorConfig(8, 2, 3), 0.98), (RefrigeratorConfig(7, 2, 4, locality="3local"), 0.99)],
+    )
+    def test_converges_near_saturation(self, cfg, alpha):
+        # power iteration from the product state stalled on these cells
+        result = steady_state(cfg, alpha)
+        assert result.cycles_used <= 2
+        assert result.residual <= 1e-12
+        recycled, enhanced = recycle_cycle(result.a_fixed, cfg, alpha)
+        assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
+        assert enhanced == result.alpha_enhanced
+
+    def test_target_masses(self):
+        for alpha in (0.3, -0.3, 0.95):
+            result = steady_state(RefrigeratorConfig(6, 2, 4), alpha)
+            assert result.ground - result.excited == result.alpha_enhanced
+            assert abs(result.ground + result.excited - 1.0) < 1e-14
+
+    def test_unit_polarization(self):
+        for alpha in (1.0, -1.0):
+            result = steady_state(RefrigeratorConfig(5, 2, 3), alpha)
+            assert result.alpha_enhanced == alpha
+            assert result.residual == 0.0
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             steady_state(RefrigeratorConfig(4, 2, 1), 0.5, tol=0.0)
+
+
+def full_register_cycle_map(cfg, alpha):
+    """One recycle cycle as a matrix on the full 2^n register, one basis state
+    at a time: ``cfg.rounds`` calls of round_channel, then the target traced
+    out and a fresh qubit appended at the end."""
+    dim = 1 << cfg.n
+    columns = np.empty((dim, dim))
+    for j in range(dim):
+        state = DiagonalState(cfg.n, np.eye(dim)[j])
+        for _ in range(cfg.rounds):
+            state = round_channel(state, cfg, alpha)
+        columns[:, j] = tensor(trace_out_first(state, 1), product_state(alpha, 1)).probs
+    return columns
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    m=st.integers(1, 3),
+    rounds=st.integers(1, 5),
+    locality=st.sampled_from(["full", "3local"]),
+    alpha=st.floats(-0.97, 0.97, exclude_min=True, exclude_max=True),
+)
+def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality, alpha):
+    assume(m <= n - 1)
+    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+    # the full-register history after 2^60 cycles, by repeated squaring
+    power = full_register_cycle_map(cfg, alpha)
+    for _ in range(60):
+        power = power @ power
+        power /= power.sum(axis=0, keepdims=True)
+    history = power @ product_state(alpha, n).probs
+    cycle_start = DiagonalState(n, history / history.sum())
+    state = cycle_start
+    for _ in range(rounds):
+        state = round_channel(state, cfg, alpha)
+    result = steady_state(cfg, alpha)
+    assert abs(result.alpha_enhanced - marginal_target(state)) < 1e-9
+    traced = trace_out_last(cycle_start, m).probs
+    assert np.abs(result.a_fixed - traced).max() < 1e-9
+    assert steady_state(cfg, -alpha).alpha_enhanced == -result.alpha_enhanced
+
+
+def exact_reduction_factor(n, m, rounds, alpha):
+    """Reduction factor of the staircase refrigerator in rational arithmetic.
+
+    The recycle cycle is simulated on the full 2^n register for each basis
+    input of the non-reset qubits, its stationary vector solved by exact
+    Gaussian elimination, and the target masses read after the rounds.
+    """
+    p, q = (1 + alpha) / 2, (1 - alpha) / 2
+    dim, res_dim = 1 << (n - m), 1 << m
+
+    def fresh(count):
+        out = [Fraction(1)]
+        for _ in range(count):
+            out = [x * c for x in out for c in (p, q)]
+        return out
+
+    def image(x):
+        # the j-qubit compression swap on the last j qubits, for j = 3..n
+        for j in range(3, n + 1):
+            low, half = x & ((1 << j) - 1), 1 << (j - 1)
+            if low == half - 1:
+                x += 1
+            elif low == half:
+                x -= 1
+        return x
+
+    reset = fresh(m)
+
+    def run_rounds(vec):
+        for _ in range(rounds):
+            moved = [Fraction(0)] * (dim * res_dim)
+            for x in range(dim * res_dim):
+                moved[image(x)] += vec[x // res_dim] * reset[x % res_dim]
+            vec = [sum(moved[i * res_dim:(i + 1) * res_dim]) for i in range(dim)]
+        return vec
+
+    def recycle(vec):
+        half = dim // 2
+        return [(vec[i] + vec[i + half]) * c for i in range(half) for c in (p, q)]
+
+    cycle = [recycle(run_rounds([Fraction(int(i == j)) for i in range(dim)])) for j in range(dim)]
+    # solve (C - I) x = 0 with the last equation replaced by sum(x) = 1
+    system = [[cycle[j][i] - (i == j) for j in range(dim)] + [Fraction(0)] for i in range(dim)]
+    system[-1] = [Fraction(1)] * dim + [Fraction(1)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(dim):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    stationary = [system[i][-1] / system[i][i] for i in range(dim)]
+    evolved = run_rounds(stationary)
+    ground, excited = sum(evolved[: dim // 2]), sum(evolved[dim // 2:])
+    raw = (1 - alpha * alpha) / (alpha * alpha)
+    enhanced = 4 * ground * excited / (ground - excited) ** 2
+    return raw / enhanced / (m * rounds + 1)
+
+
+def test_reduction_factor_matches_exact_rational_solve():
+    exact = exact_reduction_factor(5, 2, 3, Fraction(99, 100))
+    assert float(exact) == pytest.approx(6.73e8, rel=1e-3)
+    got = reduction_factor_qr(RefrigeratorConfig(5, 2, 3), 0.99)
+    assert abs(got - float(exact)) <= 1e-9 * float(exact)
 
 
 class TestAlphaInfinity:
