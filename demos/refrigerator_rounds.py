@@ -6,6 +6,10 @@ is solved directly from the cycle's matrix and then polished by one or two
 recycle cycles, which the "cycles" column counts.  The asymptotic line is
 tanh(m 2^(n-m-1) artanh(alpha)).
 
+Too few rounds for the register can cool the target *below* the raw
+polarization: at n=9, m=2, 5 rounds and alpha=0.1 the steady state reads
+0.0547.  The last section shows this.
+
 Run:  python demos/refrigerator_rounds.py
 """
 
@@ -41,3 +45,8 @@ print("\nBidirectionality: the same circuit run on a negative bias")
 for alpha in (0.3, -0.3):
     result = steady_state(RefrigeratorConfig(N, M, 5), alpha)
     print(f"  alpha = {alpha:+.1f}  ->  alpha_qr = {result.alpha_enhanced:+.8f}")
+
+print("\nToo few rounds for a large register cool below the raw value (alpha = 0.1):")
+for rounds in (5, 9, 20):
+    result = steady_state(RefrigeratorConfig(9, M, rounds), 0.1)
+    print(f"  n = 9, rounds = {rounds:2d}  ->  alpha_qr = {result.alpha_enhanced:.4f}")

@@ -149,20 +149,24 @@ def _figure_bqr(spec: SweepSpec, reduction: bool, locality: str) -> tuple[list[s
         curve = [refrigerator.steady_state(cfg, a).alpha_enhanced for cfg in cfgs]
         return [a] + curve + [a, refrigerator.alpha_infinity(n, spec.m, a)]
 
-    rows = _map_grid(one_point, spec)
-    return header, rows
+    return header, _map_grid(one_point, spec.alpha_grid, spec.jobs)
 
 
-def _map_grid(fn, spec: SweepSpec) -> list[list]:
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(fn, spec.alpha_grid))
-    return [fn(a) for a in spec.alpha_grid]
+def _map_grid(fn, items, jobs: int) -> list[list]:
+    """``[fn(item) for item in items]``, on ``jobs`` threads when above one."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def cmd_figure(name: str, spec: SweepSpec) -> int:
     if name not in FIGURES:
         print(f"unknown figure {name!r}; choose from {FIGURES}", file=sys.stderr)
+        return EXIT_USAGE
+    if name in ("bqr-polarization", "bqr-reduction") and spec.locality != "full":
+        print(f"--figure {name} runs the full staircase only; for --locality "
+              f"{spec.locality} use --figure klocal-reduction or --sample", file=sys.stderr)
         return EXIT_USAGE
     if "reduction" in name and any(a <= 0.0 for a in spec.alpha_grid):
         print("reduction-factor sweeps need a grid within (0, 1)", file=sys.stderr)
@@ -231,11 +235,8 @@ def cmd_sample(spec: SweepSpec) -> int:
 
     def one_point(item: tuple[int, float]) -> list:
         index, alpha = item
-        point_seed = int(
-            np.random.SeedSequence(spec.seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
-        )
         rec = sampling.resource_matched_comparison(
-            alpha, cfg, spec.budget, point_seed, trials=spec.trials
+            alpha, cfg, spec.budget, sampling._derived_seed(spec.seed, index), trials=spec.trials
         )
         return [
             rec.alpha_raw,
@@ -252,13 +253,8 @@ def cmd_sample(spec: SweepSpec) -> int:
             rec.reduction_factor,
         ]
 
-    items = list(enumerate(spec.alpha_grid))
     try:
-        if spec.jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                rows = list(pool.map(one_point, items))
-        else:
-            rows = [one_point(item) for item in items]
+        rows = _map_grid(one_point, enumerate(spec.alpha_grid), spec.jobs)
     except sampling.BudgetError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET

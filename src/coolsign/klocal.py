@@ -10,17 +10,13 @@ rather than powers of two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .refrigerator import (
-    RefrigeratorConfig,
-    reduction_factor_qr,
-)
-from .states import PermutationSpec, ground_excited_pair, permutation_from_swaps
+from .refrigerator import _power_ratio
+from .states import PermutationSpec, window_swaps
 
 
 @lru_cache(maxsize=None)
@@ -34,14 +30,7 @@ def build_uqr_3local(n: int) -> PermutationSpec:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    swaps = []
-    for low in range(n - 2):  # qubits below the window
-        width = 1 << (low + 3)
-        for hi in range(1 << (n - 3 - low)):
-            for lo in range(1 << low):
-                base = hi * width + lo
-                swaps.append((base + 3 * (1 << low), base + 4 * (1 << low)))
-    return permutation_from_swaps(n, swaps)
+    return window_swaps(n, [(low, 3) for low in range(n - 2)])
 
 
 def fibonacci(j: int) -> int:
@@ -54,34 +43,14 @@ def fibonacci(j: int) -> int:
     return a
 
 
-def _population_ratio(alpha: float, exponent: int) -> float:
-    """``p^F / (p^F + q^F)``, with a tanh fallback when both powers underflow."""
-    p, q = ground_excited_pair(alpha)
-    hi, lo = p**exponent, q**exponent
-    total = hi + lo
-    if total > 0.0:
-        return hi / total
-    return 0.5 * (1.0 + math.tanh(exponent * math.atanh(alpha)))
-
-
 def alpha_infinity_3local(n: int, alpha: float) -> float:
-    """Cooling limit of the 3-local refrigerator: ``tanh(F_n artanh(alpha))``.
-
-    Evaluated as the power ratio ``(p^F - q^F) / (p^F + q^F)`` (exactly odd in
-    ``alpha``), falling back to the tanh form if both powers underflow.
-    """
+    """Cooling limit of the 3-local refrigerator: ``tanh(F_n artanh(alpha))``,
+    evaluated as in :func:`coolsign.refrigerator.alpha_infinity`."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if abs(alpha) > 1:
         raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
-    if abs(alpha) == 1.0:
-        return math.copysign(1.0, alpha)
-    exponent = fibonacci(n)
-    p, q = ground_excited_pair(alpha)
-    hi, lo = p**exponent, q**exponent
-    if hi + lo > 0.0:
-        return (hi - lo) / (hi + lo)
-    return math.tanh(exponent * math.atanh(alpha))
+    return _power_ratio(alpha, fibonacci(n))
 
 
 @dataclass(frozen=True)
@@ -98,21 +67,13 @@ class KLocalAsymptotics:
 
 
 def asymptotic_population_vector(n: int, alpha: float) -> KLocalAsymptotics:
-    """Fibonacci-exponent populations ``p^F_j / (p^F_j + q^F_j)``, j = 1..n.
+    """Fibonacci-exponent populations ``(1 + tanh(F_j artanh(alpha))) / 2``,
+    j = 1..n, i.e. ``p^F_j / (p^F_j + q^F_j)``.
 
     The first two entries (the reset qubits) stay at ``p`` since ``F_1 = F_2
     = 1``; the steady state of the 3-local round map factorizes into exactly
     this product state.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
-    populations = np.array([_population_ratio(alpha, fibonacci(j)) for j in range(1, n + 1)])
-    return KLocalAsymptotics(n, populations, alpha_infinity_3local(n, alpha))
-
-
-def reduction_factor_qr_3local(cfg: RefrigeratorConfig, alpha: float) -> float:
-    """Error-bound reduction with the 3-local round map substituted."""
-    local_cfg = RefrigeratorConfig(cfg.n, cfg.m, cfg.rounds, locality="3local")
-    return reduction_factor_qr(local_cfg, alpha)
+    target = alpha_infinity_3local(n, alpha)
+    populations = [(1.0 + _power_ratio(alpha, fibonacci(j))) / 2.0 for j in range(1, n + 1)]
+    return KLocalAsymptotics(n, np.array(populations), target)

@@ -37,8 +37,8 @@ from .states import (
     ground_excited_pair,
     marginal_target,
     pairwise_sum,
-    permutation_from_swaps,
     product_state,
+    window_swaps,
 )
 
 LOCALITIES = ("full", "3local")
@@ -109,16 +109,7 @@ def build_ucj(j: int) -> PermutationSpec:
     """Compression swap on ``j`` qubits: ``|0 1...1>  <->  |1 0...0>``."""
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
-    half = 1 << (j - 1)
-    return permutation_from_swaps(j, [(half - 1, half)])
-
-
-def _staircase_swaps(n: int) -> list[tuple[int, int]]:
-    swaps = []
-    for j in range(3, n + 1):
-        half = 1 << (j - 1)
-        swaps.extend((x * (1 << j) + half - 1, x * (1 << j) + half) for x in range(1 << (n - j)))
-    return swaps
+    return window_swaps(j, [(0, j)])
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +119,7 @@ def build_uqr(n: int) -> PermutationSpec:
     result is an involution."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return permutation_from_swaps(n, _staircase_swaps(n))
+    return window_swaps(n, [(0, j) for j in range(3, n + 1)])
 
 
 def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
@@ -331,27 +322,39 @@ def steady_state(
     )
 
 
-def alpha_infinity(n: int, m: int, alpha: float) -> float:
-    """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``.
+def _power_ratio(alpha: float, exponent: int) -> float:
+    """``tanh(exponent * artanh(alpha))`` for ``|alpha| <= 1``.
 
     Evaluated through the equivalent power ratio
-    ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever it stays within
-    floating-point range; the ratio form is exact for small ``K`` (e.g.
-    ``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd in ``alpha``.
+    ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever the powers stay
+    within floating-point range, and through ``tanh`` when one overflows.
+    The ratio form is exact for small ``K`` and exactly odd in ``alpha``.
+    ``K = 1`` returns ``alpha`` itself, so that ``(1 + t) / 2`` reproduces
+    the reservoir population ``(1 + alpha) / 2`` bit for bit.
     """
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     if abs(alpha) == 1.0:
         return math.copysign(1.0, alpha)
-    exponent = m * (1 << (n - m - 1))
+    if exponent == 1:
+        return alpha
     try:
         hi = (1.0 + alpha) ** exponent
         lo = (1.0 - alpha) ** exponent
     except OverflowError:
         return math.tanh(exponent * math.atanh(alpha))
-    if hi + lo > 0.0:
-        return (hi - lo) / (hi + lo)
-    return math.tanh(exponent * math.atanh(alpha))
+    return (hi - lo) / (hi + lo)
+
+
+def alpha_infinity(n: int, m: int, alpha: float) -> float:
+    """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``.
+
+    Evaluated as the power ratio ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)``
+    with ``K = m 2^(n-m-1)``, which is exact for small ``K`` (e.g.
+    ``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd in ``alpha``; the
+    tanh form takes over when a power overflows.
+    """
+    if abs(alpha) > 1:
+        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+    return _power_ratio(alpha, m * (1 << (n - m - 1)))
 
 
 def reduction_factor_qr(cfg: RefrigeratorConfig, alpha: float) -> float:

@@ -21,7 +21,6 @@ from .states import (
     apply_permutation,
     ground_excited_pair,
     marginal_target,
-    permutation_from_map,
     product_state,
     trace_out_last,
 )
@@ -53,7 +52,7 @@ def compression_permutation(n: int) -> PermutationSpec:
     order = np.lexsort((np.arange(1 << n), weights))
     perm = np.empty(1 << n, dtype=np.intp)
     perm[order] = np.arange(1 << n)
-    return permutation_from_map(n, perm)
+    return PermutationSpec(n, perm)
 
 
 def optimal_compression(d: DiagonalState) -> CompressionResult:

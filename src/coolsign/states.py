@@ -19,7 +19,7 @@ modules rely on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,15 +92,10 @@ class DiagonalState:
 
 @dataclass(frozen=True)
 class PermutationSpec:
-    """Bijection on basis indices, as an index map plus generating swaps.
-
-    ``perm[i]`` is the image of index ``i``; ``swaps`` lists generating
-    transpositions in application order (first applied first).
-    """
+    """Bijection on basis indices: ``perm[i]`` is the image of index ``i``."""
 
     n: int
     perm: np.ndarray
-    swaps: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
         perm = np.asarray(self.perm, dtype=np.intp)
@@ -115,46 +110,28 @@ class PermutationSpec:
     def inverse(self) -> "PermutationSpec":
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(self.perm.size)
-        return PermutationSpec(self.n, inv, tuple(reversed(self.swaps)))
+        return PermutationSpec(self.n, inv)
 
 
 def identity_permutation(n: int) -> PermutationSpec:
     return PermutationSpec(n, np.arange(1 << n))
 
 
-def permutation_from_swaps(n: int, swaps) -> PermutationSpec:
-    """Compose transpositions (applied left to right) into a PermutationSpec."""
+def window_swaps(n: int, windows) -> PermutationSpec:
+    """Compose compression swaps on bit windows, applied in order.
+
+    A window ``(low, width)`` covers ``width`` adjacent bits starting ``low``
+    bits above the least significant one.  It swaps the window patterns
+    ``0 1...1`` and ``1 0...0`` for every setting of the other bits, which
+    moves an image up or down by ``1 << low``.
+    """
     perm = np.arange(1 << n)
-    for a, b in swaps:
-        # applying the swap (a<->b) after the map built so far relabels images
-        mask_a = perm == a
-        mask_b = perm == b
-        perm[mask_a] = b
-        perm[mask_b] = a
-    return PermutationSpec(n, perm, tuple((int(a), int(b)) for a, b in swaps))
-
-
-def permutation_from_map(n: int, perm: np.ndarray) -> PermutationSpec:
-    """Wrap an explicit index map, deriving generating swaps from its cycles."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-        raise ValueError("index map is not a bijection")
-    swaps: list[tuple[int, int]] = []
-    seen = np.zeros(perm.size, dtype=bool)
-    for start in range(perm.size):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        j = int(perm[start])
-        while j != start:
-            cycle.append(j)
-            seen[j] = True
-            j = int(perm[j])
-        # (c0 c1 ... ck) = (c0 ck)...(c0 c2)(c0 c1), applied left to right
-        swaps.extend((cycle[0], c) for c in cycle[1:])
-    return PermutationSpec(n, perm, tuple(swaps))
+    for low, width in windows:
+        pattern = (perm >> low) & ((1 << width) - 1)
+        half = 1 << (width - 1)
+        perm[pattern == half - 1] += 1 << low
+        perm[pattern == half] -= 1 << low
+    return PermutationSpec(n, perm)
 
 
 def product_state(alpha: float, n: int) -> DiagonalState:

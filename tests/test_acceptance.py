@@ -27,7 +27,6 @@ from coolsign import (
     reduction_factor_ac,
     reduction_factor_bound,
     reduction_factor_qr,
-    reduction_factor_qr_3local,
     resource_matched_comparison,
     round_channel,
     steady_state,
@@ -174,11 +173,12 @@ def test_criterion_6_klocal_asymptotics():
 def test_criterion_7_upper_bound_dominance():
     start = time.perf_counter()
     cfg = RefrigeratorConfig(5, 2, 9)
+    local_cfg = RefrigeratorConfig(5, 2, 9, locality="3local")
     for a in np.round(np.arange(0.30, 0.9001, 0.05), 10):
         alpha = float(a)
         r_bound = reduction_factor_bound(cfg, alpha)
         r_full = reduction_factor_qr(cfg, alpha)
-        r_local = reduction_factor_qr_3local(cfg, alpha)
+        r_local = reduction_factor_qr(local_cfg, alpha)
         assert r_bound >= r_full * (1 - 1e-9)
         assert r_full >= r_local * (1 - 1e-9)
         assert r_full >= 0.9 * r_bound

@@ -247,6 +247,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         self.one_line(capsys)
 
+    def test_locality_rejected_by_full_staircase_figures(self, tmp_path, capsys):
+        # their asymptotic column is the full-staircase limit
+        out = tmp_path / "x.csv"
+        for figure in ("bqr-polarization", "bqr-reduction"):
+            code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality", "3local",
+                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
+            assert code == EXIT_USAGE
+            err = self.one_line(capsys)
+            assert "klocal-reduction" in err and "--sample" in err
+        assert not out.exists()
+
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
         # a zero cycle budget can never converge
         stalled = functools.partial(refrigerator.steady_state, max_cycles=0)

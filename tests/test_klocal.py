@@ -17,11 +17,11 @@ from coolsign import (
     product_state,
     reduction_factor_bound,
     reduction_factor_qr,
-    reduction_factor_qr_3local,
     round_channel,
     steady_state,
     trace_out_last,
 )
+from coolsign.refrigerator import compression_permutation_for
 
 
 def expected_m4_3local(p):
@@ -220,7 +220,8 @@ class TestAsymptoticPopulations:
 class TestReduction3Local:
     def test_n3_equals_full_staircase(self):
         cfg = RefrigeratorConfig(3, 2, 4)
-        assert reduction_factor_qr_3local(cfg, 0.5) == reduction_factor_qr(cfg, 0.5)
+        local_cfg = RefrigeratorConfig(3, 2, 4, locality="3local")
+        assert reduction_factor_qr(local_cfg, 0.5) == reduction_factor_qr(cfg, 0.5)
 
     def test_never_exceeds_full_staircase_from_three_rounds(self):
         for rounds in (1, 3, 5, 9):
@@ -241,19 +242,23 @@ class TestReduction3Local:
 
     def test_below_optimal_bound_on_grid(self):
         cfg = RefrigeratorConfig(5, 2, 9)
+        local_cfg = RefrigeratorConfig(5, 2, 9, locality="3local")
         for alpha in np.arange(0.3, 0.901, 0.1):
             bound = reduction_factor_bound(cfg, float(alpha))
-            local = reduction_factor_qr_3local(cfg, float(alpha))
+            local = reduction_factor_qr(local_cfg, float(alpha))
             assert local <= bound * (1 + 1e-9)
 
     def test_no_advantage_at_low_polarization(self):
-        assert reduction_factor_qr_3local(RefrigeratorConfig(5, 2, 9), 0.05) < 1.0
+        cfg = RefrigeratorConfig(5, 2, 9, locality="3local")
+        assert reduction_factor_qr(cfg, 0.05) < 1.0
 
     def test_even_in_alpha(self):
-        cfg = RefrigeratorConfig(5, 2, 3)
-        assert reduction_factor_qr_3local(cfg, -0.6) == reduction_factor_qr_3local(cfg, 0.6)
+        cfg = RefrigeratorConfig(5, 2, 3, locality="3local")
+        assert reduction_factor_qr(cfg, -0.6) == reduction_factor_qr(cfg, 0.6)
 
     def test_locality_field_dispatch(self):
+        # the locality field alone selects the sliding windows
         cfg = RefrigeratorConfig(5, 2, 4, locality="3local")
+        assert compression_permutation_for(cfg) is build_uqr_3local(5)
         direct = reduction_factor_qr(cfg, 0.5)
-        assert reduction_factor_qr_3local(RefrigeratorConfig(5, 2, 4), 0.5) == direct
+        assert reduction_factor_qr(RefrigeratorConfig(5, 2, 4), 0.5) != direct

@@ -14,6 +14,7 @@ from coolsign import (
     build_round_matrix,
     build_ucj,
     build_uqr,
+    build_uqr_3local,
     marginal_target,
     optimal_bound_simulate,
     product_state,
@@ -52,11 +53,58 @@ def full_simulation_marginal(cfg, alpha, start_vec):
     return marginal_target(state), trace_out_last(state, cfg.m).probs
 
 
+def staircase_transpositions(n, locality):
+    """Every transposition of a staircase, in application order, listed one
+    by one from the basis patterns (no bit windows)."""
+    swaps = []
+    if locality == "full":
+        for j in range(3, n + 1):
+            half = 1 << (j - 1)
+            swaps += [(x * (1 << j) + half - 1, x * (1 << j) + half) for x in range(1 << (n - j))]
+    else:
+        for low in range(n - 2):  # qubits below the window
+            for hi in range(1 << (n - 3 - low)):
+                for lo in range(1 << low):
+                    base = hi * (1 << (low + 3)) + lo
+                    swaps.append((base + 3 * (1 << low), base + 4 * (1 << low)))
+    return swaps
+
+
+def swap_by_swap(n, swaps):
+    """Labels of the basis states after exchanging entries one pair at a time."""
+    labels = np.arange(1 << n)
+    for a, b in swaps:
+        labels[[a, b]] = labels[[b, a]]
+    return labels
+
+
+def moved_labels(perm):
+    """The same labels moved by an index map: ``out[perm[i]] = i``."""
+    out = np.empty_like(perm.perm)
+    out[perm.perm] = np.arange(perm.perm.size)
+    return out
+
+
 class TestCompressionPermutations:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_staircases_match_swap_by_swap_oracle(self, n):
+        for locality, build in (("full", build_uqr), ("3local", build_uqr_3local)):
+            expect = swap_by_swap(n, staircase_transpositions(n, locality))
+            assert np.array_equal(moved_labels(build(n)), expect), locality
+        half = 1 << (n - 1)
+        assert np.array_equal(moved_labels(build_ucj(n)), swap_by_swap(n, [(half - 1, half)]))
+
+    def test_sixteen_qubit_staircases(self):
+        perm = build_uqr(16).perm
+        assert np.array_equal(perm[perm], np.arange(1 << 16))
+        local = build_uqr_3local(16).perm
+        assert np.array_equal(np.sort(local), np.arange(1 << 16))
+
     def test_ucj_examples(self):
-        assert build_ucj(3).swaps == ((3, 4),)
-        assert build_ucj(4).swaps == ((7, 8),)
-        assert build_ucj(2).swaps == ((1, 2),)
+        for j, (a, b) in ((3, (3, 4)), (4, (7, 8)), (2, (1, 2))):
+            expect = np.arange(1 << j)
+            expect[[a, b]] = [b, a]
+            assert np.array_equal(build_ucj(j).perm, expect)
 
     def test_ucj_requires_two_qubits(self):
         with pytest.raises(ValueError):
