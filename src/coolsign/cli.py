@@ -7,9 +7,10 @@ endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed, regardless of ``--jobs``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-parameters a config or grid rejects), 3 output I/O error, 4 budget too
-small, 5 a fixed point that did not converge.  Errors are reported on
-stderr without a traceback.
+parameters a config or grid rejects, a ``--locality`` that contradicts the
+figure, and a register too large to simulate in memory), 3 output I/O
+error, 4 budget too small, 5 a fixed point that did not converge.  Errors
+are reported on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ FIGURES = (
     "klocal-reduction",
 )
 
+#: the staircase each refrigerator figure runs
+FIGURE_LOCALITY = {"bqr-polarization": "full", "bqr-reduction": "full",
+                   "klocal-reduction": "3local"}
+
 DEFAULT_SINGLE_SHOT_N = (3, 5, 11, 21)
 DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
 
@@ -51,7 +56,7 @@ class SweepSpec:
     n_list: tuple[int, ...]
     m: int
     rounds_list: tuple[int, ...]
-    locality: str
+    locality: str | None  # None when --locality is not given
     budget: int
     trials: int
     seed: int
@@ -66,8 +71,8 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ValueError(f"need step > 0 and stop >= start, got {text!r}")
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
+        raise ValueError(f"need finite bounds, step > 0 and stop >= start, got {text!r}")
     count = int(round((stop - start) / step))
     grid = tuple(round(start + k * step, 12) for k in range(count + 1))
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -164,9 +169,11 @@ def cmd_figure(name: str, spec: SweepSpec) -> int:
     if name not in FIGURES:
         print(f"unknown figure {name!r}; choose from {FIGURES}", file=sys.stderr)
         return EXIT_USAGE
-    if name in ("bqr-polarization", "bqr-reduction") and spec.locality != "full":
-        print(f"--figure {name} runs the full staircase only; for --locality "
-              f"{spec.locality} use --figure klocal-reduction or --sample", file=sys.stderr)
+    locality = FIGURE_LOCALITY.get(name)
+    if locality and spec.locality not in (None, locality):
+        others = " or ".join(f for f, loc in FIGURE_LOCALITY.items() if loc == spec.locality)
+        print(f"--figure {name} runs the {locality} staircase only; for --locality "
+              f"{spec.locality} use --figure {others} or --sample", file=sys.stderr)
         return EXIT_USAGE
     if "reduction" in name and any(a <= 0.0 for a in spec.alpha_grid):
         print("reduction-factor sweeps need a grid within (0, 1)", file=sys.stderr)
@@ -175,12 +182,8 @@ def cmd_figure(name: str, spec: SweepSpec) -> int:
         header, rows = _figure_single_shot(spec, reduction=False)
     elif name == "single-shot-reduction":
         header, rows = _figure_single_shot(spec, reduction=True)
-    elif name == "bqr-polarization":
-        header, rows = _figure_bqr(spec, reduction=False, locality="full")
-    elif name == "bqr-reduction":
-        header, rows = _figure_bqr(spec, reduction=True, locality="full")
     else:
-        header, rows = _figure_bqr(spec, reduction=True, locality="3local")
+        header, rows = _figure_bqr(spec, reduction=name != "bqr-polarization", locality=locality)
     try:
         write_rows(spec.out, spec.fmt, header, rows)
     except OSError as exc:
@@ -230,7 +233,7 @@ SAMPLE_HEADER = [
 
 def cmd_sample(spec: SweepSpec) -> int:
     cfg = refrigerator.RefrigeratorConfig(
-        spec.n_list[0], spec.m, spec.rounds_list[0], locality=spec.locality
+        spec.n_list[0], spec.m, spec.rounds_list[0], locality=spec.locality or "full"
     )
 
     def one_point(item: tuple[int, float]) -> list:
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", default=None, help="qubit count(s), comma separated")
     parser.add_argument("--m", type=int, default=2, help="reset qubits (default 2)")
     parser.add_argument("--rounds", default=None, help="round count(s), comma separated")
-    parser.add_argument("--locality", choices=refrigerator.LOCALITIES, default="full")
+    parser.add_argument("--locality", choices=refrigerator.LOCALITIES, default=None,
+                        help="staircase for --sample (default full); each figure fixes its own")
     parser.add_argument("--alpha-grid", default=None, metavar="START:STOP:STEP")
     parser.add_argument("--budget", type=int, default=10_000,
                         help="total fresh-qubit budget for --sample")
@@ -360,6 +364,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONVERGENCE
     except ValueError as exc:
         print(f"coolsign: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"coolsign: a register of n={spec.n_list[0]} qubits with m={spec.m} resets "
+              f"is too large to simulate in memory", file=sys.stderr)
         return EXIT_USAGE
 
 

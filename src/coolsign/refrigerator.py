@@ -9,16 +9,16 @@ qubits, plus one fresh qubit appended at the end, are recycled as the next
 input.  The recycle cycle has a fixed point whose target polarization is the
 protocol's figure of merit.
 
-Everything here is linear in the diagonal vector of the non-reset subsystem,
-so a round is equivalently a column-stochastic matrix acting on that vector;
-both representations are provided and kept numerically interchangeable.  The
-fixed point is solved directly from the cycle's matrix and then polished by a
-few order-canonical recycle cycles (:func:`steady_state`).
+One scatter kernel runs every round: it compresses the full register (by the
+staircase's index map, or by a full sort for the bound oracle) and traces
+the resets out.  A round is also a column-stochastic matrix on the non-reset
+vector.  That matrix feeds the direct solve of the fixed point, which kernel
+cycles then polish (:func:`steady_state`), and serves as a verification oracle.
 
 None of the protocol code inspects the sign of ``alpha``: the same staircase
 amplifies whichever bias the sample carries.  The only sign-aware routine is
-:func:`optimal_bound_simulate`, a benchmarking oracle that replaces the
-staircase with a full population sort.
+the compression of :func:`optimal_bound_simulate`, a benchmarking oracle
+that replaces the staircase with a full population sort.
 """
 
 from __future__ import annotations
@@ -130,21 +130,23 @@ def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
     return build_uqr_3local(cfg.n)
 
 
-def _round_array(v: np.ndarray, perm: np.ndarray, n: int, m: int, reset: np.ndarray) -> np.ndarray:
-    """One round on a raw length-2^n vector: permute, trace resets, refresh."""
-    w = np.empty_like(v)
-    w[perm] = v
-    reduced = pairwise_sum(w.reshape(1 << (n - m), 1 << m), axis=1)
-    return np.multiply.outer(reduced, reset).ravel()
+#: relabels a full-register population vector, as a staircase's PermutationSpec does
+Compression = Callable[[np.ndarray], np.ndarray]
+
+
+def _round(full: np.ndarray, compress: Compression, m: int) -> np.ndarray:
+    """The round kernel: compress a full-register vector and trace its last
+    ``m`` (reset) qubits out, leaving the non-reset vector."""
+    return pairwise_sum(compress(full).reshape(-1, 1 << m), axis=1)
 
 
 def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> DiagonalState:
     """One compression-plus-reset round on a full ``n``-qubit DiagonalState."""
     if d.n != cfg.n:
         raise ValueError(f"state has {d.n} qubits, config expects {cfg.n}")
-    perm = compression_permutation_for(cfg)
+    reduced = _round(d.probs, compression_permutation_for(cfg), cfg.m)
     reset = product_state(alpha, cfg.m).probs
-    return DiagonalState(cfg.n, _round_array(d.probs, perm.perm, cfg.n, cfg.m, reset))
+    return DiagonalState(cfg.n, np.multiply.outer(reduced, reset).ravel())
 
 
 def build_round_matrix(
@@ -167,11 +169,6 @@ def build_round_matrix(
     return pairwise_sum(scattered.reshape(dim, res_dim, dim), axis=1)
 
 
-def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # order-canonical rows-times-vector product; see states.pairwise_sum
-    return pairwise_sum(matrix * a[np.newaxis, :], axis=1)
-
-
 def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """Trace the target out of each row and append a qubit in state ``fresh``."""
     half = evolved.shape[-1] >> 1
@@ -184,12 +181,14 @@ def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
 Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _protocol_step(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> Step:
+def _recycle_step(cfg: RefrigeratorConfig, alpha: float, compress: Compression) -> Step:
+    """``cfg.rounds`` kernel rounds with fresh resets, then the recycling."""
+    reset = product_state(alpha, cfg.m).probs
     fresh = ground_excited_pair(alpha)
 
     def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(cfg.rounds):
-            a = _matvec(matrix, a)
+            a = _round(np.multiply.outer(a, reset).ravel(), compress, cfg.m)
         return _recycle_array(a, fresh), a
 
     return step
@@ -206,8 +205,7 @@ def recycle_cycle(
     a = np.asarray(a, dtype=float)
     if a.size != 1 << (cfg.n - cfg.m):
         raise ValueError(f"vector has {a.size} entries, expected {1 << (cfg.n - cfg.m)}")
-    matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
-    recycled, evolved = _protocol_step(cfg, alpha, matrix)(a)
+    recycled, evolved = _recycle_step(cfg, alpha, compression_permutation_for(cfg))(a)
     return recycled, marginal_target(evolved)
 
 
@@ -281,19 +279,21 @@ def _cycle_rows(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> np
     return _recycle_array(evolved, ground_excited_pair(alpha))
 
 
-def _mirrored_seed(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> np.ndarray:
+def _mirrored_seed(cfg: RefrigeratorConfig, alpha: float) -> np.ndarray:
     """Direct solve of the recycle fixed point, made exactly mirror-symmetric.
 
     The cycle at ``-alpha`` is the cycle at ``alpha`` with every bit flipped,
     so its solution reversed is the same vector up to rounding.  Averaging
     the two makes ``seed(-alpha) == seed(alpha)[::-1]`` hold bit for bit,
-    since addition commutes.  At ``|alpha| = 1`` a pure reset leaves one of
-    the chains with a closed subset; the product state is the seed there.
+    since addition commutes; the staircases commute with the flip, so the
+    round matrix at ``-alpha`` is ``matrix[::-1, ::-1]`` bit for bit.  At
+    ``|alpha| = 1`` a pure reset leaves a chain with a closed subset; the
+    product state is the seed there.
     """
-    mirror = build_round_matrix(cfg.n, cfg.m, -alpha, compression_permutation_for(cfg))
+    matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
     try:
         up = _stationary_gth(_cycle_rows(cfg, alpha, matrix))
-        down = _stationary_gth(_cycle_rows(cfg, -alpha, mirror))
+        down = _stationary_gth(_cycle_rows(cfg, -alpha, matrix[::-1, ::-1]))
     except ZeroDivisionError:
         return product_state(alpha, cfg.n - cfg.m).probs
     return (up + down[::-1]) / 2.0
@@ -309,13 +309,12 @@ def steady_state(
 
     The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
     and ``-alpha`` are solved directly and averaged into an exactly
-    mirror-symmetric seed.  Order-canonical recycle cycles then polish it
-    until one cycle moves it by at most ``tol``; one or two cycles suffice.
+    mirror-symmetric seed.  Order-canonical kernel recycle cycles then polish
+    it until one cycle moves it by at most ``tol``; one or two suffice.
     """
-    matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
     return _steady_result(
-        _protocol_step(cfg, alpha, matrix),
-        _mirrored_seed(cfg, alpha, matrix),
+        _recycle_step(cfg, alpha, compression_permutation_for(cfg)),
+        _mirrored_seed(cfg, alpha),
         tol,
         max_cycles,
         f"steady state at alpha={alpha!r}, rounds={cfg.rounds}",
@@ -373,32 +372,20 @@ def optimal_bound_simulate(
     tol: float = 1e-12,
     max_cycles: int = 10_000,
 ) -> SteadyStateResult:
-    """Upper-bound oracle: same recycle structure, but every round applies the
-    optimal sign-aware compression (a full population sort of the register)
-    instead of the staircase.
+    """Upper-bound oracle: the protocol's recycle step, but every round
+    applies the optimal sign-aware compression (a full population sort of
+    the register) instead of the staircase.
 
-    Unlike the protocol itself, this benchmark is allowed to branch on the
+    Unlike the protocol itself, this benchmark's compression branches on the
     sign of ``alpha``: it sorts descending for positive bias and ascending for
     negative bias, which is the best any compression can do.  The sort is
     only piecewise linear, so the iteration starts from the all-fresh state
     rather than from a direct solve.
     """
-    n, m = cfg.n, cfg.m
-    dim, res_dim = 1 << (n - m), 1 << m
-    reset = product_state(alpha, m).probs
-    fresh = ground_excited_pair(alpha)
-    descending = alpha > 0
-
-    def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        for _ in range(cfg.rounds):
-            full = np.multiply.outer(a, reset).ravel()
-            full = np.sort(full)[::-1] if descending else np.sort(full)
-            a = pairwise_sum(full.reshape(dim, res_dim), axis=1)
-        return _recycle_array(a, fresh), a
-
+    sort = (lambda full: np.sort(full)[::-1]) if alpha > 0 else np.sort
     return _steady_result(
-        step,
-        product_state(alpha, n - m).probs,
+        _recycle_step(cfg, alpha, sort),
+        product_state(alpha, cfg.n - cfg.m).probs,
         tol,
         max_cycles,
         f"optimal bound at alpha={alpha!r}, rounds={cfg.rounds}",

@@ -86,16 +86,25 @@ def alpha_ac(n: int, alpha: float) -> float:
     the ``C(n, n/2)`` middle-weight populations across the two halves of the
     register (the plain truncated binomial sum does not, and would even
     violate ``|alpha_ac| >= |alpha|`` at e.g. ``n=4``).
+
+    Where ``C(n, i)`` overflows a float (n >= 1030), the products are taken
+    in log space through ``lgamma``; the terms stay exactly antisymmetric.
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if abs(alpha) > 1:
         raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     p, q = ground_excited_pair(alpha)
-    terms = [
-        math.comb(n, i) * (p ** (n - i) * q**i - q ** (n - i) * p**i)
-        for i in range((n - 1) // 2 + 1)
-    ]
+    half = range((n - 1) // 2 + 1)
+    try:
+        terms = [math.comb(n, i) * (p ** (n - i) * q**i - q ** (n - i) * p**i) for i in half]
+    except OverflowError:
+        if abs(alpha) == 1.0:
+            return math.copysign(1.0, alpha)
+        lp, lq = math.log(p), math.log(q)
+        logc = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in half]
+        terms = [math.exp(c + (n - i) * lp + i * lq) - math.exp(c + (n - i) * lq + i * lp)
+                 for i, c in zip(half, logc)]
     return math.fsum(terms)
 
 
@@ -158,6 +167,8 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     erf complement is evaluated with ``erfc`` so the result stays finite for
     grid polarizations up to 0.99 at any ``n``.
     """
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     if alpha == 0.0:
         raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
     if abs(alpha) >= 1:

@@ -107,10 +107,14 @@ class PermutationSpec:
         perm.setflags(write=False)
         object.__setattr__(self, "perm", perm)
 
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Relabel a vector over basis indices: ``out[perm[i]] = values[i]``."""
+        out = np.empty_like(values)
+        out[self.perm] = values
+        return out
+
     def inverse(self) -> "PermutationSpec":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return PermutationSpec(self.n, inv)
+        return PermutationSpec(self.n, self(np.arange(self.perm.size)))
 
 
 def identity_permutation(n: int) -> PermutationSpec:
@@ -176,6 +180,4 @@ def apply_permutation(d: DiagonalState, pi: PermutationSpec) -> DiagonalState:
     """Relabel basis indices: ``probs'[pi(i)] = probs[i]``."""
     if pi.n != d.n:
         raise ValueError(f"permutation acts on {pi.n} qubits, state has {d.n}")
-    out = np.empty_like(d.probs)
-    out[pi.perm] = d.probs
-    return DiagonalState(d.n, out)
+    return DiagonalState(d.n, pi(d.probs))

@@ -88,16 +88,6 @@ def verify_bqr_oracle() -> list[CheckResult]:
     ]
 
 
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Probability vector fixed by a column-stochastic matrix."""
-    dim = matrix.shape[0]
-    system = np.vstack([matrix - np.eye(dim), np.ones(dim)])
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    return solution
-
-
 def verify_klocal_fixedpoint() -> list[CheckResult]:
     worst_factor = 0.0
     worst_tanh = 0.0
@@ -105,7 +95,7 @@ def verify_klocal_fixedpoint() -> list[CheckResult]:
         perm = klocal.build_uqr_3local(n)
         for alpha in (0.2, 0.5, 0.8):
             matrix = refrigerator.build_round_matrix(n, 2, alpha, perm)
-            fixed = stationary_distribution(matrix)
+            fixed = refrigerator._stationary_gth(matrix.T)
             asym = klocal.asymptotic_population_vector(n, alpha)
             product = np.array([1.0])
             for pop in asym.populations[:1:-1]:  # target down to last auxiliary

@@ -18,6 +18,7 @@ from coolsign import (
     alpha_infinity_3local,
     asymptotic_population_vector,
     build_round_matrix,
+    build_uqr,
     build_uqr_3local,
     exact_sign_error,
     marginal_target,
@@ -92,25 +93,26 @@ def test_criterion_3_bqr_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for n in range(3, 8):
-        for m in (1, 2, 3):
-            if m > n - 1:
-                continue
-            cfg = RefrigeratorConfig(n, m, 1)
-            for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                matrix = build_round_matrix(n, m, alpha)
-                vec = product_state(alpha, n - m).probs.copy()
-                full = product_state(alpha, n)
-                for _ in range(10):
-                    vec = matrix @ vec
-                    full = round_channel(full, cfg, alpha)
-                    traced = trace_out_last(full, m)
-                    worst = max(
-                        worst,
-                        float(np.abs(vec - traced.probs).max()),
-                        abs(marginal_target(vec) - marginal_target(traced)),
-                    )
+        for locality, perm in (("full", build_uqr(n)), ("3local", build_uqr_3local(n))):
+            for m in (1, 2, 3):
+                if m > n - 1:
+                    continue
+                cfg = RefrigeratorConfig(n, m, 1, locality=locality)
+                for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
+                    matrix = build_round_matrix(n, m, alpha, perm)
+                    vec = product_state(alpha, n - m).probs.copy()
+                    full = product_state(alpha, n)
+                    for _ in range(10):
+                        vec = matrix @ vec
+                        full = round_channel(full, cfg, alpha)
+                        traced = trace_out_last(full, m)
+                        worst = max(
+                            worst,
+                            float(np.abs(vec - traced.probs).max()),
+                            abs(marginal_target(vec) - marginal_target(traced)),
+                        )
     assert worst < 1e-12
-    report(3, f"matrix path vs full 2^n simulation (worst {worst:.2e})",
+    report(3, f"matrix path vs full 2^n simulation, both staircases (worst {worst:.2e})",
            time.perf_counter() - start, 30.0)
 
 

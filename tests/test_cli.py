@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coolsign import alpha_ac, alpha_infinity, reduction_factor_ac, refrigerator, verify
 from coolsign.cli import (
@@ -37,7 +41,7 @@ class TestAlphaGridParsing:
         grid = parse_alpha_grid("0.05:0.95:0.05")
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
-    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "1:2", "a:b:c"])
+    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "1:2", "a:b:c", "0:inf:1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_alpha_grid(bad)
@@ -248,15 +252,32 @@ class TestExitCodes:
         self.one_line(capsys)
 
     def test_locality_rejected_by_full_staircase_figures(self, tmp_path, capsys):
-        # their asymptotic column is the full-staircase limit
+        # their asymptotic column is the full-staircase limit; the 3-local
+        # figure likewise runs its own staircase only
         out = tmp_path / "x.csv"
-        for figure in ("bqr-polarization", "bqr-reduction"):
-            code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality", "3local",
+        for figure, locality, other in (
+            ("bqr-polarization", "3local", "klocal-reduction"),
+            ("bqr-reduction", "3local", "klocal-reduction"),
+            ("klocal-reduction", "full", "bqr-reduction"),
+        ):
+            code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality", locality,
                          "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
             assert code == EXIT_USAGE
             err = self.one_line(capsys)
-            assert "klocal-reduction" in err and "--sample" in err
+            assert other in err and "--sample" in err
         assert not out.exists()
+
+    def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # stands in for the 2 TiB round matrix of n = 20 without allocating it
+        def out_of_memory(cfg, alpha):
+            raise MemoryError("Unable to allocate 2.00 TiB")
+
+        monkeypatch.setattr(refrigerator, "steady_state", out_of_memory)
+        code = main(["--figure", "bqr-polarization", "--n", "20", "--rounds", "3",
+                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "n=20" in err and "m=2" in err
 
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
         # a zero cycle budget can never converge
@@ -274,6 +295,57 @@ class TestExitCodes:
             code = main(["--figure", figure, "--n", n, "--m", "2", "--rounds", "3,4",
                          "--out", str(tmp_path / "x.csv")])
             assert code == EXIT_OK
+
+
+def run_quietly(argv):
+    """Exit code and standard error of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag this way
+            code = exc.code
+    return code, err.getvalue()
+
+
+GRIDS = st.one_of(
+    st.builds(
+        lambda start, stop, step: f"{start / 100}:{stop / 100}:{step / 100}",
+        st.integers(-150, 150), st.integers(-150, 150), st.integers(10, 100),
+    ),
+    st.sampled_from(["1:2", "a:b:c", "0.5:0.1:0.1", "0.1:0.9:0", "0:inf:1", "nan:0.5:0.1"]),
+)
+
+SINGLE_SHOT_ARGV = st.builds(
+    lambda figure, n_list, grid: ["--figure", figure, "--n", ",".join(map(str, n_list)),
+                                  "--alpha-grid=" + grid],
+    st.sampled_from(["single-shot-polarization", "single-shot-reduction"]),
+    st.lists(st.integers(-2, 3000), min_size=1, max_size=3),
+    GRIDS,
+)
+
+REFRIGERATOR_ARGV = st.builds(
+    lambda mode, n, m, rounds, locality, grid: (
+        mode + ["--n", str(n), "--m", str(m), "--rounds", str(rounds), "--alpha-grid=" + grid]
+        + (["--locality", locality] if locality else [])
+    ),
+    st.sampled_from([["--figure", "bqr-polarization"], ["--figure", "bqr-reduction"],
+                     ["--figure", "klocal-reduction"], ["--sample", "--trials", "100"]]),
+    st.integers(-1, 6), st.integers(-1, 7), st.integers(-1, 3),
+    st.sampled_from([None, "full", "3local"]),
+    GRIDS,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.one_of(SINGLE_SHOT_ARGV, REFRIGERATOR_ARGV))
+@example(argv=["--figure", "single-shot-polarization", "--n", "3,2001",
+               "--alpha-grid", "0.1:0.1:0.1"])
+def test_any_argv_exits_cleanly(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("argv") / "x.csv"
+    code, err = run_quietly(argv + ["--out", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE), (argv, err)
+    assert "Traceback" not in err
 
 
 def test_mutually_exclusive_modes():

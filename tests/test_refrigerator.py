@@ -192,6 +192,19 @@ class TestRoundMatrix:
                 assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
                 assert np.all(matrix >= 0)
 
+    @pytest.mark.parametrize("locality", ["full", "3local"])
+    def test_mirror_is_reversal(self, locality):
+        # the steady-state seed takes the -alpha matrix as this reversal
+        for n in range(3, 10):
+            perm = build_uqr(n) if locality == "full" else build_uqr_3local(n)
+            for m in (1, 2, 3):
+                if m > n - 1:
+                    continue
+                for alpha in (0.0, 0.1, 0.37, 0.9, 1.0):
+                    matrix = build_round_matrix(n, m, alpha, perm)
+                    mirror = build_round_matrix(n, m, -alpha, perm)
+                    assert np.array_equal(mirror, matrix[::-1, ::-1])
+
     def test_matches_definition_on_random_vectors(self):
         cfg = RefrigeratorConfig(5, 2, 1)
         matrix = build_round_matrix(5, 2, 0.4)
@@ -205,20 +218,21 @@ class TestRoundMatrix:
 class TestMatrixVsFullSimulation:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_alpha_enhanced_identical(self, n):
-        for m in (1, 2, 3):
-            if m > n - 1:
-                continue
-            for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                matrix = build_round_matrix(n, m, alpha)
-                vec = product_state(alpha, n - m).probs.copy()
-                cfg1 = RefrigeratorConfig(n, m, 1)
-                state = tensor(product_state(alpha, n - m), product_state(alpha, m))
-                for _ in range(10):
-                    vec = matrix @ vec
-                    state = round_channel(state, cfg1, alpha)
-                    traced = trace_out_last(state, m).probs
-                    assert np.abs(vec - traced).max() < 1e-12
-                    assert abs(marginal_target(vec) - marginal_target(traced)) < 1e-12
+        for locality, perm in (("full", build_uqr(n)), ("3local", build_uqr_3local(n))):
+            for m in (1, 2, 3):
+                if m > n - 1:
+                    continue
+                for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
+                    matrix = build_round_matrix(n, m, alpha, perm)
+                    vec = product_state(alpha, n - m).probs.copy()
+                    cfg1 = RefrigeratorConfig(n, m, 1, locality=locality)
+                    state = tensor(product_state(alpha, n - m), product_state(alpha, m))
+                    for _ in range(10):
+                        vec = matrix @ vec
+                        state = round_channel(state, cfg1, alpha)
+                        traced = trace_out_last(state, m).probs
+                        assert np.abs(vec - traced).max() < 1e-12
+                        assert abs(marginal_target(vec) - marginal_target(traced)) < 1e-12
 
 
 class TestRecycleCycle:

@@ -108,8 +108,13 @@ class TestAlphaAc:
                 got = optimal_compression(product_state(alpha, n)).alpha_target
                 assert alpha_ac(n, alpha) == pytest.approx(got, abs=1e-12)
 
+    def test_beyond_float_binomials_matches_exact_rational(self):
+        # C(1101, 550) exceeds float range, so the log-space terms run here
+        exact = alpha_ac_fraction(1101, Fraction(1, 100))
+        assert alpha_ac(1101, 0.01) == pytest.approx(float(exact), rel=1e-11, abs=0.0)
+
     def test_exact_odd_symmetry(self):
-        for n in range(1, 12):
+        for n in [*range(1, 12), 1029, 1030, 2001]:
             for alpha in np.linspace(0.01, 0.99, 17):
                 assert alpha_ac(n, -float(alpha)) == -alpha_ac(n, float(alpha))
 
@@ -135,8 +140,9 @@ class TestAlphaAc:
             assert alpha_ac(6, alpha) == pytest.approx(alpha_ac(5, alpha), abs=1e-15)
 
     def test_saturation_at_unit_polarization(self):
-        assert alpha_ac(5, 1.0) == 1.0
-        assert alpha_ac(5, -1.0) == -1.0
+        for n in (5, 2001):
+            assert alpha_ac(n, 1.0) == 1.0
+            assert alpha_ac(n, -1.0) == -1.0
 
 
 class TestAlphaAcErf:
@@ -184,6 +190,11 @@ class TestReductionFactorAc:
     def test_undefined_at_zero(self):
         with pytest.raises(ZeroDivisionError):
             reduction_factor_ac(3, 0.0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_register(self, n):
+        with pytest.raises(ValueError):
+            reduction_factor_ac(n, 0.5)
 
     def test_diverges_toward_unit_polarization(self):
         previous = reduction_factor_ac(5, 0.9)
