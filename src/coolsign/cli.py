@@ -5,6 +5,8 @@ Figures are emitted as data files (CSV or JSON), one row per grid
 polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed, regardless of ``--jobs``.
+A refrigerator figure solves each curve's whole grid as one batched fixed
+point; ``--jobs`` threads split the points of ``--sample`` only.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 parameters a config or grid rejects, a ``--locality`` that contradicts the
@@ -134,27 +136,25 @@ def _figure_bqr(spec: SweepSpec, reduction: bool, locality: str) -> tuple[list[s
     else:
         header += ["baseline", "asymptotic"]
 
-    def one_point(a: float) -> list:
-        cfgs = [
-            refrigerator.RefrigeratorConfig(n, spec.m, r, locality=locality)
-            for r in spec.rounds_list
-        ]
-        if reduction:
-            curve = [refrigerator.reduction_factor_qr(cfg, a) for cfg in cfgs]
-            bound_cfg = refrigerator.RefrigeratorConfig(n, spec.m, bound_rounds)
-            return (
-                [a]
-                + curve
-                + [
-                    single_shot.reduction_factor_ac(n, a),
-                    refrigerator.reduction_factor_bound(bound_cfg, a),
-                    1.0,
-                ]
-            )
-        curve = [refrigerator.steady_state(cfg, a).alpha_enhanced for cfg in cfgs]
-        return [a] + curve + [a, refrigerator.alpha_infinity(n, spec.m, a)]
+    grid = spec.alpha_grid
 
-    return header, _map_grid(one_point, spec.alpha_grid, spec.jobs)
+    def column(cfg: refrigerator.RefrigeratorConfig, results) -> list[float]:
+        if reduction:
+            return [res.reduction_factor(a, cfg.cost) for a, res in zip(grid, results)]
+        return [res.alpha_enhanced for res in results]
+
+    columns = []
+    for r in spec.rounds_list:
+        cfg = refrigerator.RefrigeratorConfig(n, spec.m, r, locality=locality)
+        columns.append(column(cfg, refrigerator.steady_states(cfg, grid)))
+    if reduction:
+        bound_cfg = refrigerator.RefrigeratorConfig(n, spec.m, bound_rounds)
+        bound = column(bound_cfg, refrigerator.optimal_bounds(bound_cfg, grid))
+        columns += [[single_shot.reduction_factor_ac(n, a) for a in grid], bound,
+                    [1.0] * len(grid)]
+    else:
+        columns += [list(grid), [refrigerator.alpha_infinity(n, spec.m, a) for a in grid]]
+    return header, [[a, *values] for a, values in zip(grid, zip(*columns))]
 
 
 def _map_grid(fn, items, jobs: int) -> list[list]:
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sweep points (output is "
-                        "byte-identical for any value)")
+                        help="worker threads that split the --sample points; figures "
+                        "run as one batched solve (output is byte-identical for any value)")
     return parser
 
 

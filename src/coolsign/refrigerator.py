@@ -13,7 +13,15 @@ One scatter kernel runs every round: it compresses the full register (by the
 staircase's index map, or by a full sort for the bound oracle) and traces
 the resets out.  A round is also a column-stochastic matrix on the non-reset
 vector.  That matrix feeds the direct solve of the fixed point, which kernel
-cycles then polish (:func:`steady_state`), and serves as a verification oracle.
+cycles then polish (:func:`steady_states`), and serves as a verification oracle.
+
+A grid of reservoir polarizations is solved as one batch.  Each alpha owns a
+row along a leading batch axis: ``(G, 2^n)`` full registers, ``(G, 2^(n-m))``
+non-reset vectors, ``(G, d, d)`` round matrices with ``d = 2^(n-m)``.  Every
+operation acts on each row alone with the arithmetic of a lone solve, so a
+row's result is bit for bit the one-point result; :func:`steady_state` and
+:func:`optimal_bound_simulate` are the one-row case.  Chunks of the grid are
+capped by :data:`CHUNK_BYTES`.
 
 None of the protocol code inspects the sign of ``alpha``: the same staircase
 amplifies whichever bias the sample carries.  The only sign-aware routine is
@@ -35,21 +43,28 @@ from .states import (
     DiagonalState,
     PermutationSpec,
     ground_excited_pair,
-    marginal_target,
     pairwise_sum,
-    product_state,
+    product_probs,
     window_swaps,
 )
 
 LOCALITIES = ("full", "3local")
 
 
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach tolerance; carries the residual."""
+#: bytes of stacked ``d x d`` round matrices one chunk of a batched solve may
+#: hold.  Batching pays where per-call overhead dominates (small ``d``); from
+#: ``d = 256`` a chunk is one point, so it holds what a lone solve holds
+CHUNK_BYTES = 512 << 10
 
-    def __init__(self, message: str, residual: float):
+
+class ConvergenceError(RuntimeError):
+    """Fixed-point iteration did not reach tolerance; carries the residual
+    and the flat index of the batch row that did not converge."""
+
+    def __init__(self, message: str, residual: float, row: int = 0):
         super().__init__(message)
         self.residual = residual
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -82,8 +97,10 @@ class SteadyStateResult:
     """Fixed point of the recycle cycle and the polarization it delivers.
 
     ``ground`` and ``excited`` are the target's masses after the rounds run
-    on ``a_fixed``, and ``alpha_enhanced`` is their difference.  ``residual``
-    is the L1 distance between ``a_fixed`` and its own recycled image.
+    on ``a_fixed``, and ``alpha_enhanced`` is their difference over their
+    sum, so a drift of the total mass never carries it past +-1.
+    ``residual`` is the L1 distance between ``a_fixed`` and its own recycled
+    image.
     """
 
     a_fixed: np.ndarray
@@ -130,14 +147,22 @@ def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
     return build_uqr_3local(cfg.n)
 
 
-#: relabels a full-register population vector, as a staircase's PermutationSpec does
+#: relabels full-register population rows, as a staircase's PermutationSpec does
 Compression = Callable[[np.ndarray], np.ndarray]
 
 
 def _round(full: np.ndarray, compress: Compression, m: int) -> np.ndarray:
-    """The round kernel: compress a full-register vector and trace its last
-    ``m`` (reset) qubits out, leaving the non-reset vector."""
-    return pairwise_sum(compress(full).reshape(-1, 1 << m), axis=1)
+    """The round kernel: compress full-register rows and trace their last
+    ``m`` (reset) qubits out, leaving the non-reset rows."""
+    compressed = compress(full)
+    return pairwise_sum(compressed.reshape(compressed.shape[:-1] + (-1, 1 << m)))
+
+
+def _attach(a: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    """Append qubits with the probabilities ``qubits`` after the last qubit of
+    each row of ``a``; the leading axes of ``qubits`` broadcast against the
+    rows."""
+    return (a[..., :, None] * qubits[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
 def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> DiagonalState:
@@ -145,35 +170,35 @@ def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> Di
     if d.n != cfg.n:
         raise ValueError(f"state has {d.n} qubits, config expects {cfg.n}")
     reduced = _round(d.probs, compression_permutation_for(cfg), cfg.m)
-    reset = product_state(alpha, cfg.m).probs
-    return DiagonalState(cfg.n, np.multiply.outer(reduced, reset).ravel())
+    return DiagonalState(cfg.n, _attach(reduced, product_probs(alpha, cfg.m)))
 
 
 def build_round_matrix(
-    n: int, m: int, alpha: float, permutation: PermutationSpec | None = None
+    n: int, m: int, alpha, permutation: PermutationSpec | None = None
 ) -> np.ndarray:
     """Column-stochastic matrix of one round on the non-reset diagonal vector.
 
     Column ``j`` is the image of the basis vector ``e_j`` under
     permute-then-trace with fresh resets attached, assembled column-by-column
-    from the permutation's action on the product layout.
+    from the permutation's action on the product layout.  An array of
+    polarizations gives a stack of matrices, one per entry.
     """
     if n - m < 1:
         raise ValueError(f"need n - m >= 1, got n={n}, m={m}")
     perm = (permutation if permutation is not None else build_uqr(n)).perm
     dim, res_dim = 1 << (n - m), 1 << m
-    reset = product_state(alpha, m).probs
-    scattered = np.zeros((dim * res_dim, dim))
+    reset = product_probs(alpha, m)
+    batch = reset.shape[:-1]
+    scattered = np.zeros(batch + (dim * res_dim, dim))
     src = np.arange(dim * res_dim)
-    scattered[perm[src], src // res_dim] = reset[src % res_dim]
-    return pairwise_sum(scattered.reshape(dim, res_dim, dim), axis=1)
+    scattered[..., perm[src], src // res_dim] = reset[..., src % res_dim]
+    return pairwise_sum(scattered.reshape(batch + (dim, res_dim, dim)), axis=-2)
 
 
 def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """Trace the target out of each row and append a qubit in state ``fresh``."""
     half = evolved.shape[-1] >> 1
-    reduced = evolved[..., :half] + evolved[..., half:]
-    return np.multiply.outer(reduced, fresh).reshape(evolved.shape)
+    return _attach(evolved[..., :half] + evolved[..., half:], fresh)
 
 
 #: one recycle cycle: ``step(a)`` returns ``(recycled, evolved)``, where
@@ -181,17 +206,31 @@ def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
 Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _recycle_step(cfg: RefrigeratorConfig, alpha: float, compress: Compression) -> Step:
-    """``cfg.rounds`` kernel rounds with fresh resets, then the recycling."""
-    reset = product_state(alpha, cfg.m).probs
+def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression) -> Step:
+    """``cfg.rounds`` kernel rounds with fresh resets, then the recycling;
+    an array of polarizations steps one row per entry."""
+    reset = product_probs(alpha, cfg.m)
     fresh = ground_excited_pair(alpha)
 
     def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(cfg.rounds):
-            a = _round(np.multiply.outer(a, reset).ravel(), compress, cfg.m)
+            a = _round(_attach(a, reset), compress, cfg.m)
         return _recycle_array(a, fresh), a
 
     return step
+
+
+def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ground, excited, polarization)`` of the target qubit of each row.
+
+    The polarization is the mass difference over the mass sum: it stays
+    within [-1, 1] when the rounds drift the total mass off 1, and it is
+    exactly odd because the two masses swap under the bit flip.
+    """
+    half = evolved.shape[-1] >> 1
+    ground = pairwise_sum(evolved[..., :half])
+    excited = pairwise_sum(evolved[..., half:])
+    return ground, excited, (ground - excited) / (ground + excited)
 
 
 def recycle_cycle(
@@ -200,87 +239,151 @@ def recycle_cycle(
     """Run ``cfg.rounds`` rounds on the vector ``a``, extract the target, and
     rebuild the next input (target removed, fresh qubit appended at the end).
 
-    Returns ``(recycled_vector, alpha_enhanced)``.
+    Returns ``(recycled_vector, alpha_enhanced)``, the polarization read as in
+    :class:`SteadyStateResult`.
     """
     a = np.asarray(a, dtype=float)
     if a.size != 1 << (cfg.n - cfg.m):
         raise ValueError(f"vector has {a.size} entries, expected {1 << (cfg.n - cfg.m)}")
     recycled, evolved = _recycle_step(cfg, alpha, compression_permutation_for(cfg))(a)
-    return recycled, marginal_target(evolved)
+    return recycled, float(_target(evolved)[2])
 
 
 def fixed_point(
     step: Step, start: np.ndarray, tol: float, max_cycles: int
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Iterate the recycle ``step`` from ``start`` until one cycle moves the
-    vector by at most ``tol`` in L1 distance.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate the recycle ``step`` from ``start`` until one cycle moves each
+    row by at most ``tol`` in L1 distance.
 
-    Returns ``(a, evolved, cycles, residual)``: the last iterate, its evolved
-    vector, the cycle count and the L1 distance from ``a`` to its own image.
-    The cycle maps are L1 non-expansive, so that residual is at most the last
-    cycle's move.
+    Vectors lie along the last axis and rows along any leading axes.  Each
+    row keeps what it had at the cycle where it converged: returns
+    ``(a, evolved, cycles, residual)``, the iterate, its evolved vector, the
+    cycle count and the L1 distance from the iterate to its own image.  Rows
+    that have converged step on with the rest; rows never mix, so their
+    records stay as they were.  The cycle maps are L1 non-expansive, so a
+    residual is at most its row's last move.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     a = start
-    image, _ = step(a)
-    moved = math.inf
+    image, evolved = step(a)
+    moved = pairwise_sum(np.abs(image - a))
+    done = np.zeros(moved.shape, dtype=bool)
+    fixed, fixed_evolved, cycles, residual = a, evolved, np.zeros(moved.shape, dtype=int), moved
     for cycle in range(1, max_cycles + 1):
-        moved = float(pairwise_sum(np.abs(image - a)))
         a = image
         image, evolved = step(a)
-        if moved <= tol:
-            return a, evolved, cycle, float(pairwise_sum(np.abs(image - a)))
+        remaining = pairwise_sum(np.abs(image - a))
+        now = (moved <= tol) & ~done
+        fixed = np.where(now[..., None], a, fixed)
+        fixed_evolved = np.where(now[..., None], evolved, fixed_evolved)
+        cycles = np.where(now, cycle, cycles)
+        residual = np.where(now, remaining, residual)
+        done |= now
+        if done.all():
+            return fixed, fixed_evolved, cycles, residual
+        moved = remaining
+    row = int(np.flatnonzero(~done)[0])
+    last = float(np.ravel(moved)[row])
     raise ConvergenceError(
-        f"did not converge within {max_cycles} cycles (last residual {moved:.3e})", moved
+        f"did not converge within {max_cycles} cycles (last residual {last:.3e})", last, row
     )
 
 
-def _steady_result(
-    step: Step, start: np.ndarray, tol: float, max_cycles: int, where: str
-) -> SteadyStateResult:
+def _steady_results(
+    cfg: RefrigeratorConfig,
+    alphas: np.ndarray,
+    compress: Compression,
+    start: np.ndarray,
+    tol: float,
+    max_cycles: int,
+    what: str,
+) -> list[SteadyStateResult]:
+    """Polish the rows of ``start`` to the fixed points at ``alphas``."""
+    step = _recycle_step(cfg, alphas, compress)
     try:
         a, evolved, cycles, residual = fixed_point(step, start, tol, max_cycles)
     except ConvergenceError as exc:
+        where = f"{what} at alpha={float(alphas[exc.row])!r}, rounds={cfg.rounds}"
         raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
-    half = evolved.size >> 1
-    ground = float(pairwise_sum(evolved[:half]))
-    excited = float(pairwise_sum(evolved[half:]))
-    return SteadyStateResult(a, ground - excited, cycles, residual, ground, excited)
+    ground, excited, enhanced = _target(evolved)
+    return [
+        SteadyStateResult(a[i], float(enhanced[i]), int(cycles[i]), float(residual[i]),
+                          float(ground[i]), float(excited[i]))
+        for i in range(alphas.size)
+    ]
+
+
+def _mirror(result: SteadyStateResult) -> SteadyStateResult:
+    """The result at ``-alpha``, given the result at ``alpha``."""
+    return SteadyStateResult(result.a_fixed[::-1], -result.alpha_enhanced, result.cycles_used,
+                             result.residual, result.excited, result.ground)
+
+
+def _solve_grid(
+    cfg: RefrigeratorConfig,
+    alphas,
+    solve: Callable[[np.ndarray], list[SteadyStateResult]],
+) -> list[SteadyStateResult]:
+    """One result per entry of ``alphas``, in grid order.
+
+    ``solve`` runs on chunks of the distinct polarizations.  An alpha whose
+    negation came earlier in the grid gets that result's mirror image, which
+    equals its own solve bit for bit: every step commutes with the bit flip.
+    """
+    index: dict[float, int] = {}
+    distinct: list[float] = []
+    plan: list[tuple[int, bool]] = []
+    for alpha in map(float, alphas):
+        if alpha in index:
+            plan.append((index[alpha], False))
+        elif -alpha in index:
+            plan.append((index[-alpha], True))
+        else:
+            index[alpha] = len(distinct)
+            plan.append((len(distinct), False))
+            distinct.append(alpha)
+    dim = 1 << (cfg.n - cfg.m)
+    size = max(1, CHUNK_BYTES // (8 * dim * dim))
+    solved: list[SteadyStateResult] = []
+    for start in range(0, len(distinct), size):
+        solved += solve(np.array(distinct[start:start + size]))
+    return [_mirror(solved[i]) if flip else solved[i] for i, flip in plan]
 
 
 def _stationary_gth(rows: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix by Grassmann-Taksar-Heyman
-    elimination.
+    """Stationary vectors of row-stochastic matrices, stacked along any
+    leading axes, by Grassmann-Taksar-Heyman elimination.
 
     Each pivot is the off-diagonal mass of its row, so no entry is formed by
     subtraction and tiny stationary masses keep their relative accuracy.
-    Raises ZeroDivisionError when a pivot vanishes: some closed set of
-    states then avoids index 0.
+    A matrix whose pivot vanishes gets a NaN vector: some closed set of its
+    states avoids index 0.
     """
     p = np.array(rows, dtype=float)
-    dim = p.shape[0]
+    dim = p.shape[-1]
     for k in range(dim - 1, 0, -1):
-        pivot = p[k, :k].sum()
-        if not pivot > 0.0:
-            raise ZeroDivisionError(f"GTH pivot {k} vanishes: the chain has a closed subset")
-        p[:k, k] /= pivot
-        p[:k, :k] += np.multiply.outer(p[:k, k], p[k, :k])
-    pi = np.ones(dim)
+        pivot = p[..., k, :k].sum(axis=-1)
+        pivot = np.where(pivot > 0.0, pivot, np.nan)
+        p[..., :k, k] /= pivot[..., None]
+        p[..., :k, :k] += p[..., :k, k, None] * p[..., k, None, :k]
+    pi = np.ones(p.shape[:-1])
     for k in range(1, dim):
-        pi[k] = (pi[:k] * p[:k, k]).sum()
-    return pi / pi.sum()
+        pi[..., k] = (pi[..., :k] * p[..., :k, k]).sum(axis=-1)
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
-def _cycle_rows(cfg: RefrigeratorConfig, alpha: float, matrix: np.ndarray) -> np.ndarray:
-    """The recycle cycle ``K R^rounds`` as a row-stochastic matrix: row ``j``
+def _cycle_rows(cfg: RefrigeratorConfig, alphas: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """The recycle cycles ``K R^rounds`` as row-stochastic matrices: row ``j``
     is the next input when the current one is the basis vector ``e_j``."""
-    evolved = np.linalg.matrix_power(matrix, cfg.rounds).T
-    return _recycle_array(evolved, ground_excited_pair(alpha))
+    evolved = np.swapaxes(np.linalg.matrix_power(matrices, cfg.rounds), -1, -2)
+    return _recycle_array(evolved, ground_excited_pair(alphas)[..., None, :])
 
 
-def _mirrored_seed(cfg: RefrigeratorConfig, alpha: float) -> np.ndarray:
-    """Direct solve of the recycle fixed point, made exactly mirror-symmetric.
+def _mirrored_seeds(
+    cfg: RefrigeratorConfig, alphas: np.ndarray, permutation: PermutationSpec
+) -> np.ndarray:
+    """Direct solves of the recycle fixed points, made exactly mirror-symmetric.
 
     The cycle at ``-alpha`` is the cycle at ``alpha`` with every bit flipped,
     so its solution reversed is the same vector up to rounding.  Averaging
@@ -290,13 +393,36 @@ def _mirrored_seed(cfg: RefrigeratorConfig, alpha: float) -> np.ndarray:
     ``|alpha| = 1`` a pure reset leaves a chain with a closed subset; the
     product state is the seed there.
     """
-    matrix = build_round_matrix(cfg.n, cfg.m, alpha, compression_permutation_for(cfg))
-    try:
-        up = _stationary_gth(_cycle_rows(cfg, alpha, matrix))
-        down = _stationary_gth(_cycle_rows(cfg, -alpha, matrix[::-1, ::-1]))
-    except ZeroDivisionError:
-        return product_state(alpha, cfg.n - cfg.m).probs
-    return (up + down[::-1]) / 2.0
+    matrices = build_round_matrix(cfg.n, cfg.m, alphas, permutation)
+    up = _stationary_gth(_cycle_rows(cfg, alphas, matrices))
+    down = _stationary_gth(_cycle_rows(cfg, -alphas, matrices[..., ::-1, ::-1]))
+    seeds = (up + down[..., ::-1]) / 2.0
+    closed = np.isnan(seeds).any(axis=-1)
+    seeds[closed] = product_probs(alphas[closed], cfg.n - cfg.m)
+    return seeds
+
+
+def steady_states(
+    cfg: RefrigeratorConfig,
+    alphas,
+    tol: float = 1e-12,
+    max_cycles: int = 10_000,
+) -> list[SteadyStateResult]:
+    """Fixed points of the recycle cycle at each polarization of a grid, to
+    an L1 residual of ``tol``, as one batched solve.
+
+    The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
+    and ``-alpha`` are solved directly and averaged into an exactly
+    mirror-symmetric seed.  Order-canonical kernel recycle cycles then polish
+    it until one cycle moves it by at most ``tol``; one or two suffice.
+    """
+    permutation = compression_permutation_for(cfg)
+
+    def solve(chunk: np.ndarray) -> list[SteadyStateResult]:
+        seeds = _mirrored_seeds(cfg, chunk, permutation)
+        return _steady_results(cfg, chunk, permutation, seeds, tol, max_cycles, "steady state")
+
+    return _solve_grid(cfg, alphas, solve)
 
 
 def steady_state(
@@ -305,20 +431,9 @@ def steady_state(
     tol: float = 1e-12,
     max_cycles: int = 10_000,
 ) -> SteadyStateResult:
-    """Fixed point of the recycle cycle, to an L1 residual of ``tol``.
-
-    The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
-    and ``-alpha`` are solved directly and averaged into an exactly
-    mirror-symmetric seed.  Order-canonical kernel recycle cycles then polish
-    it until one cycle moves it by at most ``tol``; one or two suffice.
-    """
-    return _steady_result(
-        _recycle_step(cfg, alpha, compression_permutation_for(cfg)),
-        _mirrored_seed(cfg, alpha),
-        tol,
-        max_cycles,
-        f"steady state at alpha={alpha!r}, rounds={cfg.rounds}",
-    )
+    """Fixed point of the recycle cycle at one polarization: the one-point
+    case of :func:`steady_states`."""
+    return steady_states(cfg, [alpha], tol, max_cycles)[0]
 
 
 def _power_ratio(alpha: float, exponent: int) -> float:
@@ -366,15 +481,16 @@ def reduction_factor_qr(cfg: RefrigeratorConfig, alpha: float) -> float:
     return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
 
 
-def optimal_bound_simulate(
+def optimal_bounds(
     cfg: RefrigeratorConfig,
-    alpha: float,
+    alphas,
     tol: float = 1e-12,
     max_cycles: int = 10_000,
-) -> SteadyStateResult:
-    """Upper-bound oracle: the protocol's recycle step, but every round
-    applies the optimal sign-aware compression (a full population sort of
-    the register) instead of the staircase.
+) -> list[SteadyStateResult]:
+    """Upper-bound oracle at each polarization of a grid, as one batched
+    solve: the protocol's recycle step, but every round applies the optimal
+    sign-aware compression (a full population sort of the register) instead
+    of the staircase.
 
     Unlike the protocol itself, this benchmark's compression branches on the
     sign of ``alpha``: it sorts descending for positive bias and ascending for
@@ -382,14 +498,30 @@ def optimal_bound_simulate(
     only piecewise linear, so the iteration starts from the all-fresh state
     rather than from a direct solve.
     """
-    sort = (lambda full: np.sort(full)[::-1]) if alpha > 0 else np.sort
-    return _steady_result(
-        _recycle_step(cfg, alpha, sort),
-        product_state(alpha, cfg.n - cfg.m).probs,
-        tol,
-        max_cycles,
-        f"optimal bound at alpha={alpha!r}, rounds={cfg.rounds}",
-    )
+
+    def solve(chunk: np.ndarray) -> list[SteadyStateResult]:
+        descending = chunk > 0
+
+        def sort(full: np.ndarray) -> np.ndarray:
+            out = np.sort(full, axis=-1)
+            out[descending] = out[descending, ::-1]
+            return out
+
+        start = product_probs(chunk, cfg.n - cfg.m)
+        return _steady_results(cfg, chunk, sort, start, tol, max_cycles, "optimal bound")
+
+    return _solve_grid(cfg, alphas, solve)
+
+
+def optimal_bound_simulate(
+    cfg: RefrigeratorConfig,
+    alpha: float,
+    tol: float = 1e-12,
+    max_cycles: int = 10_000,
+) -> SteadyStateResult:
+    """Upper-bound oracle at one polarization: the one-point case of
+    :func:`optimal_bounds`."""
+    return optimal_bounds(cfg, [alpha], tol, max_cycles)[0]
 
 
 def reduction_factor_bound(cfg: RefrigeratorConfig, alpha: float) -> float:

@@ -33,7 +33,9 @@ def pairwise_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     Unlike ``np.sum``, the result is invariant under reversal of the summed
     axis, which is what makes polarization-flip symmetry bit-exact.
     """
-    x = np.moveaxis(np.asarray(x, dtype=float), axis, -1)
+    x = np.asarray(x, dtype=float)
+    if axis not in (-1, x.ndim - 1):
+        x = np.moveaxis(x, axis, -1)
     if x.shape[-1] & (x.shape[-1] - 1):
         raise ValueError(f"pairwise_sum needs a power-of-two length, got {x.shape[-1]}")
     while x.shape[-1] > 1:
@@ -41,15 +43,18 @@ def pairwise_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x[..., 0]
 
 
-def ground_excited_pair(alpha: float) -> np.ndarray:
-    """Single-qubit diagonal ``[(1+alpha)/2, (1-alpha)/2]``.
+def ground_excited_pair(alpha) -> np.ndarray:
+    """Single-qubit diagonal ``[(1+alpha)/2, (1-alpha)/2]``, one along the
+    last axis for each entry of an array of polarizations.
 
     Both entries are computed from their own expression (never as ``1 - p``)
     so that negating ``alpha`` swaps them bit-exactly.
     """
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
-    return np.array([(1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0])
+    alpha = np.asarray(alpha, dtype=float)
+    outside = np.abs(alpha) > 1
+    if outside.any():
+        raise ValueError(f"polarization must lie in [-1, 1], got {alpha[outside].flat[0]}")
+    return np.stack([(1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0], axis=-1)
 
 
 def _check_mass(probs: np.ndarray, where: str) -> np.ndarray:
@@ -108,9 +113,10 @@ class PermutationSpec:
         object.__setattr__(self, "perm", perm)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Relabel a vector over basis indices: ``out[perm[i]] = values[i]``."""
+        """Relabel vectors over basis indices along the last axis:
+        ``out[..., perm[i]] = values[..., i]``."""
         out = np.empty_like(values)
-        out[self.perm] = values
+        out[..., self.perm] = values
         return out
 
     def inverse(self) -> "PermutationSpec":
@@ -138,15 +144,23 @@ def window_swaps(n: int, windows) -> PermutationSpec:
     return PermutationSpec(n, perm)
 
 
+def product_probs(alpha, n: int) -> np.ndarray:
+    """Probability vector of ``n`` identical qubits, each with polarization
+    ``alpha``; an array of polarizations gives one vector per entry, along a
+    new last axis."""
+    cell = ground_excited_pair(alpha)
+    batch = cell.shape[:-1]
+    probs = np.ones(batch + (1,))
+    for _ in range(n):
+        probs = (probs[..., :, None] * cell[..., None, :]).reshape(batch + (2 * probs.shape[-1],))
+    return probs
+
+
 def product_state(alpha: float, n: int) -> DiagonalState:
     """State of ``n`` identical qubits, each with polarization ``alpha``."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    cell = ground_excited_pair(alpha)
-    probs = np.array([1.0])
-    for _ in range(n):
-        probs = np.multiply.outer(probs, cell).ravel()
-    return DiagonalState(n, probs)
+    return DiagonalState(n, product_probs(alpha, n))
 
 
 def tensor(a: DiagonalState, b: DiagonalState) -> DiagonalState:

@@ -17,8 +17,10 @@ from coolsign.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    FIGURE_LOCALITY,
     main,
     parse_alpha_grid,
+    write_rows,
 )
 
 
@@ -167,6 +169,41 @@ class TestFigureCommand:
         assert raw.endswith(b"\n")
 
 
+def one_point_rows(figure, n, m, rounds_list, grid):
+    """A refrigerator figure's header and rows, each cell from its own
+    one-point solve."""
+    cfgs = [refrigerator.RefrigeratorConfig(n, m, r, locality=FIGURE_LOCALITY[figure])
+            for r in rounds_list]
+    header = ["alpha"] + [f"rounds{r}" for r in rounds_list]
+    if figure == "bqr-polarization":
+        header += ["baseline", "asymptotic"]
+        rows = [[a] + [refrigerator.steady_state(cfg, a).alpha_enhanced for cfg in cfgs]
+                + [a, alpha_infinity(n, m, a)] for a in grid]
+        return header, rows
+    top = max(rounds_list)
+    header += [f"single_shot_n{n}", f"optimal_bound_rounds{top}", "baseline"]
+    bound_cfg = refrigerator.RefrigeratorConfig(n, m, top)
+    rows = [[a] + [refrigerator.reduction_factor_qr(cfg, a) for cfg in cfgs]
+            + [reduction_factor_ac(n, a), refrigerator.reduction_factor_bound(bound_cfg, a), 1.0]
+            for a in grid]
+    return header, rows
+
+
+@pytest.mark.parametrize(
+    "figure,grid",
+    [("bqr-polarization", "0.05:0.95:0.15"), ("bqr-polarization", "-0.5:0.5:0.25"),
+     ("bqr-reduction", "0.05:0.95:0.15"), ("klocal-reduction", "0.05:0.95:0.15")],
+)
+def test_batched_figure_matches_one_point_solves(tmp_path, figure, grid):
+    out, expect = tmp_path / "fig.csv", tmp_path / "expect.csv"
+    argv = ["--figure", figure, "--n", "5", "--m", "2", "--rounds", "3,4,9",
+            "--alpha-grid=" + grid, "--out", str(out)]
+    assert main(argv + ["--jobs", "2"]) == EXIT_OK
+    write_rows(str(expect), "csv", *one_point_rows(figure, 5, 2, (3, 4, 9),
+                                                   parse_alpha_grid(grid)))
+    assert out.read_bytes() == expect.read_bytes()
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["theorem1", "klocal-fixedpoint"])
     def test_suites_pass(self, suite, capsys):
@@ -269,10 +306,10 @@ class TestExitCodes:
 
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # stands in for the 2 TiB round matrix of n = 20 without allocating it
-        def out_of_memory(cfg, alpha):
+        def out_of_memory(cfg, alphas):
             raise MemoryError("Unable to allocate 2.00 TiB")
 
-        monkeypatch.setattr(refrigerator, "steady_state", out_of_memory)
+        monkeypatch.setattr(refrigerator, "steady_states", out_of_memory)
         code = main(["--figure", "bqr-polarization", "--n", "20", "--rounds", "3",
                      "--alpha-grid", "0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
@@ -281,13 +318,20 @@ class TestExitCodes:
 
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
         # a zero cycle budget can never converge
-        stalled = functools.partial(refrigerator.steady_state, max_cycles=0)
-        monkeypatch.setattr(refrigerator, "steady_state", stalled)
+        stalled = functools.partial(refrigerator.steady_states, max_cycles=0)
+        monkeypatch.setattr(refrigerator, "steady_states", stalled)
         code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "3",
                      "--alpha-grid", "0.25:0.25:0.1", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONVERGENCE
         err = self.one_line(capsys)
         assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
+
+    def test_saturated_sample_point(self, tmp_path):
+        # the rounds drift the target's total mass above 1 here; its
+        # polarization once read 1.0000000000000016 and was rejected
+        code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "9",
+                     "--alpha-grid", "0.99:0.99:0.01", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_OK
 
     def test_large_registers_on_default_grid(self, tmp_path):
         # power iteration stalled on these near saturation

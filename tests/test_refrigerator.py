@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coolsign import (
@@ -17,12 +17,14 @@ from coolsign import (
     build_uqr_3local,
     marginal_target,
     optimal_bound_simulate,
+    optimal_bounds,
     product_state,
     recycle_cycle,
     reduction_factor_bound,
     reduction_factor_qr,
     round_channel,
     steady_state,
+    steady_states,
     tensor,
     trace_out_first,
     trace_out_last,
@@ -398,6 +400,81 @@ def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality
     traced = trace_out_last(cycle_start, m).probs
     assert np.abs(result.a_fixed - traced).max() < 1e-9
     assert steady_state(cfg, -alpha).alpha_enhanced == -result.alpha_enhanced
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    m=st.integers(1, 3),
+    rounds=st.integers(1, 9),
+    locality=st.sampled_from(["full", "3local"]),
+    alpha=st.floats(0.0, 1.0),
+)
+@example(n=5, m=2, rounds=9, locality="full", alpha=0.99)  # read 1.0000000000000016
+def test_polarization_stays_within_unit_range(n, m, rounds, locality, alpha):
+    assume(m <= n - 1)
+    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+    up, down = steady_state(cfg, alpha), steady_state(cfg, -alpha)
+    assert abs(up.alpha_enhanced) <= 1.0
+    assert down.alpha_enhanced == -up.alpha_enhanced
+    assert abs(optimal_bound_simulate(cfg, alpha).alpha_enhanced) <= 1.0
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.a_fixed, want.a_fixed)
+    fields = ("alpha_enhanced", "cycles_used", "residual", "ground", "excited")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    m=st.integers(1, 3),
+    rounds=st.integers(1, 4),
+    locality=st.sampled_from(["full", "3local"]),
+    alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, data):
+    assume(m <= n - 1)
+    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+    grid = data.draw(st.permutations([0.0, 1.0, -1.0] + alphas + [-a for a in alphas]))
+    shuffled = data.draw(st.permutations(grid))
+    for batched, one_point in ((steady_states, steady_state),
+                               (optimal_bounds, optimal_bound_simulate)):
+        results = batched(cfg, grid)
+        for alpha, got in zip(grid, results):
+            assert_same_result(got, one_point(cfg, alpha))
+        by_alpha = dict(zip(grid, results))
+        for alpha, got in zip(shuffled, batched(cfg, shuffled)):
+            assert_same_result(got, by_alpha[alpha])
+
+
+def test_chunks_do_not_change_results(monkeypatch):
+    from coolsign import refrigerator
+
+    cfg = RefrigeratorConfig(6, 2, 3)
+    grid = [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6]
+    whole = steady_states(cfg, grid) + optimal_bounds(cfg, grid)
+    monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 16 * 16)  # two points per chunk
+    for got, want in zip(steady_states(cfg, grid) + optimal_bounds(cfg, grid), whole):
+        assert_same_result(got, want)
+
+
+class TestBatchedNonConvergence:
+    def test_names_the_point_that_stalls(self):
+        # the all-fresh start is already fixed at alpha = 0 only
+        cfg = RefrigeratorConfig(5, 2, 3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            optimal_bounds(cfg, [0.0, 0.25, 0.5], max_cycles=1)
+        message = str(excinfo.value)
+        assert "alpha=0.25" in message and "rounds=3" in message and "residual" in message
+        assert excinfo.value.residual > 1e-12
+
+    def test_zero_cycle_budget(self):
+        with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual"):
+            steady_states(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5],
+                          max_cycles=0)
 
 
 def exact_reduction_factor(n, m, rounds, alpha):
