@@ -10,7 +10,9 @@ point; ``--jobs`` threads split the points of ``--sample`` only.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 parameters a config or grid rejects, a ``--locality`` that contradicts the
-figure, and a register too large to simulate in memory), 3 output I/O
+figure, a list of ``--n`` values for a refrigerator figure or of ``--n`` or
+``--rounds`` values for ``--sample``, and a register too large to simulate
+in memory), 3 output I/O
 error, 4 budget too small, 5 a fixed point that did not converge.  Errors
 are reported on stderr without a traceback.
 """
@@ -18,10 +20,10 @@ are reported on stderr without a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +52,7 @@ DEFAULT_SINGLE_SHOT_N = (3, 5, 11, 21)
 DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """Parsed sweep parameters shared by the figure and sample commands."""
 
@@ -215,20 +217,7 @@ def cmd_verify(suite: str) -> int:
 # ---------------------------------------------------------------------------
 # resource-matched sampling
 
-SAMPLE_HEADER = [
-    "alpha",
-    "k_raw",
-    "k_cooled",
-    "alpha_cooled",
-    "exact_error_raw",
-    "exact_error_cooled",
-    "mc_error_raw",
-    "mc_error_cooled",
-    "bound_raw",
-    "bound_cooled",
-    "empirical_ratio",
-    "reduction_factor",
-]
+SAMPLE_HEADER = [f.name for f in dataclasses.fields(sampling.ResourceComparison)]
 
 
 def cmd_sample(spec: SweepSpec) -> int:
@@ -236,25 +225,11 @@ def cmd_sample(spec: SweepSpec) -> int:
         spec.n_list[0], spec.m, spec.rounds_list[0], locality=spec.locality or "full"
     )
 
-    def one_point(item: tuple[int, float]) -> list:
+    def one_point(item: tuple[int, float]) -> tuple:
         index, alpha = item
-        rec = sampling.resource_matched_comparison(
+        return dataclasses.astuple(sampling.resource_matched_comparison(
             alpha, cfg, spec.budget, sampling._derived_seed(spec.seed, index), trials=spec.trials
-        )
-        return [
-            rec.alpha_raw,
-            rec.k_raw,
-            rec.k_cooled,
-            rec.alpha_cooled,
-            rec.exact_error_raw,
-            rec.exact_error_cooled,
-            rec.mc_error_raw,
-            rec.mc_error_cooled,
-            rec.bound_raw,
-            rec.bound_cooled,
-            rec.empirical_ratio,
-            rec.reduction_factor,
-        ]
+        ))
 
     try:
         rows = _map_grid(one_point, enumerate(spec.alpha_grid), spec.jobs)
@@ -285,9 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "(theorem1, bqr-oracle, klocal-fixedpoint, sampling, all)")
     mode.add_argument("--sample", action="store_true",
                       help="sweep resource-matched raw-vs-cooled comparisons")
-    parser.add_argument("--n", default=None, help="qubit count(s), comma separated")
+    parser.add_argument("--n", default=None, help="qubit count(s), comma separated; "
+                        "one for a refrigerator figure or --sample")
     parser.add_argument("--m", type=int, default=2, help="reset qubits (default 2)")
-    parser.add_argument("--rounds", default=None, help="round count(s), comma separated")
+    parser.add_argument("--rounds", default=None, help="round count(s), comma separated; "
+                        "one for --sample")
     parser.add_argument("--locality", choices=refrigerator.LOCALITIES, default=None,
                         help="staircase for --sample (default full); each figure fixes its own")
     parser.add_argument("--alpha-grid", default=None, metavar="START:STOP:STEP")
@@ -322,11 +299,11 @@ def main(argv: list[str] | None = None) -> int:
             n_list = _parse_int_list(args.n, DEFAULT_SINGLE_SHOT_N)
         else:
             n_list = _parse_int_list(args.n, (5,))
-        rounds_list = _parse_int_list(args.rounds, DEFAULT_BQR_ROUNDS)
         if args.sample:
-            rounds_list = rounds_list[:1] if args.rounds else (5,)
+            rounds_list = _parse_int_list(args.rounds, (5,))
             default_grid = "0.1:0.9:0.1"
         else:
+            rounds_list = _parse_int_list(args.rounds, DEFAULT_BQR_ROUNDS)
             default_grid = "0.01:0.99:0.01"
         alpha_grid = parse_alpha_grid(args.alpha_grid or default_grid)
     except ValueError as exc:
@@ -337,6 +314,16 @@ def main(argv: list[str] | None = None) -> int:
     if (args.figure or args.sample) and not args.out:
         parser.print_usage(sys.stderr)
         print("--out PATH is required for --figure/--sample", file=sys.stderr)
+        return EXIT_USAGE
+
+    # a refrigerator figure runs one register, and --sample one register and schedule
+    single = [("--n", args.n, n_list)] if args.sample or args.figure in FIGURE_LOCALITY else []
+    if args.sample:
+        single.append(("--rounds", args.rounds, rounds_list))
+    listed = [f"{flag} {text}" for flag, text, values in single if len(values) > 1]
+    if listed:
+        mode = "--sample" if args.sample else f"--figure {args.figure}"
+        print(f"{mode} takes one value per flag, got {' '.join(listed)}", file=sys.stderr)
         return EXIT_USAGE
 
     spec = SweepSpec(

@@ -122,18 +122,10 @@ class SteadyStateResult:
 
 
 @lru_cache(maxsize=None)
-def build_ucj(j: int) -> PermutationSpec:
-    """Compression swap on ``j`` qubits: ``|0 1...1>  <->  |1 0...0>``."""
-    if j < 2:
-        raise ValueError(f"need j >= 2, got {j}")
-    return window_swaps(j, [(0, j)])
-
-
-@lru_cache(maxsize=None)
 def build_uqr(n: int) -> PermutationSpec:
-    """Full staircase: the swap of ``build_ucj(j)`` on the last ``j`` qubits,
-    applied for j = 3 up to n.  All the transpositions are disjoint, so the
-    result is an involution."""
+    """Full staircase: the compression swap ``|0 1...1>  <->  |1 0...0>`` on
+    the last ``j`` qubits, applied for j = 3 up to n.  All the transpositions
+    are disjoint, so the result is an involution."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     return window_swaps(n, [(0, j) for j in range(3, n + 1)])
@@ -231,22 +223,6 @@ def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ground = pairwise_sum(evolved[..., :half])
     excited = pairwise_sum(evolved[..., half:])
     return ground, excited, (ground - excited) / (ground + excited)
-
-
-def recycle_cycle(
-    a: np.ndarray, cfg: RefrigeratorConfig, alpha: float
-) -> tuple[np.ndarray, float]:
-    """Run ``cfg.rounds`` rounds on the vector ``a``, extract the target, and
-    rebuild the next input (target removed, fresh qubit appended at the end).
-
-    Returns ``(recycled_vector, alpha_enhanced)``, the polarization read as in
-    :class:`SteadyStateResult`.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.size != 1 << (cfg.n - cfg.m):
-        raise ValueError(f"vector has {a.size} entries, expected {1 << (cfg.n - cfg.m)}")
-    recycled, evolved = _recycle_step(cfg, alpha, compression_permutation_for(cfg))(a)
-    return recycled, float(_target(evolved)[2])
 
 
 def fixed_point(

@@ -1,18 +1,17 @@
 """Finite-sampling error analysis for sign-based classification.
 
 A classifier's decision is the sign of a single-qubit polarization ``alpha``
-estimated from ``k`` projective shots.  This module provides the analytic
-error bounds (Chebyshev and its prediction/training specializations), the
-exact wrong-sign probability from the binomial law, a reproducible Monte
-Carlo counterpart, and a resource-matched comparison of raw versus cooled
-estimation at a fixed qubit budget.
+estimated from ``k`` projective shots.  This module provides the Chebyshev
+bound and its prediction specialization, the exact wrong-sign probability
+from the binomial law, a reproducible Monte Carlo counterpart, and a
+resource-matched comparison of raw versus cooled estimation at a fixed
+qubit budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,40 +44,6 @@ class ShotExperiment:
             raise ValueError(f"need trials >= 1, got {self.trials}")
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    """Hinge-loss decision context: margin ``b``, label ``y``, score ``q``."""
-
-    b: float
-    y: int
-    q: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.b < 1.0:
-            raise ValueError(f"margin must lie in [0, 1), got {self.b}")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be +1 or -1, got {self.y}")
-        if abs(self.q) > 1:
-            raise ValueError(f"score must lie in [-1, 1], got {self.q}")
-
-
-@dataclass(frozen=True)
-class EnsemblePair:
-    """Class-averaged polarizations of two equally sized ensembles."""
-
-    alpha_plus: float
-    alpha_minus: float
-
-    def __post_init__(self) -> None:
-        if abs(self.alpha_plus) > 1 or abs(self.alpha_minus) > 1:
-            raise ValueError("polarizations must lie in [-1, 1]")
-
-
-class HingeActivity(NamedTuple):
-    active: bool
-    prefactor: int
-
-
 def chebyshev_bound(variance: float, k: int, epsilon: float) -> float:
     """``min(1, variance / (k epsilon^2))``: tail bound for a k-shot mean."""
     if epsilon <= 0:
@@ -97,34 +62,6 @@ def predict_error_bound(alpha: float, k: int) -> float:
     if abs(alpha) > 1:
         raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     return chebyshev_bound(1.0 - alpha * alpha, k, abs(alpha))
-
-
-def train_error_bound(alpha: float, b: float, k: int) -> float:
-    """Margin-decision error bound ``min(1, (1 - alpha^2) / (k (alpha-b)^2))``."""
-    if not 0.0 <= b < 1.0:
-        raise ValueError(f"margin must lie in [0, 1), got {b}")
-    if alpha == b:
-        raise ZeroDivisionError("training bound is undefined on the decision boundary")
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
-    return chebyshev_bound(1.0 - alpha * alpha, k, abs(alpha - b))
-
-
-def hinge_gradient_activity(mc: MarginConfig) -> HingeActivity:
-    """Whether the hinge loss is active (``y q < b``) and its gradient sign.
-
-    When active, the loss gradient carries the prefactor ``-y``; estimating
-    the remaining score-gradient factor is again a sign-estimation problem.
-    """
-    if mc.y * mc.q < mc.b:
-        return HingeActivity(True, -mc.y)
-    return HingeActivity(False, 0)
-
-
-def discrimination_error(e: EnsemblePair) -> float:
-    """Best error probability for telling two equal-size ensembles apart:
-    ``1/2 - |alpha_plus - alpha_minus| / 4``."""
-    return 0.5 - abs(e.alpha_plus - e.alpha_minus) / 4.0
 
 
 def exact_sign_error(alpha: float, k: int) -> float:
@@ -178,12 +115,15 @@ def monte_carlo_sign_error(exp: ShotExperiment) -> float:
 
 @dataclass(frozen=True)
 class ResourceComparison:
-    """Raw versus cooled sign estimation at the same total qubit budget."""
+    """Raw versus cooled sign estimation at the same total qubit budget.
 
-    alpha_raw: float
-    alpha_cooled: float
+    The fields are declared in the column order of ``coolsign --sample``.
+    """
+
+    alpha: float
     k_raw: int
     k_cooled: int
+    alpha_cooled: float
     exact_error_raw: float
     exact_error_cooled: float
     mc_error_raw: float
@@ -230,10 +170,10 @@ def resource_matched_comparison(
         reduction = steady.reduction_factor(alpha, cfg.cost)
     ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
     return ResourceComparison(
-        alpha_raw=alpha,
-        alpha_cooled=alpha_cooled,
+        alpha=alpha,
         k_raw=k_raw,
         k_cooled=k_cooled,
+        alpha_cooled=alpha_cooled,
         exact_error_raw=exact_raw,
         exact_error_cooled=exact_cooled,
         mc_error_raw=mc_raw,

@@ -22,7 +22,6 @@ from .states import (
     ground_excited_pair,
     marginal_target,
     product_state,
-    trace_out_last,
 )
 
 #: inputs to optimal_compression must match a product state this closely
@@ -61,19 +60,12 @@ def optimal_compression(d: DiagonalState) -> CompressionResult:
     Raises ValueError if the input is not a product of identical qubits; the
     optimality guarantee only covers that case.
     """
-    alpha = marginal_target(trace_to_first_qubit(d))
+    alpha = marginal_target(d)
     expected = product_state(alpha, d.n)
     if not np.allclose(d.probs, expected.probs, atol=PRODUCT_ATOL, rtol=0.0):
         raise ValueError("optimal_compression requires a product state of identical qubits")
     out = apply_permutation(d, compression_permutation(d.n))
     return CompressionResult(out, marginal_target(out), d.n)
-
-
-def trace_to_first_qubit(d: DiagonalState) -> DiagonalState:
-    """Marginal state of the target (most significant) qubit."""
-    if d.n == 1:
-        return d
-    return trace_out_last(d, d.n - 1)
 
 
 def alpha_ac(n: int, alpha: float) -> float:
@@ -124,24 +116,6 @@ def alpha_ac_erf(n: int, alpha: float) -> float:
     return math.erf(compression_xi(n, alpha))
 
 
-def error_reduction_factor(alpha: float, alpha_enhanced: float, cost: float) -> float:
-    """Sampling-error-bound ratio for an enhancement bought at ``cost`` qubits.
-
-    ``(alpha^-2 - 1) / (alpha_enhanced^-2 - 1) / cost``: how much the
-    wrong-sign probability bound shrinks when one enhanced qubit replaces
-    ``cost`` raw ones at a fixed total qubit budget.
-    """
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    if abs(alpha) > 1 or abs(alpha_enhanced) > 1:
-        raise ValueError("polarizations must lie in [-1, 1]")
-    num = (1.0 - alpha * alpha) / (alpha * alpha)
-    if abs(alpha_enhanced) == 1.0:
-        return math.inf
-    den = (1.0 - alpha_enhanced * alpha_enhanced) / (alpha_enhanced * alpha_enhanced)
-    return num / den / cost
-
-
 def reduction_from_excited_mass(alpha: float, excited_mass: float, cost: float) -> float:
     """Reduction factor from the enhanced qubit's excited-state mass ``u``.
 
@@ -178,11 +152,3 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     a = abs(alpha)
     c = math.erfc(compression_xi(n, a))  # 1 - alpha_ac_erf
     return reduction_from_excited_mass(a, c / 2.0, n)
-
-
-def reduction_factor_ac_low_approx(n: int, alpha: float) -> float:
-    """Low-polarization approximation ``2 (1 - alpha^2) / (pi - 2 n alpha^2)``."""
-    den = math.pi - 2.0 * n * alpha * alpha
-    if den <= 0.0:
-        raise ValueError(f"out of the low-polarization regime: pi - 2 n alpha^2 = {den}")
-    return 2.0 * (1.0 - alpha * alpha) / den

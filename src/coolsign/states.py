@@ -90,10 +90,6 @@ class DiagonalState:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
 
 @dataclass(frozen=True)
 class PermutationSpec:
@@ -121,10 +117,6 @@ class PermutationSpec:
 
     def inverse(self) -> "PermutationSpec":
         return PermutationSpec(self.n, self(np.arange(self.perm.size)))
-
-
-def identity_permutation(n: int) -> PermutationSpec:
-    return PermutationSpec(n, np.arange(1 << n))
 
 
 def window_swaps(n: int, windows) -> PermutationSpec:

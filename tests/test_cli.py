@@ -304,6 +304,25 @@ class TestExitCodes:
             assert other in err and "--sample" in err
         assert not out.exists()
 
+    def test_refrigerator_figures_take_one_register(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for figure in FIGURE_LOCALITY:
+            code = main(["--figure", figure, "--n", "5,8", "--rounds", "3",
+                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert "--n 5,8" in self.one_line(capsys)
+        assert not out.exists()
+
+    def test_sample_takes_one_register_and_schedule(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["--sample", "--n", "5,7", "--rounds", "3,9", "--out", str(out)]) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "--n 5,7" in err and "--rounds 3,9" in err
+        assert main(["--sample", "--n", "5", "--rounds", "3,9", "--out", str(out)]) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "--rounds 3,9" in err and "--n" not in err
+        assert not out.exists()
+
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # stands in for the 2 TiB round matrix of n = 20 without allocating it
         def out_of_memory(cfg, alphas):

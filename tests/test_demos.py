@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""The package's public surface: every demo script runs to completion against
+the package in ``src``, and ``coolsign.__all__`` names only what it binds."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import coolsign
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,3 +21,11 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_is_sorted_unique_and_bound():
+    names = coolsign.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(coolsign, name)

@@ -12,14 +12,12 @@ from coolsign import (
     RefrigeratorConfig,
     alpha_infinity,
     build_round_matrix,
-    build_ucj,
     build_uqr,
     build_uqr_3local,
     marginal_target,
     optimal_bound_simulate,
     optimal_bounds,
     product_state,
-    recycle_cycle,
     reduction_factor_bound,
     reduction_factor_qr,
     round_channel,
@@ -28,8 +26,16 @@ from coolsign import (
     tensor,
     trace_out_first,
     trace_out_last,
+    window_swaps,
 )
-from coolsign.refrigerator import fixed_point
+from coolsign.refrigerator import _recycle_step, _target, compression_permutation_for, fixed_point
+
+
+def recycle(a, cfg, alpha):
+    """One recycle cycle from the vector ``a``: ``(recycled, alpha_enhanced)``."""
+    step = _recycle_step(cfg, alpha, compression_permutation_for(cfg))
+    recycled, evolved = step(np.asarray(a, dtype=float))
+    return recycled, float(_target(evolved)[2])
 
 
 def expected_m4(p):
@@ -94,7 +100,8 @@ class TestCompressionPermutations:
             expect = swap_by_swap(n, staircase_transpositions(n, locality))
             assert np.array_equal(moved_labels(build(n)), expect), locality
         half = 1 << (n - 1)
-        assert np.array_equal(moved_labels(build_ucj(n)), swap_by_swap(n, [(half - 1, half)]))
+        single = swap_by_swap(n, [(half - 1, half)])
+        assert np.array_equal(moved_labels(window_swaps(n, [(0, n)])), single)
 
     def test_sixteen_qubit_staircases(self):
         perm = build_uqr(16).perm
@@ -106,11 +113,7 @@ class TestCompressionPermutations:
         for j, (a, b) in ((3, (3, 4)), (4, (7, 8)), (2, (1, 2))):
             expect = np.arange(1 << j)
             expect[[a, b]] = [b, a]
-            assert np.array_equal(build_ucj(j).perm, expect)
-
-    def test_ucj_requires_two_qubits(self):
-        with pytest.raises(ValueError):
-            build_ucj(1)
+            assert np.array_equal(window_swaps(j, [(0, j)]).perm, expect)
 
     def test_uqr3_is_single_swap(self):
         perm = build_uqr(3)
@@ -242,25 +245,21 @@ class TestRecycleCycle:
         cfg = RefrigeratorConfig(3, 2, 1)
         fresh = product_state(0.3, 1).probs
         for start in ([0.9, 0.1], [0.2, 0.8], [1.0, 0.0]):
-            recycled, _ = recycle_cycle(np.array(start), cfg, 0.3)
+            recycled, _ = recycle(np.array(start), cfg, 0.3)
             assert np.allclose(recycled, fresh, atol=1e-14)
 
     def test_zero_polarization_fixed_point(self):
         cfg = RefrigeratorConfig(4, 2, 2)
-        recycled, enhanced = recycle_cycle(np.full(4, 0.25), cfg, 0.0)
+        recycled, enhanced = recycle(np.full(4, 0.25), cfg, 0.0)
         assert enhanced == 0.0
         assert np.allclose(recycled, 0.25, atol=1e-15)
 
     def test_single_round_matches_full_oracle(self):
         cfg = RefrigeratorConfig(4, 2, 1)
         start = product_state(0.5, 2).probs
-        _, enhanced = recycle_cycle(start, cfg, 0.5)
+        _, enhanced = recycle(start, cfg, 0.5)
         oracle, _ = full_simulation_marginal(cfg, 0.5, start)
         assert enhanced == pytest.approx(oracle, abs=1e-13)
-
-    def test_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            recycle_cycle(np.full(8, 0.125), RefrigeratorConfig(4, 2, 1), 0.5)
 
 
 class TestSteadyState:
@@ -293,7 +292,7 @@ class TestSteadyState:
     def test_residual_contract(self):
         cfg = RefrigeratorConfig(5, 2, 3)
         result = steady_state(cfg, 0.4, tol=1e-12)
-        recycled, _ = recycle_cycle(result.a_fixed, cfg, 0.4)
+        recycled, _ = recycle(result.a_fixed, cfg, 0.4)
         assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
 
     def test_sign_preserved_and_exactly_odd(self):
@@ -339,7 +338,7 @@ class TestSteadyState:
         result = steady_state(cfg, alpha)
         assert result.cycles_used <= 2
         assert result.residual <= 1e-12
-        recycled, enhanced = recycle_cycle(result.a_fixed, cfg, alpha)
+        recycled, enhanced = recycle(result.a_fixed, cfg, alpha)
         assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
         assert enhanced == result.alpha_enhanced
 

@@ -6,19 +6,14 @@ import pytest
 
 from coolsign import (
     BudgetError,
-    EnsemblePair,
-    MarginConfig,
     RefrigeratorConfig,
     ShotExperiment,
     chebyshev_bound,
-    discrimination_error,
     exact_sign_error,
-    hinge_gradient_activity,
     monte_carlo_sign_error,
     predict_error_bound,
     resource_matched_comparison,
     steady_state,
-    train_error_bound,
 )
 
 
@@ -60,65 +55,6 @@ class TestPredictErrorBound:
     def test_undefined_at_zero(self):
         with pytest.raises(ZeroDivisionError):
             predict_error_bound(0.0, 10)
-
-
-class TestTrainErrorBound:
-    def test_direct_evaluation(self):
-        assert train_error_bound(0.5, 0.2, 100) == pytest.approx(0.75 / 9, abs=1e-15)
-
-    def test_pure_state(self):
-        assert train_error_bound(1.0, 0.0, 3) == 0.0
-
-    def test_zero_margin_reduces_to_prediction(self):
-        for alpha, k in ((0.4, 25), (-0.7, 9)):
-            assert train_error_bound(alpha, 0.0, k) == predict_error_bound(alpha, k)
-
-    def test_boundary_undefined(self):
-        with pytest.raises(ZeroDivisionError):
-            train_error_bound(0.3, 0.3, 10)
-
-    def test_bad_margin(self):
-        with pytest.raises(ValueError):
-            train_error_bound(0.5, 1.0, 10)
-
-
-class TestHingeGradient:
-    def test_margin_satisfied(self):
-        result = hinge_gradient_activity(MarginConfig(b=0.5, y=+1, q=0.6))
-        assert not result.active
-        assert result.prefactor == 0
-
-    def test_active_positive_label(self):
-        result = hinge_gradient_activity(MarginConfig(b=0.5, y=+1, q=0.3))
-        assert result.active and result.prefactor == -1
-
-    def test_active_negative_label(self):
-        result = hinge_gradient_activity(MarginConfig(b=0.5, y=-1, q=0.3))
-        assert result.active and result.prefactor == +1
-
-    def test_boundary_is_inactive(self):
-        assert not hinge_gradient_activity(MarginConfig(b=0.2, y=+1, q=0.2)).active
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            MarginConfig(b=0.1, y=0, q=0.5)
-
-
-class TestDiscriminationError:
-    def test_direct_evaluation(self):
-        assert discrimination_error(EnsemblePair(0.5, -0.5)) == pytest.approx(0.25, abs=1e-15)
-
-    def test_indistinguishable(self):
-        assert discrimination_error(EnsemblePair(0.3, 0.3)) == 0.5
-
-    def test_orthogonal_pure(self):
-        assert discrimination_error(EnsemblePair(1.0, -1.0)) == 0.0
-
-    def test_symmetric_pair_identity(self):
-        for a in (0.1, 0.45, 0.9):
-            assert discrimination_error(EnsemblePair(a, -a)) + a / 2 == pytest.approx(
-                0.5, abs=1e-15
-            )
 
 
 class TestExactSignError:

@@ -8,12 +8,11 @@ from coolsign import (
     alpha_ac,
     alpha_ac_erf,
     compression_permutation,
-    error_reduction_factor,
     optimal_compression,
     product_state,
     reduction_factor_ac,
-    reduction_factor_ac_low_approx,
 )
+from coolsign.single_shot import reduction_from_excited_mass
 
 
 def sort_oracle_marginal(n, alpha):
@@ -171,8 +170,9 @@ class TestReductionFactorAc:
         # 2(1-a^2)/(pi - 2 n a^2) tracks the factor to a few percent here
         for n in range(3, 8):
             for alpha in np.linspace(0.005, 0.05, 8):
-                approx = reduction_factor_ac_low_approx(n, float(alpha))
-                assert approx == pytest.approx(reduction_factor_ac(n, float(alpha)), rel=0.05)
+                a = float(alpha)
+                approx = 2 * (1 - a * a) / (math.pi - 2 * n * a * a)
+                assert approx == pytest.approx(reduction_factor_ac(n, a), rel=0.05)
 
     def test_divergence_trend(self):
         for n in (3, 5, 7):
@@ -212,27 +212,15 @@ class TestReductionFactorAc:
 
 class TestExactGainReduction:
     def test_spec_arithmetic_for_three_qubits(self):
-        # (alpha^-2 - 1)/(alpha_ac^-2 - 1)/n with the exact closed-form gain
-        value = error_reduction_factor(0.5, alpha_ac(3, 0.5), 3)
+        # (alpha^-2 - 1)/(alpha_ac^-2 - 1)/n with the exact closed-form gain:
+        # alpha_ac(3, 0.5) = 11/16 leaves the excited mass 5/32
+        value = reduction_from_excited_mass(0.5, 5 / 32, 3)
         assert value == pytest.approx(float(Fraction(121, 135)), abs=1e-14)
         assert value == pytest.approx(0.89630, abs=1e-5)
 
     def test_identity_case(self):
-        assert error_reduction_factor(0.4, 0.4, 1) == pytest.approx(1.0, abs=1e-14)
+        assert reduction_from_excited_mass(0.4, 0.3, 1) == pytest.approx(1.0, abs=1e-14)
 
     def test_undefined_at_zero(self):
         with pytest.raises(ZeroDivisionError):
-            error_reduction_factor(0.0, 0.5, 3)
-
-
-class TestLowApprox:
-    def test_at_zero(self):
-        assert reduction_factor_ac_low_approx(3, 0.0) == pytest.approx(2 / math.pi, abs=1e-15)
-
-    def test_direct_evaluation(self):
-        expected = 2 * (1 - 0.01) / (math.pi - 2 * 5 * 0.01)
-        assert reduction_factor_ac_low_approx(5, 0.1) == pytest.approx(expected, abs=1e-15)
-
-    def test_out_of_regime(self):
-        with pytest.raises(ValueError):
-            reduction_factor_ac_low_approx(50, 0.9)
+            reduction_from_excited_mass(0.0, 0.25, 3)

@@ -7,7 +7,6 @@ from coolsign import (
     DiagonalState,
     PermutationSpec,
     apply_permutation,
-    identity_permutation,
     marginal_target,
     pairwise_sum,
     product_state,
@@ -115,7 +114,8 @@ class TestMarginalTarget:
 class TestPermutations:
     def test_identity_fixes_state(self):
         d = product_state(0.37, 3)
-        assert np.array_equal(apply_permutation(d, identity_permutation(3)).probs, d.probs)
+        identity = PermutationSpec(3, np.arange(1 << 3))
+        assert np.array_equal(apply_permutation(d, identity).probs, d.probs)
 
     def test_swap_exchanges_entries(self):
         d = product_state(0.5, 3)
@@ -140,7 +140,7 @@ class TestPermutations:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_permutation(product_state(0.1, 2), identity_permutation(3))
+            apply_permutation(product_state(0.1, 2), PermutationSpec(3, np.arange(1 << 3)))
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
