@@ -8,13 +8,18 @@ byte-identical for identical flags and seed, regardless of ``--jobs``.
 A refrigerator figure solves each curve's whole grid as one batched fixed
 point; ``--jobs`` threads split the points of ``--sample`` only.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including
-parameters a config or grid rejects, a ``--locality`` that contradicts the
-figure, a list of ``--n`` values for a refrigerator figure or of ``--n`` or
-``--rounds`` values for ``--sample``, and a register too large to simulate
-in memory), 3 output I/O
-error, 4 budget too small, 5 a fixed point that did not converge.  Errors
-are reported on stderr without a traceback.
+Each mode reads its own sweep flags: ``--suite`` none of them, the
+single-shot figures ``--n``, ``--alpha-grid``, ``--out``, ``--format`` and
+``--jobs``, the refrigerator figures also ``--m``, ``--rounds`` and
+``--locality``, and ``--sample`` all of them.
+
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+sweep flag the mode does not read, parameters a config or grid rejects, a
+``--locality`` that contradicts the figure, a list of ``--n`` values for a
+refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
+and a register too large to simulate in memory), 3 output I/O error, 4
+budget too small, 5 a fixed point that did not converge.  Errors are
+reported on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ FIGURE_LOCALITY = {"bqr-polarization": "full", "bqr-reduction": "full",
 
 DEFAULT_SINGLE_SHOT_N = (3, 5, 11, 21)
 DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
+
+#: the sweep flags, all of which ``--sample`` reads; ``--suite`` reads none
+SWEEP_FLAGS = ("--n", "--m", "--rounds", "--locality", "--alpha-grid", "--budget", "--trials",
+               "--seed", "--out", "--format", "--jobs")
+SINGLE_SHOT_FLAGS = ("--n", "--alpha-grid", "--out", "--format", "--jobs")
+REFRIGERATOR_FLAGS = SINGLE_SHOT_FLAGS + ("--m", "--rounds", "--locality")
+
+#: values of the sweep flags a command line leaves out, by argparse dest; the
+#: parser's own defaults are None, so a given flag is told from an absent one
+SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "format": "csv",
+                  "jobs": 1}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,9 +184,6 @@ def _map_grid(fn, items, jobs: int) -> list[list]:
 
 
 def cmd_figure(name: str, spec: SweepSpec) -> int:
-    if name not in FIGURES:
-        print(f"unknown figure {name!r}; choose from {FIGURES}", file=sys.stderr)
-        return EXIT_USAGE
     locality = FIGURE_LOCALITY.get(name)
     if locality and spec.locality not in (None, locality):
         others = " or ".join(f for f, loc in FIGURE_LOCALITY.items() if loc == spec.locality)
@@ -262,20 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sweep resource-matched raw-vs-cooled comparisons")
     parser.add_argument("--n", default=None, help="qubit count(s), comma separated; "
                         "one for a refrigerator figure or --sample")
-    parser.add_argument("--m", type=int, default=2, help="reset qubits (default 2)")
+    parser.add_argument("--m", type=int, help="reset qubits (default 2)")
     parser.add_argument("--rounds", default=None, help="round count(s), comma separated; "
                         "one for --sample")
     parser.add_argument("--locality", choices=refrigerator.LOCALITIES, default=None,
                         help="staircase for --sample (default full); each figure fixes its own")
     parser.add_argument("--alpha-grid", default=None, metavar="START:STOP:STEP")
-    parser.add_argument("--budget", type=int, default=10_000,
-                        help="total fresh-qubit budget for --sample")
-    parser.add_argument("--trials", type=int, default=100_000,
-                        help="monte carlo trials per grid point")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int,
+                        help="total fresh-qubit budget for --sample (default 10000)")
+    parser.add_argument("--trials", type=int,
+                        help="monte carlo trials per --sample grid point (default 100000)")
+    parser.add_argument("--seed", type=int, help="--sample seed (default 0)")
     parser.add_argument("--out", metavar="PATH", help="output data file")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    parser.add_argument("--jobs", type=int,
                         help="worker threads that split the --sample points; figures "
                         "run as one batched solve (output is byte-identical for any value)")
     return parser
@@ -293,6 +306,27 @@ def _parse_int_list(text: str | None, default: tuple[int, ...]) -> tuple[int, ..
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.figure is not None and args.figure not in FIGURES:
+        print(f"unknown figure {args.figure!r}; choose from {FIGURES}", file=sys.stderr)
+        return EXIT_USAGE
+
+    if args.suite is not None:
+        mode, reads = "--suite", ()
+    elif args.sample:
+        mode, reads = "--sample", SWEEP_FLAGS
+    else:
+        mode = f"--figure {args.figure}"
+        reads = REFRIGERATOR_FLAGS if args.figure in FIGURE_LOCALITY else SINGLE_SHOT_FLAGS
+    unread = [flag for flag in SWEEP_FLAGS
+              if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
+    if unread:
+        print(f"{mode} does not read {', '.join(unread)}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.suite is not None:
+        return cmd_verify(args.suite)
+    for dest, value in SWEEP_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
     try:
         if args.figure in ("single-shot-polarization", "single-shot-reduction"):
@@ -311,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
-    if (args.figure or args.sample) and not args.out:
+    if not args.out:
         parser.print_usage(sys.stderr)
         print("--out PATH is required for --figure/--sample", file=sys.stderr)
         return EXIT_USAGE
@@ -322,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         single.append(("--rounds", args.rounds, rounds_list))
     listed = [f"{flag} {text}" for flag, text, values in single if len(values) > 1]
     if listed:
-        mode = "--sample" if args.sample else f"--figure {args.figure}"
         print(f"{mode} takes one value per flag, got {' '.join(listed)}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -335,13 +368,11 @@ def main(argv: list[str] | None = None) -> int:
         budget=args.budget,
         trials=args.trials,
         seed=args.seed,
-        out=args.out or "",
+        out=args.out,
         fmt=args.format,
         jobs=max(1, args.jobs),
     )
 
-    if args.suite:
-        return cmd_verify(args.suite)
     try:
         if args.figure:
             return cmd_figure(args.figure, spec)

@@ -56,6 +56,12 @@ LOCALITIES = ("full", "3local")
 #: ``d = 256`` a chunk is one point, so it holds what a lone solve holds
 CHUNK_BYTES = 512 << 10
 
+#: states one panel of the blocked GTH elimination holds.  A panel's steps
+#: are element-wise and the update they leave for the states below it is one
+#: matmul.  16 and 32 measured alike from ``d = 256`` and 64 slower at
+#: ``d = 1024``; 32 keeps every matrix of ``d <= 32`` in one panel
+GTH_PANEL = 32
+
 
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration did not reach tolerance; carries the residual
@@ -335,14 +341,29 @@ def _stationary_gth(rows: np.ndarray) -> np.ndarray:
     subtraction and tiny stationary masses keep their relative accuracy.
     A matrix whose pivot vanishes gets a NaN vector: some closed set of its
     states avoids index 0.
+
+    States are eliminated from the last down, in panels of
+    :data:`GTH_PANEL` states aligned on multiples of it (a right-looking
+    blocked elimination).  Within a panel each step updates only the
+    panel's rows and the panel's columns above them; the block above and
+    left of the panel then takes all of the panel's rank-one terms in one
+    matmul.  Those terms are products of non-negative entries, so blocking
+    keeps the relative accuracy.  The panel holding state 0 has nothing
+    above it, so a matrix of at most :data:`GTH_PANEL` states runs the
+    one-state-at-a-time updates alone.
     """
     p = np.array(rows, dtype=float)
     dim = p.shape[-1]
-    for k in range(dim - 1, 0, -1):
-        pivot = p[..., k, :k].sum(axis=-1)
-        pivot = np.where(pivot > 0.0, pivot, np.nan)
-        p[..., :k, k] /= pivot[..., None]
-        p[..., :k, :k] += p[..., :k, k, None] * p[..., k, None, :k]
+    for low in range((dim - 1) // GTH_PANEL * GTH_PANEL, -1, -GTH_PANEL):
+        top = min(dim, low + GTH_PANEL)
+        for k in range(top - 1, max(low, 1) - 1, -1):
+            pivot = p[..., k, :k].sum(axis=-1)
+            pivot = np.where(pivot > 0.0, pivot, np.nan)
+            p[..., :k, k] /= pivot[..., None]
+            p[..., low:k, :k] += p[..., low:k, k, None] * p[..., k, None, :k]
+            if low:
+                p[..., :low, low:k] += p[..., :low, k, None] * p[..., k, None, low:k]
+        p[..., :low, :low] += p[..., :low, low:top] @ p[..., low:top, :low]
     pi = np.ones(p.shape[:-1])
     for k in range(1, dim):
         pi[..., k] = (pi[..., :k] * p[..., :k, k]).sum(axis=-1)
@@ -388,9 +409,12 @@ def steady_states(
     an L1 residual of ``tol``, as one batched solve.
 
     The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
-    and ``-alpha`` are solved directly and averaged into an exactly
-    mirror-symmetric seed.  Order-canonical kernel recycle cycles then polish
-    it until one cycle moves it by at most ``tol``; one or two suffice.
+    and ``-alpha`` are solved directly, by the blocked GTH elimination of
+    :func:`_stationary_gth`, and averaged into an exactly mirror-symmetric
+    seed.  That solve costs ``O(d^3)`` with ``d = 2^(n-m)``, most of it one
+    matmul per panel of :data:`GTH_PANEL` states, and dominates the call
+    from ``n = 10`` on.  Order-canonical kernel recycle cycles then polish
+    the seed until one cycle moves it by at most ``tol``; one or two suffice.
     """
     permutation = compression_permutation_for(cfg)
 

@@ -323,6 +323,39 @@ class TestExitCodes:
         assert "--rounds 3,9" in err and "--n" not in err
         assert not out.exists()
 
+    def test_suite_reads_no_sweep_flag(self, tmp_path, capsys):
+        argv = ["--suite", "klocal-fixedpoint", "--n", "5,8", "--rounds", "3,9", "--budget", "1"]
+        assert main(argv) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert all(flag in err for flag in ("--suite", "--n", "--rounds", "--budget"))
+        out = tmp_path / "x.csv"
+        for flags in (["--out", str(out)], ["--format", "json"], ["--jobs", "2"], ["--n", "x"]):
+            assert main(["--suite", "theorem1"] + flags) == EXIT_USAGE
+            assert flags[0] in self.one_line(capsys)
+        assert not out.exists()
+
+    def test_figures_reject_flags_they_do_not_read(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["--figure", "single-shot-polarization", "--alpha-grid", "0.5:0.5:0.1",
+                "--out", str(out)]
+        assert main(argv + ["--m", "7", "--rounds", "3,9", "--seed", "4", "--locality",
+                            "3local", "--trials", "0"]) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert all(flag in err for flag in ("--m", "--rounds", "--seed", "--locality", "--trials"))
+        for figure in FIGURE_LOCALITY:
+            for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4")):
+                code = main(["--figure", figure, "--n", "4", "--rounds", "3",
+                             "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), flag, value])
+                assert code == EXIT_USAGE
+                assert f"--figure {figure} does not read {flag}\n" == self.one_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure", ["single-shot-reduction", "bqr-polarization"])
+    def test_figures_accept_jobs_and_format(self, tmp_path, figure):
+        code = main(["--figure", figure, "--n", "4", "--alpha-grid", "0.5:0.5:0.1",
+                     "--out", str(tmp_path / "x.json"), "--format", "json", "--jobs", "2"])
+        assert code == EXIT_OK
+
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # stands in for the 2 TiB round matrix of n = 20 without allocating it
         def out_of_memory(cfg, alphas):

@@ -28,7 +28,16 @@ from coolsign import (
     trace_out_last,
     window_swaps,
 )
-from coolsign.refrigerator import _recycle_step, _target, compression_permutation_for, fixed_point
+from coolsign.refrigerator import (
+    GTH_PANEL,
+    LOCALITIES,
+    _cycle_rows,
+    _recycle_step,
+    _stationary_gth,
+    _target,
+    compression_permutation_for,
+    fixed_point,
+)
 
 
 def recycle(a, cfg, alpha):
@@ -474,6 +483,90 @@ class TestBatchedNonConvergence:
         with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual"):
             steady_states(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5],
                           max_cycles=0)
+
+
+def scalar_gth(rows):
+    """Oracle: GTH elimination one state at a time, each step a rank-one
+    update of the whole block that is left."""
+    p = np.array(rows, dtype=float)
+    dim = p.shape[-1]
+    for k in range(dim - 1, 0, -1):
+        pivot = p[..., k, :k].sum(axis=-1)
+        pivot = np.where(pivot > 0.0, pivot, np.nan)
+        p[..., :k, k] /= pivot[..., None]
+        p[..., :k, :k] += p[..., :k, k, None] * p[..., k, None, :k]
+    pi = np.ones(p.shape[:-1])
+    for k in range(1, dim):
+        pi[..., k] = (pi[..., :k] * p[..., :k, k]).sum(axis=-1)
+    return pi / pi.sum(axis=-1, keepdims=True)
+
+
+def random_chain(seed, size, batch, spread, density):
+    """Row-stochastic matrices with entries over many magnitudes; each state
+    steps to the one before it (state 0 to the last), so every pivot is
+    positive."""
+    rng = np.random.default_rng(seed)
+    shape = batch + (size, size)
+    rows = rng.random(shape) ** spread * (rng.random(shape) < density)
+    states = np.arange(size)
+    rows[..., states, states - 1] += rng.random(batch + (size,)) ** spread + 1e-300
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(2, 100),
+    batch=st.sampled_from([(), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 30.0),
+    density=st.floats(0.05, 1.0),
+)
+@example(size=GTH_PANEL, batch=(), seed=1, spread=1.0, density=1.0)
+@example(size=GTH_PANEL + 1, batch=(3,), seed=2, spread=20.0, density=0.3)
+@example(size=2 * GTH_PANEL + 7, batch=(3,), seed=3, spread=30.0, density=0.1)
+def test_blocked_gth_matches_scalar_elimination(size, batch, seed, spread, density):
+    rows = random_chain(seed, size, batch, spread, density)
+    got, want = _stationary_gth(rows), scalar_gth(rows)
+    assert np.isfinite(want).all()
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    for index in np.ndindex(batch):
+        assert np.array_equal(got[index], _stationary_gth(rows[index]))
+
+
+def test_blocked_gth_keeps_tiny_masses_of_a_real_cycle():
+    # eight panels; the stationary masses span 1 down to about 5e-16
+    cfg = RefrigeratorConfig(10, 2, 5, locality="3local")
+    alphas = np.array([0.95])
+    matrices = build_round_matrix(cfg.n, cfg.m, alphas, compression_permutation_for(cfg))
+    rows = _cycle_rows(cfg, alphas, matrices)
+    got, want = _stationary_gth(rows), scalar_gth(rows)
+    assert want.min() < 1e-15
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_blocked_gth_flags_a_closed_set_across_panels():
+    # states 3 and size - 5 step only to each other, away from state 0;
+    # state size - 5 is eliminated in the first panel and state 3 in the last
+    size = GTH_PANEL + 8
+    rows = random_chain(5, size, (), 1.0, 1.0)
+    rows[[3, size - 5]] = 0.0
+    rows[3, size - 5] = rows[size - 5, 3] = 1.0
+    assert np.isnan(_stationary_gth(rows)).all()
+    batch = np.stack([random_chain(6, size, (), 1.0, 1.0), rows])
+    assert np.isnan(_stationary_gth(batch)[1]).all()
+
+
+@pytest.mark.parametrize("locality", LOCALITIES)
+@pytest.mark.parametrize("n", [8, 10])
+def test_multi_panel_registers_stay_odd_and_batch_exact(n, locality):
+    cfg = RefrigeratorConfig(n, 2, 5, locality=locality)
+    grid = [0.3, -0.3, 0.0, -0.6, 0.6, 0.95, -0.95]
+    for alpha in (0.3, 0.6, 0.95):
+        up, down = steady_state(cfg, alpha), steady_state(cfg, -alpha)
+        assert np.array_equal(down.a_fixed, up.a_fixed[::-1])
+        assert down.alpha_enhanced == -up.alpha_enhanced
+    for alpha, got in zip(grid, steady_states(cfg, grid)):
+        assert_same_result(got, steady_state(cfg, alpha))
 
 
 def exact_reduction_factor(n, m, rounds, alpha):
