@@ -180,17 +180,24 @@ def build_round_matrix(
     permute-then-trace with fresh resets attached, assembled column-by-column
     from the permutation's action on the product layout.  An array of
     polarizations gives a stack of matrices, one per entry.
+
+    Each image is scattered into one ``d x d`` slice per reset pattern, and
+    the slices are folded in place in :func:`pairwise_sum`'s order, so the
+    build holds ``2^m + 1`` matrices at its peak.
     """
     if n - m < 1:
         raise ValueError(f"need n - m >= 1, got n={n}, m={m}")
     perm = (permutation if permutation is not None else build_uqr(n)).perm
     dim, res_dim = 1 << (n - m), 1 << m
     reset = product_probs(alpha, m)
-    batch = reset.shape[:-1]
-    scattered = np.zeros(batch + (dim * res_dim, dim))
+    scattered = np.zeros(reset.shape[:-1] + (res_dim, dim, dim))
     src = np.arange(dim * res_dim)
-    scattered[..., perm[src], src // res_dim] = reset[..., src % res_dim]
-    return pairwise_sum(scattered.reshape(batch + (dim, res_dim, dim)), axis=-2)
+    scattered[..., perm % res_dim, perm // res_dim, src // res_dim] = reset[..., src % res_dim]
+    step = 1
+    while step < res_dim:
+        scattered[..., ::2 * step, :, :] += scattered[..., step::2 * step, :, :]
+        step *= 2
+    return scattered[..., 0, :, :].copy()
 
 
 def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:

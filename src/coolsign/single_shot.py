@@ -18,10 +18,10 @@ import numpy as np
 from .states import (
     DiagonalState,
     PermutationSpec,
-    apply_permutation,
     ground_excited_pair,
     marginal_target,
-    product_state,
+    marginal_targets,
+    product_probs,
 )
 
 #: inputs to optimal_compression must match a product state this closely
@@ -54,17 +54,24 @@ def compression_permutation(n: int) -> PermutationSpec:
     return PermutationSpec(n, perm)
 
 
-def optimal_compression(d: DiagonalState) -> CompressionResult:
-    """Apply the fixed weight-ordering compression to ``n`` identical qubits.
+def compress_products(probs: np.ndarray, n: int) -> np.ndarray:
+    """Apply the fixed weight-ordering compression to rows of ``n``-qubit
+    probability vectors, each a product of identical qubits.
 
-    Raises ValueError if the input is not a product of identical qubits; the
+    Raises ValueError if any row is not such a product (within
+    :data:`PRODUCT_ATOL` of the product at its own target polarization); the
     optimality guarantee only covers that case.
     """
-    alpha = marginal_target(d)
-    expected = product_state(alpha, d.n)
-    if not np.allclose(d.probs, expected.probs, atol=PRODUCT_ATOL, rtol=0.0):
+    expected = product_probs(marginal_targets(probs), n)
+    if not np.allclose(probs, expected, atol=PRODUCT_ATOL, rtol=0.0):
         raise ValueError("optimal_compression requires a product state of identical qubits")
-    out = apply_permutation(d, compression_permutation(d.n))
+    return compression_permutation(n)(probs)
+
+
+def optimal_compression(d: DiagonalState) -> CompressionResult:
+    """Apply the fixed weight-ordering compression to ``n`` identical qubits:
+    the one-state case of :func:`compress_products`."""
+    out = DiagonalState(d.n, compress_products(d.probs, d.n))
     return CompressionResult(out, marginal_target(out), d.n)
 
 

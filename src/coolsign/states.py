@@ -58,7 +58,7 @@ def ground_excited_pair(alpha) -> np.ndarray:
 
 
 def _check_mass(probs: np.ndarray, where: str) -> np.ndarray:
-    total = float(np.sum(probs))
+    total = float(pairwise_sum(probs))
     drift = abs(total - 1.0)
     if drift > NORM_ATOL:
         warnings.warn(
@@ -175,11 +175,18 @@ def trace_out_first(d: DiagonalState, m: int = 1) -> DiagonalState:
     return DiagonalState(d.n - m, reduced)
 
 
+def marginal_targets(probs: np.ndarray) -> np.ndarray:
+    """Polarization ``Tr(Z rho_target)`` of the most significant qubit of
+    each probability vector along the last axis."""
+    probs = np.asarray(probs, dtype=float)
+    half = probs.shape[-1] >> 1
+    return pairwise_sum(probs[..., :half]) - pairwise_sum(probs[..., half:])
+
+
 def marginal_target(d: DiagonalState | np.ndarray) -> float:
-    """Polarization ``Tr(Z rho_target)`` of the most significant qubit."""
-    probs = d.probs if isinstance(d, DiagonalState) else np.asarray(d, dtype=float)
-    half = probs.size >> 1
-    return float(pairwise_sum(probs[:half]) - pairwise_sum(probs[half:]))
+    """Polarization ``Tr(Z rho_target)`` of the most significant qubit: the
+    one-vector case of :func:`marginal_targets`."""
+    return float(marginal_targets(d.probs if isinstance(d, DiagonalState) else d))
 
 
 def apply_permutation(d: DiagonalState, pi: PermutationSpec) -> DiagonalState:

@@ -3,6 +3,12 @@
 Each suite re-derives a module's key guarantees on a fixed grid and reports
 worst-case residuals, so a release can be smoke-checked without the test
 harness.  Grids are deliberately the same ones the acceptance tests pin.
+
+The theorem-1 and matrix-path suites run a register size's polarization grid
+as rows along a leading axis, in blocks of at most :data:`_BLOCK_BYTES` of
+rows (or round matrices), so a suite's memory stays flat as ``n`` grows.
+Every row goes through the arithmetic of a lone one-state call, so each
+residual equals, bit for bit, the one a loop over single points reports.
 """
 
 from __future__ import annotations
@@ -14,6 +20,18 @@ from math import comb
 import numpy as np
 
 from . import klocal, refrigerator, sampling, single_shot, states
+
+
+#: bytes of rows one block of a suite may hold; its temporaries are a few
+#: times this
+_BLOCK_BYTES = 64 << 10
+
+
+def _blocks(values: np.ndarray, row_bytes: int) -> list[np.ndarray]:
+    """Consecutive slices of ``values``, as many per slice as rows of
+    ``row_bytes`` fit in :data:`_BLOCK_BYTES` (at least one)."""
+    size = max(1, _BLOCK_BYTES // row_bytes)
+    return [values[i:i + size] for i in range(0, len(values), size)]
 
 
 @dataclass(frozen=True)
@@ -39,13 +57,15 @@ def verify_theorem1() -> list[CheckResult]:
     worst_gain = 0.0
     sign_ok = True
     for n in range(3, 10):
-        for a in alphas:
-            a = float(a)
-            closed = single_shot.alpha_ac(n, a)
-            sorted_state = single_shot.optimal_compression(states.product_state(a, n))
-            worst_closed = max(worst_closed, abs(closed - sorted_state.alpha_target))
-            worst_gain = max(worst_gain, max(0.0, abs(a) - abs(closed)))
-            sign_ok &= np.sign(closed) == np.sign(a)
+        closed = np.array([single_shot.alpha_ac(n, a) for a in alphas.tolist()])
+        targets = np.concatenate([
+            states.marginal_targets(
+                single_shot.compress_products(states.product_probs(block, n), n))
+            for block in _blocks(alphas, 8 << n)
+        ])
+        worst_closed = max(worst_closed, float(np.max(np.abs(closed - targets))))
+        worst_gain = max(worst_gain, float(np.max(np.abs(alphas) - np.abs(closed))))
+        sign_ok &= bool(np.all(np.sign(closed) == np.sign(alphas)))
     spot = abs(single_shot.alpha_ac(3, 0.5) - float(Fraction(11, 16)))
     return [
         _check("theorem1 closed form vs sort oracle", worst_closed, 1e-12),
@@ -56,26 +76,24 @@ def verify_theorem1() -> list[CheckResult]:
 
 
 def verify_bqr_oracle() -> list[CheckResult]:
+    alphas = np.array([0.1, -0.1, 0.5, -0.5, 0.9, -0.9])
     worst = 0.0
     for n in range(3, 8):
         perm = refrigerator.build_uqr(n)
         for m in (1, 2, 3):
             if m > n - 1:
                 continue
-            cfg = refrigerator.RefrigeratorConfig(n, m, 1)
-            for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                matrix = refrigerator.build_round_matrix(n, m, alpha, perm)
-                a = states.product_state(alpha, n - m).probs.copy()
-                full = states.product_state(alpha, n)
+            for block in _blocks(alphas, 8 << (2 * (n - m))):
+                matrices = refrigerator.build_round_matrix(n, m, block, perm)
+                reset = states.product_probs(block, m)
+                a = states.product_probs(block, n - m)
+                full = states.product_probs(block, n)
                 for _ in range(10):
-                    a = matrix @ a
-                    full = refrigerator.round_channel(full, cfg, alpha)
-                    traced = states.trace_out_last(full, m)
-                    worst = max(
-                        worst,
-                        float(np.abs(a - traced.probs).max()),
-                        abs(states.marginal_target(a) - states.marginal_target(traced)),
-                    )
+                    a = np.stack([matrix @ vector for matrix, vector in zip(matrices, a)])
+                    full = refrigerator._attach(refrigerator._round(full, perm, m), reset)
+                    traced = states.pairwise_sum(full.reshape(block.size, -1, 1 << m))
+                    gap = states.marginal_targets(a) - states.marginal_targets(traced)
+                    worst = max(worst, float(np.abs(a - traced).max()), float(np.abs(gap).max()))
     col_worst = 0.0
     rng = np.random.default_rng(20240611)
     for _ in range(5):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from coolsign import (
     marginal_target,
     optimal_bound_simulate,
     optimal_bounds,
+    pairwise_sum,
     product_state,
     reduction_factor_bound,
     reduction_factor_qr,
@@ -38,6 +40,7 @@ from coolsign.refrigerator import (
     compression_permutation_for,
     fixed_point,
 )
+from coolsign.states import product_probs
 
 
 def recycle(a, cfg, alpha):
@@ -187,7 +190,41 @@ class TestRoundChannel:
             round_channel(product_state(0.5, 4), RefrigeratorConfig(5, 2, 1), 0.5)
 
 
+def scattered_round_matrix(n, m, alpha, permutation):
+    """The round matrix as a ``(2^n, d)`` scatter summed over the resets by
+    ``pairwise_sum``: the in-place fold's oracle."""
+    dim, res_dim = 1 << (n - m), 1 << m
+    reset = product_probs(alpha, m)
+    scattered = np.zeros(reset.shape[:-1] + (dim * res_dim, dim))
+    src = np.arange(dim * res_dim)
+    scattered[..., permutation.perm[src], src // res_dim] = reset[..., src % res_dim]
+    return pairwise_sum(scattered.reshape(reset.shape[:-1] + (dim, res_dim, dim)), axis=-2)
+
+
 class TestRoundMatrix:
+    def test_fold_equals_scatter_and_sum(self):
+        alphas = np.array([0.0, 0.1, -0.37, 0.9, 1.0])
+        for n in range(3, 11):
+            for perm in (build_uqr(n), build_uqr_3local(n)):
+                for m in (1, 2, 3):
+                    if m > n - 1:
+                        continue
+                    want = scattered_round_matrix(n, m, alphas, perm)
+                    assert np.array_equal(build_round_matrix(n, m, alphas, perm), want)
+                    for alpha, matrix in zip(alphas, want):
+                        got = build_round_matrix(n, m, float(alpha), perm)
+                        assert np.array_equal(got, matrix)
+
+    def test_build_holds_one_matrix_per_reset_pattern_and_the_result(self):
+        perm = build_uqr(11)
+        tracemalloc.start()
+        try:
+            matrix = build_round_matrix(11, 2, 0.5, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.25 * matrix.nbytes
+
     def test_reproduces_symbolic_entries(self):
         rng = np.random.default_rng(20240607)
         for p in rng.uniform(0.02, 0.98, size=5):

@@ -12,7 +12,7 @@ from coolsign import (
     product_state,
     reduction_factor_ac,
 )
-from coolsign.single_shot import reduction_from_excited_mass
+from coolsign.single_shot import compress_products, reduction_from_excited_mass
 
 
 def sort_oracle_marginal(n, alpha):
@@ -79,6 +79,16 @@ class TestOptimalCompression:
         correlated = DiagonalState(3, [0.5, 0, 0, 0, 0, 0, 0, 0.5])
         with pytest.raises(ValueError):
             optimal_compression(correlated)
+
+    def test_rows_compress_as_single_states_and_any_correlated_row_is_rejected(self):
+        alphas = [0.3, -0.5, 0.0, 0.99]
+        rows = np.array([product_state(a, 4).probs for a in alphas])
+        got = compress_products(rows, 4)
+        for a, row in zip(alphas, got):
+            assert np.array_equal(row, optimal_compression(product_state(a, 4)).state_after.probs)
+        rows[2] = np.eye(16)[0] / 2 + np.eye(16)[15] / 2
+        with pytest.raises(ValueError):
+            compress_products(rows, 4)
 
 
 class TestAlphaAc:

@@ -161,6 +161,18 @@ class TestValidation:
             d = DiagonalState(1, [0.6, 0.5])
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_renormalization_is_mirror_exact(self, n):
+        rng = np.random.default_rng(n)
+        for drift in np.geomspace(2e-12, 1e-9, 25):
+            x = rng.random(1 << n)
+            x = x / x.sum() * (1.0 + drift)
+            with pytest.warns(RuntimeWarning):
+                forward = DiagonalState(n, x)
+            with pytest.warns(RuntimeWarning):
+                backward = DiagonalState(n, x[::-1])
+            assert np.array_equal(backward.probs, forward.probs[::-1])
+
     def test_probs_read_only(self):
         d = product_state(0.2, 2)
         with pytest.raises(ValueError):
