@@ -75,11 +75,25 @@ def verify_theorem1() -> list[CheckResult]:
     ]
 
 
+def _listed_staircase(n: int) -> states.PermutationSpec:
+    """The full staircase composed one transposition at a time, listed from
+    the basis patterns ``x 0 1...1 <-> x 1 0...0`` of each width j = 3..n:
+    an oracle that shares no code with :func:`refrigerator.build_uqr`."""
+    image = np.arange(1 << n)
+    for j in range(3, n + 1):
+        low = (np.arange(1 << (n - j)) << j) + (1 << (j - 1)) - 1
+        swap = np.arange(1 << n)
+        swap[low], swap[low + 1] = low + 1, low
+        image = swap[image]
+    return states.PermutationSpec(n, image)
+
+
 def verify_bqr_oracle() -> list[CheckResult]:
     alphas = np.array([0.1, -0.1, 0.5, -0.5, 0.9, -0.9])
     worst = 0.0
     for n in range(3, 8):
         perm = refrigerator.build_uqr(n)
+        listed = _listed_staircase(n)
         for m in (1, 2, 3):
             if m > n - 1:
                 continue
@@ -90,7 +104,7 @@ def verify_bqr_oracle() -> list[CheckResult]:
                 full = states.product_probs(block, n)
                 for _ in range(10):
                     a = np.stack([matrix @ vector for matrix, vector in zip(matrices, a)])
-                    full = refrigerator._attach(refrigerator._round(full, perm, m), reset)
+                    full = refrigerator._attach(refrigerator._round(full, listed, m), reset)
                     traced = states.pairwise_sum(full.reshape(block.size, -1, 1 << m))
                     gap = states.marginal_targets(a) - states.marginal_targets(traced)
                     worst = max(worst, float(np.abs(a - traced).max()), float(np.abs(gap).max()))

@@ -4,6 +4,10 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -454,3 +458,29 @@ def test_mode_required():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == EXIT_USAGE
+
+
+def test_no_mode_imports_scipy(tmp_path):
+    """The package runs on numpy alone: a one-point ``--sample``, ``--suite
+    all`` and the README's first figure load no ``scipy`` module."""
+    argvs = [
+        ["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--budget", "10000",
+         "--trials", "1000", "--seed", "7", "--alpha-grid", "0.5:0.5:0.1",
+         "--out", str(tmp_path / "sample.csv")],
+        ["--suite", "all"],
+        ["--figure", "single-shot-polarization", "--out", str(tmp_path / "fig1.csv")],
+    ]
+    code = ("import json, sys\n"
+            "from coolsign.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(json.dumps([codes, loaded]))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(argvs)
+    assert loaded == []

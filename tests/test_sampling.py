@@ -1,8 +1,12 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolsign import (
     BudgetError,
@@ -15,12 +19,42 @@ from coolsign import (
     resource_matched_comparison,
     steady_state,
 )
+from coolsign.sampling import _stirlerr
 
 
 def binomial_cdf_fraction(successes, k, p: Fraction) -> Fraction:
     """Independently coded binomial CDF in exact rational arithmetic."""
     q = 1 - p
     return sum(math.comb(k, s) * p**s * q ** (k - s) for s in range(successes + 1))
+
+
+def wrong_sign_fraction(alpha: float, k: int) -> Fraction:
+    """The wrong-sign probability with ``p`` and ``q`` the exact rationals of
+    the float ``alpha``: the lower tail, plus half the tie for even ``k``."""
+    p = (1 + abs(Fraction(alpha))) / 2
+    tail = binomial_cdf_fraction((k - 1) // 2, k, p)
+    if k % 2 == 0:
+        tail += Fraction(1, 2) * math.comb(k, k // 2) * (p * (1 - p)) ** (k // 2)
+    return tail
+
+
+def wrong_sign_mpmath(alpha: float, k: int):
+    """The same probability in mpmath at 40 digits, summed down from the
+    tail's largest term until the terms stop mattering."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = abs(mpmath.mpf(alpha))
+        p, q = (1 + a) / 2, (1 - a) / 2
+        s = (k - 1) // 2
+        term = mpmath.binomial(k, s) * p**s * q ** (k - s)
+        total = mpmath.mpf(0)
+        while s >= 0 and term >= total * mpmath.mpf(10) ** -35:
+            total += term
+            term *= s * q / ((k - s + 1) * p)
+            s -= 1
+        if k % 2 == 0:
+            total += mpmath.binomial(k, k // 2) * (p * q) ** (k // 2) / 2
+        return +total
 
 
 class TestChebyshevBound:
@@ -75,8 +109,63 @@ class TestExactSignError:
         assert exact_sign_error(0.0, 10) == 0.5
 
     def test_pure_state(self):
-        assert exact_sign_error(1.0, 9) == 0.0
-        assert exact_sign_error(-1.0, 9) == 0.0
+        for k in (1, 2, 9, 10, 100_000):
+            assert exact_sign_error(1.0, k) == 0.0
+            assert exact_sign_error(-1.0, k) == 0.0
+
+    @settings(deadline=None)
+    @given(st.floats(-1.0, 1.0), st.integers(1, 80))
+    def test_fraction_binomial_sum(self, alpha, k):
+        # a log-space pmf resolves ln P to a few of its ulps, so below e^-100
+        # the relative tolerance grows with |ln P|; below the normal range
+        # only the absolute error is meaningful
+        want = float(wrong_sign_fraction(alpha, k))
+        rtol = 1e-13 * max(1.0, -math.log(want) / 100) if want > 0 else 0.0
+        assert math.isclose(exact_sign_error(alpha, k), want,
+                            rel_tol=rtol, abs_tol=sys.float_info.min)
+
+    @pytest.mark.parametrize("k", [1000, 9090, 10_000, 100_000])
+    def test_mpmath_tail_at_large_shot_counts(self, k):
+        for alpha in (0.0005, 0.01, 0.1, 0.3, 0.7):
+            got = exact_sign_error(alpha, k)
+            want = wrong_sign_mpmath(alpha, k)
+            if want < 1e-300:  # too small to ask a double for relative accuracy
+                assert 0.0 <= got < 1e-300, alpha
+            else:
+                assert got == pytest.approx(float(want), rel=1e-11, abs=0), alpha
+            assert exact_sign_error(-alpha, k) == got
+
+    def test_stirling_error_table_and_series(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            def want(n):
+                return float(mpmath.loggamma(n + 1) - (n + mpmath.mpf(1) / 2) * mpmath.log(n)
+                             + n - mpmath.log(2 * mpmath.pi) / 2)
+
+            for n in range(1, 16):
+                assert _stirlerr(n) == want(n), n
+            # the series's first omitted term, 691 / (360360 n^11), is 1.1e-16 at n = 16
+            for n in (16, 17, 20, 35, 36, 80, 81, 500, 501, 100_000):
+                assert _stirlerr(n) == pytest.approx(want(n), rel=0, abs=2e-16), n
+
+    def test_deep_underflow_is_finite_and_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, k in ((0.9, 100_000), (-0.7, 9090), (1 - 2**-52, 100_001), (0.99, 500)):
+                got = exact_sign_error(alpha, k)
+                assert math.isfinite(got) and 0.0 <= got < 1e-300, (alpha, k)
+
+    def test_numpy_integer_shot_count(self):
+        k = 5_000_000_001  # k * k overflows a 64-bit integer
+        assert exact_sign_error(1e-4, np.int64(k)) == exact_sign_error(1e-4, k)
+
+    def test_half_tie_makes_even_shots_read_as_one_fewer(self):
+        # a tie's half error equals what the last shot adds to the tail of the
+        # others, so P(2j) == P(2j - 1) and a search for the fewest shots that
+        # reach a target error need only try odd counts
+        for alpha in (0.001, 0.1, 0.5, 0.9, 0.999, -0.3):
+            for j in range(1, 60):
+                assert exact_sign_error(alpha, 2 * j) == exact_sign_error(alpha, 2 * j - 1)
 
     def test_exactly_even_in_alpha(self):
         for alpha in (0.1, 0.33, 0.8):
