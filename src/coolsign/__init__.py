@@ -15,11 +15,7 @@ from .refrigerator import (
     alpha_infinity,
     build_round_matrix,
     build_uqr,
-    optimal_bound_simulate,
     optimal_bounds,
-    reduction_factor_bound,
-    reduction_factor_qr,
-    round_channel,
     steady_state,
     steady_states,
 )
@@ -44,13 +40,9 @@ from .single_shot import (
 from .states import (
     DiagonalState,
     PermutationSpec,
-    apply_permutation,
     marginal_target,
     pairwise_sum,
     product_state,
-    tensor,
-    trace_out_first,
-    trace_out_last,
     window_swaps,
 )
 
@@ -71,7 +63,6 @@ __all__ = [
     "alpha_ac_erf",
     "alpha_infinity",
     "alpha_infinity_3local",
-    "apply_permutation",
     "asymptotic_population_vector",
     "build_round_matrix",
     "build_uqr",
@@ -82,21 +73,14 @@ __all__ = [
     "fibonacci",
     "marginal_target",
     "monte_carlo_sign_error",
-    "optimal_bound_simulate",
     "optimal_bounds",
     "optimal_compression",
     "pairwise_sum",
     "predict_error_bound",
     "product_state",
     "reduction_factor_ac",
-    "reduction_factor_bound",
-    "reduction_factor_qr",
     "resource_matched_comparison",
-    "round_channel",
     "steady_state",
     "steady_states",
-    "tensor",
-    "trace_out_first",
-    "trace_out_last",
     "window_swaps",
 ]

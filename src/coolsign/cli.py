@@ -4,22 +4,22 @@ resource-matched sampling experiments.
 Figures are emitted as data files (CSV or JSON), one row per grid
 polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
-byte-identical for identical flags and seed, regardless of ``--jobs``.
-A refrigerator figure solves each curve's whole grid as one batched fixed
-point; ``--jobs`` threads split the points of ``--sample`` only.
+byte-identical for identical flags and seed.  A refrigerator figure
+solves each curve's whole grid as one batched fixed point; ``--jobs``
+threads split the points of ``--sample``, with the same bytes for any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
-single-shot figures ``--n``, ``--alpha-grid``, ``--out``, ``--format`` and
-``--jobs``, the refrigerator figures also ``--m``, ``--rounds`` and
-``--locality``, and ``--sample`` all of them.
+single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
+the refrigerator figures also ``--m``, ``--rounds`` and ``--locality``, and
+``--sample`` all of them.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 sweep flag the mode does not read, parameters a config or grid rejects, a
 ``--locality`` that contradicts the figure, a list of ``--n`` values for a
 refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
-and a register too large to simulate in memory), 3 output I/O error, 4
-budget too small, 5 a fixed point that did not converge.  Errors are
-reported on stderr without a traceback.
+a ``--jobs`` below 1, and a register too large to simulate in memory), 3
+output I/O error, 4 budget too small, 5 a fixed point that did not
+converge.  Errors are reported on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,7 +60,7 @@ DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
 #: the sweep flags, all of which ``--sample`` reads; ``--suite`` reads none
 SWEEP_FLAGS = ("--n", "--m", "--rounds", "--locality", "--alpha-grid", "--budget", "--trials",
                "--seed", "--out", "--format", "--jobs")
-SINGLE_SHOT_FLAGS = ("--n", "--alpha-grid", "--out", "--format", "--jobs")
+SINGLE_SHOT_FLAGS = ("--n", "--alpha-grid", "--out", "--format")
 REFRIGERATOR_FLAGS = SINGLE_SHOT_FLAGS + ("--m", "--rounds", "--locality")
 
 #: values of the sweep flags a command line leaves out, by argparse dest; the
@@ -94,7 +95,9 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
     if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise ValueError(f"need finite bounds, step > 0 and stop >= start, got {text!r}")
     count = int(round((stop - start) / step))
-    grid = tuple(round(start + k * step, 12) for k in range(count + 1))
+    # float noise in start + k * step snaps at the step's scale; start stays as typed
+    digits = 12 - math.floor(math.log10(step))
+    grid = (start,) + tuple(round(start + k * step, digits) for k in range(1, count + 1))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"grid from {text!r} is not strictly increasing")
     return grid
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
-                        help="worker threads that split the --sample points; figures "
-                        "run as one batched solve (output is byte-identical for any value)")
+                        help="worker threads that split the --sample points, at least 1 "
+                        "(default 1; output is byte-identical for any value)")
     return parser
 
 
@@ -345,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+
     if not args.out:
         parser.print_usage(sys.stderr)
         print("--out PATH is required for --figure/--sample", file=sys.stderr)
@@ -370,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         out=args.out,
         fmt=args.format,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
 
     try:
@@ -382,6 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONVERGENCE
     except ValueError as exc:
         print(f"coolsign: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroDivisionError as exc:
+        # alpha^2 or the cooled polarization underflows to 0 for a tiny alpha
+        print(f"coolsign: {exc}; a grid polarization is too close to 0", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         print(f"coolsign: a register of n={spec.n_list[0]} qubits with m={spec.m} resets "

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .refrigerator import _power_ratio
+from .single_shot import _power_ratio
 from .states import PermutationSpec, window_swaps
 
 

@@ -19,28 +19,28 @@ A grid of reservoir polarizations is solved as one batch.  Each alpha owns a
 row along a leading batch axis: ``(G, 2^n)`` full registers, ``(G, 2^(n-m))``
 non-reset vectors, ``(G, d, d)`` round matrices with ``d = 2^(n-m)``.  Every
 operation acts on each row alone with the arithmetic of a lone solve, so a
-row's result is bit for bit the one-point result; :func:`steady_state` and
-:func:`optimal_bound_simulate` are the one-row case.  Chunks of the grid are
+row's result is bit for bit that of a one-point grid: :func:`steady_state`
+is the one-row case of :func:`steady_states`, and ``optimal_bounds(cfg,
+[alpha])`` gives the bound at one polarization.  Chunks of the grid are
 capped by :data:`CHUNK_BYTES`.
 
 None of the protocol code inspects the sign of ``alpha``: the same staircase
 amplifies whichever bias the sample carries.  The only sign-aware routine is
-the compression of :func:`optimal_bound_simulate`, a benchmarking oracle
-that replaces the staircase with a full population sort.
+the compression of :func:`optimal_bounds`, a benchmarking oracle that
+replaces the staircase with a full population sort.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .single_shot import reduction_from_excited_mass
+from .klocal import build_uqr_3local
+from .single_shot import _power_ratio, reduction_from_excited_mass
 from .states import (
-    DiagonalState,
     PermutationSpec,
     ground_excited_pair,
     pairwise_sum,
@@ -140,8 +140,6 @@ def build_uqr(n: int) -> PermutationSpec:
 def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
     if cfg.locality == "full":
         return build_uqr(cfg.n)
-    from .klocal import build_uqr_3local
-
     return build_uqr_3local(cfg.n)
 
 
@@ -161,14 +159,6 @@ def _attach(a: np.ndarray, qubits: np.ndarray) -> np.ndarray:
     each row of ``a``; the leading axes of ``qubits`` broadcast against the
     rows."""
     return (a[..., :, None] * qubits[..., None, :]).reshape(a.shape[:-1] + (-1,))
-
-
-def round_channel(d: DiagonalState, cfg: RefrigeratorConfig, alpha: float) -> DiagonalState:
-    """One compression-plus-reset round on a full ``n``-qubit DiagonalState."""
-    if d.n != cfg.n:
-        raise ValueError(f"state has {d.n} qubits, config expects {cfg.n}")
-    reduced = _round(d.probs, compression_permutation_for(cfg), cfg.m)
-    return DiagonalState(cfg.n, _attach(reduced, product_probs(alpha, cfg.m)))
 
 
 def build_round_matrix(
@@ -443,49 +433,13 @@ def steady_state(
     return steady_states(cfg, [alpha], tol, max_cycles)[0]
 
 
-def _power_ratio(alpha: float, exponent: int) -> float:
-    """``tanh(exponent * artanh(alpha))`` for ``|alpha| <= 1``.
-
-    Evaluated through the equivalent power ratio
-    ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever the powers stay
-    within floating-point range, and through ``tanh`` when one overflows.
-    The ratio form is exact for small ``K`` and exactly odd in ``alpha``.
-    ``K = 1`` returns ``alpha`` itself, so that ``(1 + t) / 2`` reproduces
-    the reservoir population ``(1 + alpha) / 2`` bit for bit.
-    """
-    if abs(alpha) == 1.0:
-        return math.copysign(1.0, alpha)
-    if exponent == 1:
-        return alpha
-    try:
-        hi = (1.0 + alpha) ** exponent
-        lo = (1.0 - alpha) ** exponent
-    except OverflowError:
-        return math.tanh(exponent * math.atanh(alpha))
-    return (hi - lo) / (hi + lo)
-
-
 def alpha_infinity(n: int, m: int, alpha: float) -> float:
-    """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``.
-
-    Evaluated as the power ratio ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)``
-    with ``K = m 2^(n-m-1)``, which is exact for small ``K`` (e.g.
-    ``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd in ``alpha``; the
-    tanh form takes over when a power overflows.
-    """
+    """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``, by the
+    power ratio of :func:`coolsign.single_shot._power_ratio`: exact for small
+    exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd."""
     if abs(alpha) > 1:
         raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
-
-
-def reduction_factor_qr(cfg: RefrigeratorConfig, alpha: float) -> float:
-    """Error-bound reduction of the refrigerator at matched qubit budget.
-
-    ``(alpha^-2 - 1) / (alpha_qr^-2 - 1) / (m * rounds + 1)`` with
-    ``alpha_qr`` taken from the steady state's target masses (see
-    :meth:`SteadyStateResult.reduction_factor`).
-    """
-    return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
 
 
 def optimal_bounds(
@@ -519,18 +473,3 @@ def optimal_bounds(
 
     return _solve_grid(cfg, alphas, solve)
 
-
-def optimal_bound_simulate(
-    cfg: RefrigeratorConfig,
-    alpha: float,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> SteadyStateResult:
-    """Upper-bound oracle at one polarization: the one-point case of
-    :func:`optimal_bounds`."""
-    return optimal_bounds(cfg, [alpha], tol, max_cycles)[0]
-
-
-def reduction_factor_bound(cfg: RefrigeratorConfig, alpha: float) -> float:
-    """Reduction factor of the sort-based upper bound, same cost accounting."""
-    return optimal_bound_simulate(cfg, alpha).reduction_factor(alpha, cfg.cost)

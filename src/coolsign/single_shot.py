@@ -123,6 +123,28 @@ def alpha_ac_erf(n: int, alpha: float) -> float:
     return math.erf(compression_xi(n, alpha))
 
 
+def _power_ratio(alpha: float, exponent: int) -> float:
+    """``tanh(exponent * artanh(alpha))`` for ``|alpha| <= 1``.
+
+    Evaluated through the equivalent power ratio
+    ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever the powers stay
+    within floating-point range, and through ``tanh`` when one overflows.
+    The ratio form is exact for small ``K`` and exactly odd in ``alpha``.
+    ``K = 1`` returns ``alpha`` itself, so that ``(1 + t) / 2`` reproduces
+    the reservoir population ``(1 + alpha) / 2`` bit for bit.
+    """
+    if abs(alpha) == 1.0:
+        return math.copysign(1.0, alpha)
+    if exponent == 1:
+        return alpha
+    try:
+        hi = (1.0 + alpha) ** exponent
+        lo = (1.0 - alpha) ** exponent
+    except OverflowError:
+        return math.tanh(exponent * math.atanh(alpha))
+    return (hi - lo) / (hi + lo)
+
+
 def reduction_from_excited_mass(alpha: float, excited_mass: float, cost: float) -> float:
     """Reduction factor from the enhanced qubit's excited-state mass ``u``.
 

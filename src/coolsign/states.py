@@ -115,9 +115,6 @@ class PermutationSpec:
         out[..., self.perm] = values
         return out
 
-    def inverse(self) -> "PermutationSpec":
-        return PermutationSpec(self.n, self(np.arange(self.perm.size)))
-
 
 def window_swaps(n: int, windows) -> PermutationSpec:
     """Compose compression swaps on bit windows, applied in order.
@@ -155,26 +152,6 @@ def product_state(alpha: float, n: int) -> DiagonalState:
     return DiagonalState(n, product_probs(alpha, n))
 
 
-def tensor(a: DiagonalState, b: DiagonalState) -> DiagonalState:
-    return DiagonalState(a.n + b.n, np.kron(a.probs, b.probs))
-
-
-def trace_out_last(d: DiagonalState, m: int) -> DiagonalState:
-    """Partial trace over the last ``m`` qubits."""
-    if not 1 <= m < d.n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={d.n}")
-    reduced = pairwise_sum(d.probs.reshape(1 << (d.n - m), 1 << m), axis=1)
-    return DiagonalState(d.n - m, reduced)
-
-
-def trace_out_first(d: DiagonalState, m: int = 1) -> DiagonalState:
-    """Partial trace over the first ``m`` qubits (target side)."""
-    if not 1 <= m < d.n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={d.n}")
-    reduced = pairwise_sum(d.probs.reshape(1 << m, 1 << (d.n - m)), axis=0)
-    return DiagonalState(d.n - m, reduced)
-
-
 def marginal_targets(probs: np.ndarray) -> np.ndarray:
     """Polarization ``Tr(Z rho_target)`` of the most significant qubit of
     each probability vector along the last axis."""
@@ -188,9 +165,3 @@ def marginal_target(d: DiagonalState | np.ndarray) -> float:
     one-vector case of :func:`marginal_targets`."""
     return float(marginal_targets(d.probs if isinstance(d, DiagonalState) else d))
 
-
-def apply_permutation(d: DiagonalState, pi: PermutationSpec) -> DiagonalState:
-    """Relabel basis indices: ``probs'[pi(i)] = probs[i]``."""
-    if pi.n != d.n:
-        raise ValueError(f"permutation acts on {pi.n} qubits, state has {d.n}")
-    return DiagonalState(d.n, pi(d.probs))

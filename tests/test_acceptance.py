@@ -23,18 +23,16 @@ from coolsign import (
     exact_sign_error,
     marginal_target,
     monte_carlo_sign_error,
+    optimal_bounds,
     predict_error_bound,
     product_state,
     reduction_factor_ac,
-    reduction_factor_bound,
-    reduction_factor_qr,
     resource_matched_comparison,
-    round_channel,
     steady_state,
-    trace_out_last,
     ShotExperiment,
 )
 from coolsign.cli import main
+from oracles import full_round, sum_last
 
 
 def report(number: int, label: str, elapsed: float, budget: float) -> None:
@@ -101,14 +99,14 @@ def test_criterion_3_bqr_oracle_equivalence():
                 for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
                     matrix = build_round_matrix(n, m, alpha, perm)
                     vec = product_state(alpha, n - m).probs.copy()
-                    full = product_state(alpha, n)
+                    full = product_state(alpha, n).probs
                     for _ in range(10):
                         vec = matrix @ vec
-                        full = round_channel(full, cfg, alpha)
-                        traced = trace_out_last(full, m)
+                        full = full_round(full, cfg, alpha)
+                        traced = sum_last(full, m)
                         worst = max(
                             worst,
-                            float(np.abs(vec - traced.probs).max()),
+                            float(np.abs(vec - traced).max()),
                             abs(marginal_target(vec) - marginal_target(traced)),
                         )
     assert worst < 1e-12
@@ -178,9 +176,9 @@ def test_criterion_7_upper_bound_dominance():
     local_cfg = RefrigeratorConfig(5, 2, 9, locality="3local")
     for a in np.round(np.arange(0.30, 0.9001, 0.05), 10):
         alpha = float(a)
-        r_bound = reduction_factor_bound(cfg, alpha)
-        r_full = reduction_factor_qr(cfg, alpha)
-        r_local = reduction_factor_qr(local_cfg, alpha)
+        r_bound = optimal_bounds(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
+        r_full = steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
+        r_local = steady_state(local_cfg, alpha).reduction_factor(alpha, local_cfg.cost)
         assert r_bound >= r_full * (1 - 1e-9)
         assert r_full >= r_local * (1 - 1e-9)
         assert r_full >= 0.9 * r_bound

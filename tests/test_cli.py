@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,18 @@ class TestAlphaGridParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_alpha_grid(bad)
+
+    @pytest.mark.parametrize("text", ["0.01:0.99:0.01", "0.1:0.9:0.1", "0.0005:0.01:0.0005",
+                                      "-0.5:0.5:1.0", "0.2:0.8:0.6", "-0.3:0.3:0.1"])
+    def test_points_are_the_nearest_floats_to_their_decimals(self, text):
+        start, stop, step = map(Decimal, text.split(":"))
+        count = int((stop - start) / step)
+        assert parse_alpha_grid(text) == tuple(float(start + k * step) for k in range(count + 1))
+
+    def test_start_stays_as_typed(self):
+        assert parse_alpha_grid("1e-13:1e-13:1") == (1e-13,)
+        assert parse_alpha_grid("6e-13:6e-13:1") == (6e-13,)
+        assert parse_alpha_grid("1e-300:1e-300:1") == (1e-300,)
 
 
 class TestFigureCommand:
@@ -187,8 +200,10 @@ def one_point_rows(figure, n, m, rounds_list, grid):
     top = max(rounds_list)
     header += [f"single_shot_n{n}", f"optimal_bound_rounds{top}", "baseline"]
     bound_cfg = refrigerator.RefrigeratorConfig(n, m, top)
-    rows = [[a] + [refrigerator.reduction_factor_qr(cfg, a) for cfg in cfgs]
-            + [reduction_factor_ac(n, a), refrigerator.reduction_factor_bound(bound_cfg, a), 1.0]
+    rows = [[a] + [refrigerator.steady_state(cfg, a).reduction_factor(a, cfg.cost) for cfg in cfgs]
+            + [reduction_factor_ac(n, a),
+               refrigerator.optimal_bounds(bound_cfg, [a])[0].reduction_factor(a, bound_cfg.cost),
+               1.0]
             for a in grid]
     return header, rows
 
@@ -202,7 +217,7 @@ def test_batched_figure_matches_one_point_solves(tmp_path, figure, grid):
     out, expect = tmp_path / "fig.csv", tmp_path / "expect.csv"
     argv = ["--figure", figure, "--n", "5", "--m", "2", "--rounds", "3,4,9",
             "--alpha-grid=" + grid, "--out", str(out)]
-    assert main(argv + ["--jobs", "2"]) == EXIT_OK
+    assert main(argv) == EXIT_OK
     write_rows(str(expect), "csv", *one_point_rows(figure, 5, 2, (3, 4, 9),
                                                    parse_alpha_grid(grid)))
     assert out.read_bytes() == expect.read_bytes()
@@ -343,11 +358,13 @@ class TestExitCodes:
         argv = ["--figure", "single-shot-polarization", "--alpha-grid", "0.5:0.5:0.1",
                 "--out", str(out)]
         assert main(argv + ["--m", "7", "--rounds", "3,9", "--seed", "4", "--locality",
-                            "3local", "--trials", "0"]) == EXIT_USAGE
+                            "3local", "--trials", "0", "--jobs", "2"]) == EXIT_USAGE
         err = self.one_line(capsys)
-        assert all(flag in err for flag in ("--m", "--rounds", "--seed", "--locality", "--trials"))
+        assert all(flag in err for flag in ("--m", "--rounds", "--seed", "--locality", "--trials",
+                                            "--jobs"))
         for figure in FIGURE_LOCALITY:
-            for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4")):
+            for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4"),
+                                ("--jobs", "2")):
                 code = main(["--figure", figure, "--n", "4", "--rounds", "3",
                              "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), flag, value])
                 assert code == EXIT_USAGE
@@ -357,8 +374,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("figure", ["single-shot-reduction", "bqr-polarization"])
     def test_figures_accept_jobs_and_format(self, tmp_path, figure):
         code = main(["--figure", figure, "--n", "4", "--alpha-grid", "0.5:0.5:0.1",
-                     "--out", str(tmp_path / "x.json"), "--format", "json", "--jobs", "2"])
+                     "--out", str(tmp_path / "x.json"), "--format", "json"])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
+                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
+        assert code == EXIT_USAGE
+        assert f"--jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
+        assert not out.exists()
+
+    def test_polarization_typed_near_zero(self, tmp_path, capsys):
+        # written as typed where the arithmetic holds, one usage line where
+        # alpha^2 or the cooled polarization underflows
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
+                     "--alpha-grid", "1e-13:1e-13:1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_csv(out)[1][0][0] == 1e-13
+        for argv in (["--figure", "bqr-reduction", "--n", "4", "--rounds", "1"],
+                     ["--figure", "single-shot-reduction"], ["--sample", "--trials", "10"]):
+            code = main(argv + ["--alpha-grid", "1e-300:1e-300:1", "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert "too close to 0" in self.one_line(capsys)
 
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # stands in for the 2 TiB round matrix of n = 20 without allocating it

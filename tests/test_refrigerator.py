@@ -9,25 +9,17 @@ from hypothesis import strategies as st
 
 from coolsign import (
     ConvergenceError,
-    DiagonalState,
     RefrigeratorConfig,
     alpha_infinity,
     build_round_matrix,
     build_uqr,
     build_uqr_3local,
     marginal_target,
-    optimal_bound_simulate,
     optimal_bounds,
     pairwise_sum,
     product_state,
-    reduction_factor_bound,
-    reduction_factor_qr,
-    round_channel,
     steady_state,
     steady_states,
-    tensor,
-    trace_out_first,
-    trace_out_last,
     window_swaps,
 )
 from coolsign.refrigerator import (
@@ -41,6 +33,7 @@ from coolsign.refrigerator import (
     fixed_point,
 )
 from coolsign.states import product_probs
+from oracles import attach, full_cycle, full_round, qubits, sum_last
 
 
 def recycle(a, cfg, alpha):
@@ -48,6 +41,11 @@ def recycle(a, cfg, alpha):
     step = _recycle_step(cfg, alpha, compression_permutation_for(cfg))
     recycled, evolved = step(np.asarray(a, dtype=float))
     return recycled, float(_target(evolved)[2])
+
+
+def reduction_qr(cfg, alpha):
+    """The refrigerator's reduction factor at one polarization."""
+    return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
 
 
 def expected_m4(p):
@@ -65,12 +63,10 @@ def expected_m4(p):
 
 def full_simulation_marginal(cfg, alpha, start_vec):
     """Oracle: run the rounds on the complete 2^n diagonal, no matrix shortcut."""
-    from coolsign import DiagonalState
-
-    state = tensor(DiagonalState(cfg.n - cfg.m, start_vec), product_state(alpha, cfg.m))
+    full = attach(np.asarray(start_vec, dtype=float), qubits(alpha, cfg.m))
     for _ in range(cfg.rounds):
-        state = round_channel(state, cfg, alpha)
-    return marginal_target(state), trace_out_last(state, cfg.m).probs
+        full = full_round(full, cfg, alpha)
+    return marginal_target(full), sum_last(full, cfg.m)
 
 
 def staircase_transpositions(n, locality):
@@ -169,27 +165,6 @@ class TestCompressionPermutations:
             build_uqr(2)
 
 
-class TestRoundChannel:
-    def test_three_qubit_round_matches_single_shot(self):
-        cfg = RefrigeratorConfig(3, 2, 1)
-        out = round_channel(product_state(0.5, 3), cfg, 0.5)
-        assert marginal_target(out) == pytest.approx(0.6875, abs=1e-14)
-
-    def test_uniform_fixed_point(self):
-        for cfg in (RefrigeratorConfig(4, 2, 1), RefrigeratorConfig(5, 1, 1)):
-            out = round_channel(product_state(0.0, cfg.n), cfg, 0.0)
-            assert marginal_target(out) == 0.0
-
-    def test_mass_conserved(self):
-        cfg = RefrigeratorConfig(5, 2, 1)
-        out = round_channel(product_state(0.73, 5), cfg, 0.73)
-        assert abs(out.probs.sum() - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            round_channel(product_state(0.5, 4), RefrigeratorConfig(5, 2, 1), 0.5)
-
-
 def scattered_round_matrix(n, m, alpha, permutation):
     """The round matrix as a ``(2^n, d)`` scatter summed over the resets by
     ``pairwise_sum``: the in-place fold's oracle."""
@@ -266,26 +241,6 @@ class TestRoundMatrix:
             assert np.abs(matrix @ vec - expect).max() < 1e-13
 
 
-class TestMatrixVsFullSimulation:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    def test_alpha_enhanced_identical(self, n):
-        for locality, perm in (("full", build_uqr(n)), ("3local", build_uqr_3local(n))):
-            for m in (1, 2, 3):
-                if m > n - 1:
-                    continue
-                for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                    matrix = build_round_matrix(n, m, alpha, perm)
-                    vec = product_state(alpha, n - m).probs.copy()
-                    cfg1 = RefrigeratorConfig(n, m, 1, locality=locality)
-                    state = tensor(product_state(alpha, n - m), product_state(alpha, m))
-                    for _ in range(10):
-                        vec = matrix @ vec
-                        state = round_channel(state, cfg1, alpha)
-                        traced = trace_out_last(state, m).probs
-                        assert np.abs(vec - traced).max() < 1e-12
-                        assert abs(marginal_target(vec) - marginal_target(traced)) < 1e-12
-
-
 class TestRecycleCycle:
     def test_n3_recycling_is_memoryless(self):
         cfg = RefrigeratorConfig(3, 2, 1)
@@ -323,15 +278,13 @@ class TestSteadyState:
     def test_matches_full_recycle_history(self):
         cfg = RefrigeratorConfig(5, 2, 9)
         for alpha in (0.5, -0.5, 0.2):
-            state = product_state(alpha, 5)
+            full = product_state(alpha, 5).probs
             enhanced = math.inf
             for _ in range(200):
-                for _ in range(cfg.rounds):
-                    state = round_channel(state, cfg, alpha)
-                previous, enhanced = enhanced, marginal_target(state)
+                full, evolved = full_cycle(full, cfg, alpha)
+                previous, enhanced = enhanced, marginal_target(evolved)
                 if abs(enhanced - previous) <= 1e-14:
                     break
-                state = tensor(trace_out_first(state, 1), product_state(alpha, 1))
             result = steady_state(cfg, alpha)
             assert abs(result.alpha_enhanced - enhanced) < 1e-10
 
@@ -405,20 +358,6 @@ class TestSteadyState:
             steady_state(RefrigeratorConfig(4, 2, 1), 0.5, tol=0.0)
 
 
-def full_register_cycle_map(cfg, alpha):
-    """One recycle cycle as a matrix on the full 2^n register, one basis state
-    at a time: ``cfg.rounds`` calls of round_channel, then the target traced
-    out and a fresh qubit appended at the end."""
-    dim = 1 << cfg.n
-    columns = np.empty((dim, dim))
-    for j in range(dim):
-        state = DiagonalState(cfg.n, np.eye(dim)[j])
-        for _ in range(cfg.rounds):
-            state = round_channel(state, cfg, alpha)
-        columns[:, j] = tensor(trace_out_first(state, 1), product_state(alpha, 1)).probs
-    return columns
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(3, 7),
@@ -430,20 +369,18 @@ def full_register_cycle_map(cfg, alpha):
 def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality, alpha):
     assume(m <= n - 1)
     cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
-    # the full-register history after 2^60 cycles, by repeated squaring
-    power = full_register_cycle_map(cfg, alpha)
+    # the full-register history after 2^60 cycles, by repeated squaring of
+    # the cycle's matrix, whose column j is the recycled image of e_j
+    power = full_cycle(np.eye(1 << n), cfg, alpha)[0].T
     for _ in range(60):
         power = power @ power
         power /= power.sum(axis=0, keepdims=True)
     history = power @ product_state(alpha, n).probs
-    cycle_start = DiagonalState(n, history / history.sum())
-    state = cycle_start
-    for _ in range(rounds):
-        state = round_channel(state, cfg, alpha)
+    cycle_start = history / history.sum()
+    evolved = full_cycle(cycle_start, cfg, alpha)[1]
     result = steady_state(cfg, alpha)
-    assert abs(result.alpha_enhanced - marginal_target(state)) < 1e-9
-    traced = trace_out_last(cycle_start, m).probs
-    assert np.abs(result.a_fixed - traced).max() < 1e-9
+    assert abs(result.alpha_enhanced - marginal_target(evolved)) < 1e-9
+    assert np.abs(result.a_fixed - sum_last(cycle_start, m)).max() < 1e-9
     assert steady_state(cfg, -alpha).alpha_enhanced == -result.alpha_enhanced
 
 
@@ -462,7 +399,7 @@ def test_polarization_stays_within_unit_range(n, m, rounds, locality, alpha):
     up, down = steady_state(cfg, alpha), steady_state(cfg, -alpha)
     assert abs(up.alpha_enhanced) <= 1.0
     assert down.alpha_enhanced == -up.alpha_enhanced
-    assert abs(optimal_bound_simulate(cfg, alpha).alpha_enhanced) <= 1.0
+    assert abs(optimal_bounds(cfg, [alpha])[0].alpha_enhanced) <= 1.0
 
 
 def assert_same_result(got, want):
@@ -486,7 +423,7 @@ def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, da
     grid = data.draw(st.permutations([0.0, 1.0, -1.0] + alphas + [-a for a in alphas]))
     shuffled = data.draw(st.permutations(grid))
     for batched, one_point in ((steady_states, steady_state),
-                               (optimal_bounds, optimal_bound_simulate)):
+                               (optimal_bounds, lambda cfg, a: optimal_bounds(cfg, [a])[0])):
         results = batched(cfg, grid)
         for alpha, got in zip(grid, results):
             assert_same_result(got, one_point(cfg, alpha))
@@ -668,7 +605,7 @@ def exact_reduction_factor(n, m, rounds, alpha):
 def test_reduction_factor_matches_exact_rational_solve():
     exact = exact_reduction_factor(5, 2, 3, Fraction(99, 100))
     assert float(exact) == pytest.approx(6.73e8, rel=1e-3)
-    got = reduction_factor_qr(RefrigeratorConfig(5, 2, 3), 0.99)
+    got = reduction_qr(RefrigeratorConfig(5, 2, 3), 0.99)
     assert abs(got - float(exact)) <= 1e-9 * float(exact)
 
 
@@ -706,55 +643,50 @@ class TestAlphaInfinity:
 class TestReductionFactorQr:
     def test_three_qubit_arithmetic(self):
         # same gain algebra as the single-shot case, with cost m*rounds+1 = 3
-        value = reduction_factor_qr(RefrigeratorConfig(3, 2, 1), 0.5)
+        value = reduction_qr(RefrigeratorConfig(3, 2, 1), 0.5)
         assert value == pytest.approx(121 / 135, abs=1e-12)
 
     def test_even_in_alpha(self):
         cfg = RefrigeratorConfig(5, 2, 3)
-        assert reduction_factor_qr(cfg, -0.4) == reduction_factor_qr(cfg, 0.4)
+        assert reduction_qr(cfg, -0.4) == reduction_qr(cfg, 0.4)
 
     def test_undefined_at_zero(self):
         with pytest.raises(ZeroDivisionError):
-            reduction_factor_qr(RefrigeratorConfig(4, 2, 1), 0.0)
+            reduction_qr(RefrigeratorConfig(4, 2, 1), 0.0)
 
     def test_grows_toward_unit_polarization(self):
         cfg = RefrigeratorConfig(5, 2, 9)
-        assert (
-            reduction_factor_qr(cfg, 0.99)
-            > reduction_factor_qr(cfg, 0.9)
-            > reduction_factor_qr(cfg, 0.5)
-        )
+        assert reduction_qr(cfg, 0.99) > reduction_qr(cfg, 0.9) > reduction_qr(cfg, 0.5)
 
     def test_finite_on_default_grid_edge(self):
-        value = reduction_factor_qr(RefrigeratorConfig(5, 2, 9), 0.99)
+        value = reduction_qr(RefrigeratorConfig(5, 2, 9), 0.99)
         assert math.isfinite(value) and value > 0
 
     def test_finite_near_saturated_polarization(self):
         cfg = RefrigeratorConfig(5, 2, 200)
         assert steady_state(cfg, 0.99).alpha_enhanced > 1 - 1e-14
-        value = reduction_factor_qr(cfg, 0.99)
+        value = reduction_qr(cfg, 0.99)
         assert math.isfinite(value) and value > 0
 
 
 class TestOptimalBound:
     def test_matches_staircase_for_n3(self):
         cfg = RefrigeratorConfig(3, 2, 1)
-        bound = optimal_bound_simulate(cfg, 0.5)
+        bound = optimal_bounds(cfg, [0.5])[0]
         protocol = steady_state(cfg, 0.5)
         assert bound.alpha_enhanced == pytest.approx(protocol.alpha_enhanced, abs=1e-14)
 
     def test_zero_polarization(self):
-        assert optimal_bound_simulate(RefrigeratorConfig(5, 2, 3), 0.0).alpha_enhanced == 0.0
+        assert optimal_bounds(RefrigeratorConfig(5, 2, 3), [0.0])[0].alpha_enhanced == 0.0
 
     def test_dominates_protocol(self):
         cfg = RefrigeratorConfig(5, 2, 9)
         for alpha in np.arange(0.3, 0.901, 0.1):
-            r_bound = reduction_factor_bound(cfg, float(alpha))
-            r_qr = reduction_factor_qr(cfg, float(alpha))
-            assert r_bound >= r_qr * (1 - 1e-9)
+            alpha = float(alpha)
+            r_bound = optimal_bounds(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
+            assert r_bound >= reduction_qr(cfg, alpha) * (1 - 1e-9)
 
     def test_negative_bias_sorts_ascending(self):
         cfg = RefrigeratorConfig(4, 2, 2)
-        up = optimal_bound_simulate(cfg, 0.6)
-        down = optimal_bound_simulate(cfg, -0.6)
+        up, down = optimal_bounds(cfg, [0.6])[0], optimal_bounds(cfg, [-0.6])[0]
         assert down.alpha_enhanced == pytest.approx(-up.alpha_enhanced, abs=1e-13)

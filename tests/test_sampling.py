@@ -260,9 +260,7 @@ class TestResourceMatchedComparison:
     def test_reduction_factor_reported(self):
         cfg = RefrigeratorConfig(4, 2, 2)
         rec = resource_matched_comparison(0.6, cfg, 50, seed=2, trials=500)
-        from coolsign import reduction_factor_qr
-
-        assert rec.reduction_factor == reduction_factor_qr(cfg, 0.6)
+        assert rec.reduction_factor == steady_state(cfg, 0.6).reduction_factor(0.6, cfg.cost)
 
     def test_seed_determinism(self):
         cfg = RefrigeratorConfig(4, 2, 1)

@@ -6,20 +6,16 @@ from hypothesis import strategies as st
 from coolsign import (
     DiagonalState,
     PermutationSpec,
-    apply_permutation,
     marginal_target,
     pairwise_sum,
     product_state,
-    tensor,
-    trace_out_first,
-    trace_out_last,
     window_swaps,
 )
 
 
 def dyadic_state(n, rng):
     """Random state whose probabilities are dyadic rationals summing to 1.0
-    exactly, so trace identities can be checked bit-for-bit."""
+    exactly, so sums can be checked bit-for-bit."""
     denom = 1 << 20
     counts = rng.multinomial(denom, np.full(1 << n, 1.0 / (1 << n)))
     return DiagonalState(n, counts / denom)
@@ -52,47 +48,6 @@ class TestProductState:
             product_state(0.3, 0)
 
 
-class TestTensorTrace:
-    def test_pure_times_mixed(self):
-        out = tensor(DiagonalState(1, [1, 0]), DiagonalState(1, [0.75, 0.25]))
-        assert np.array_equal(out.probs, [0.75, 0.25, 0, 0])
-
-    def test_uniform_times_uniform(self):
-        out = tensor(DiagonalState(1, [0.5, 0.5]), DiagonalState(1, [0.5, 0.5]))
-        assert np.array_equal(out.probs, [0.25] * 4)
-
-    def test_elementwise_products(self):
-        out = tensor(DiagonalState(1, [0.75, 0.25]), DiagonalState(1, [0.6, 0.4]))
-        assert np.allclose(out.probs, [0.45, 0.30, 0.15, 0.10], atol=1e-15)
-
-    def test_trace_pairwise_sums(self):
-        d = DiagonalState(2, [0.45, 0.30, 0.15, 0.10])
-        assert np.allclose(trace_out_last(d, 1).probs, [0.75, 0.25], atol=1e-15)
-
-    def test_trace_of_product_factorizes(self):
-        for alpha in (-0.8, 0.3, 0.9):
-            got = trace_out_last(product_state(alpha, 5), 2)
-            assert np.allclose(got.probs, product_state(alpha, 3).probs, atol=1e-14)
-
-    def test_trace_pure_state(self):
-        assert np.array_equal(trace_out_last(DiagonalState(2, [1, 0, 0, 0]), 1).probs, [1, 0])
-
-    def test_tensor_then_trace_recovers_first_factor_exactly(self):
-        rng = np.random.default_rng(7)
-        for na, nb in [(1, 1), (2, 2), (3, 1), (1, 3)]:
-            a, b = dyadic_state(na, rng), dyadic_state(nb, rng)
-            assert np.array_equal(trace_out_last(tensor(a, b), nb).probs, a.probs)
-
-    def test_trace_out_first(self):
-        d = tensor(DiagonalState(1, [0.75, 0.25]), DiagonalState(1, [0.6, 0.4]))
-        assert np.allclose(trace_out_first(d, 1).probs, [0.6, 0.4], atol=1e-15)
-
-    @pytest.mark.parametrize("m", [0, 2, 3])
-    def test_trace_bad_m(self, m):
-        with pytest.raises(ValueError):
-            trace_out_last(product_state(0.1, 2), m)
-
-
 class TestMarginalTarget:
     def test_marginal_of_product(self):
         assert marginal_target(product_state(0.5, 3)) == pytest.approx(0.5, abs=1e-15)
@@ -115,32 +70,32 @@ class TestPermutations:
     def test_identity_fixes_state(self):
         d = product_state(0.37, 3)
         identity = PermutationSpec(3, np.arange(1 << 3))
-        assert np.array_equal(apply_permutation(d, identity).probs, d.probs)
+        assert np.array_equal(identity(d.probs), d.probs)
 
     def test_swap_exchanges_entries(self):
         d = product_state(0.5, 3)
-        out = apply_permutation(d, window_swaps(3, [(0, 3)]))
+        out = window_swaps(3, [(0, 3)])(d.probs)
         expect = d.probs.copy()
         expect[[3, 4]] = expect[[4, 3]]
-        assert np.array_equal(out.probs, expect)
+        assert np.array_equal(out, expect)
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(3)
         perm = PermutationSpec(3, rng.permutation(8))
         d = dyadic_state(3, rng)
-        assert apply_permutation(d, perm).probs.sum() == d.probs.sum()
+        assert perm(d.probs).sum() == d.probs.sum()
 
     def test_inverse_roundtrip_bit_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             perm = PermutationSpec(4, rng.permutation(16))
+            inverse = PermutationSpec(4, np.argsort(perm.perm))
             d = DiagonalState(4, rng.dirichlet(np.ones(16)))
-            back = apply_permutation(apply_permutation(d, perm), perm.inverse())
-            assert np.array_equal(back.probs, d.probs)
+            assert np.array_equal(inverse(perm(d.probs)), d.probs)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_permutation(product_state(0.1, 2), PermutationSpec(3, np.arange(1 << 3)))
+            PermutationSpec(3, np.arange(1 << 2))
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
@@ -204,6 +159,6 @@ def test_product_state_normalized_nonnegative(alpha, n):
 def test_random_permutation_roundtrip(data, n):
     order = data.draw(st.permutations(list(range(1 << n))))
     perm = PermutationSpec(n, np.array(order))
+    inverse = PermutationSpec(n, np.argsort(perm.perm))
     d = product_state(0.3, n)
-    back = apply_permutation(apply_permutation(d, perm), perm.inverse())
-    assert np.array_equal(back.probs, d.probs)
+    assert np.array_equal(inverse(perm(d.probs)), d.probs)

@@ -40,18 +40,18 @@ def reference_bqr_oracle():
         for m in (1, 2, 3):
             if m > n - 1:
                 continue
-            cfg = refrigerator.RefrigeratorConfig(n, m, 1)
             for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
                 matrix = refrigerator.build_round_matrix(n, m, alpha, perm)
+                reset = states.product_probs(alpha, m)
                 a = states.product_state(alpha, n - m).probs.copy()
-                full = states.product_state(alpha, n)
+                full = states.product_probs(alpha, n)
                 for _ in range(10):
                     a = matrix @ a
-                    full = refrigerator.round_channel(full, cfg, alpha)
-                    traced = states.trace_out_last(full, m)
+                    full = refrigerator._attach(refrigerator._round(full, perm, m), reset)
+                    traced = states.pairwise_sum(full.reshape(-1, 1 << m))
                     worst = max(
                         worst,
-                        float(np.abs(a - traced.probs).max()),
+                        float(np.abs(a - traced).max()),
                         abs(states.marginal_target(a) - states.marginal_target(traced)),
                     )
     col_worst = 0.0
