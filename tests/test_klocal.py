@@ -19,6 +19,7 @@ from coolsign import (
     steady_state,
 )
 from coolsign.refrigerator import compression_permutation_for
+from oracles import full_round, sum_last
 
 
 def expected_m4_3local(p):
@@ -113,6 +114,17 @@ class TestRoundMatrices:
             for alpha in (-0.7, 0.2, 0.9):
                 matrix = build_round_matrix(n, 2, alpha, build_uqr_3local(n))
                 assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_matrix_matches_full_simulation(self, n):
+        cfg = RefrigeratorConfig(n, 2, 1, locality="3local")
+        matrix = build_round_matrix(n, 2, 0.5, build_uqr_3local(n))
+        vec = product_state(0.5, n - 2).probs.copy()
+        full = product_state(0.5, n).probs
+        for _ in range(5):
+            vec = matrix @ vec
+            full = full_round(full, cfg, 0.5)
+            assert np.abs(vec - sum_last(full, 2)).max() < 1e-12
 
 
 class TestFibonacci:

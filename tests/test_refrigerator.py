@@ -241,6 +241,26 @@ class TestRoundMatrix:
             assert np.abs(matrix @ vec - expect).max() < 1e-13
 
 
+class TestMatrixVsFullSimulation:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_alpha_enhanced_identical(self, n):
+        for locality, perm in (("full", build_uqr(n)), ("3local", build_uqr_3local(n))):
+            for m in (1, 2, 3):
+                if m > n - 1:
+                    continue
+                for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
+                    matrix = build_round_matrix(n, m, alpha, perm)
+                    vec = product_state(alpha, n - m).probs.copy()
+                    cfg1 = RefrigeratorConfig(n, m, 1, locality=locality)
+                    full = attach(product_state(alpha, n - m).probs, qubits(alpha, m))
+                    for _ in range(10):
+                        vec = matrix @ vec
+                        full = full_round(full, cfg1, alpha)
+                        traced = sum_last(full, m)
+                        assert np.abs(vec - traced).max() < 1e-12
+                        assert abs(marginal_target(vec) - marginal_target(traced)) < 1e-12
+
+
 class TestRecycleCycle:
     def test_n3_recycling_is_memoryless(self):
         cfg = RefrigeratorConfig(3, 2, 1)
