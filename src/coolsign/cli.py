@@ -69,6 +69,10 @@ SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "forma
                   "jobs": 1}
 
 
+#: most points an ``--alpha-grid`` may hold
+MAX_GRID_POINTS = 1_000_000
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """Parsed sweep parameters shared by the figure and sample commands."""
@@ -94,7 +98,11 @@ def parse_alpha_grid(text: str) -> tuple[float, ...]:
     start, stop, step = (float(p) for p in parts)
     if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise ValueError(f"need finite bounds, step > 0 and stop >= start, got {text!r}")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step
+    if span >= MAX_GRID_POINTS - 0.5:  # counted before any point is built; inf too
+        raise ValueError(f"grid from {text!r} has {span + 1:.7g} points, "
+                         f"more than {MAX_GRID_POINTS}")
+    count = int(round(span))
     # float noise in start + k * step snaps at the step's scale; start stays as typed
     digits = 12 - math.floor(math.log10(step))
     grid = (start,) + tuple(round(start + k * step, digits) for k in range(1, count + 1))

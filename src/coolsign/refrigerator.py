@@ -15,19 +15,20 @@ the resets out.  A round is also a column-stochastic matrix on the non-reset
 vector.  That matrix feeds the direct solve of the fixed point, which kernel
 cycles then polish (:func:`steady_states`), and serves as a verification oracle.
 
-A grid of reservoir polarizations is solved as one batch.  Each alpha owns a
-row along a leading batch axis: ``(G, 2^n)`` full registers, ``(G, 2^(n-m))``
-non-reset vectors, ``(G, d, d)`` round matrices with ``d = 2^(n-m)``.  Every
-operation acts on each row alone with the arithmetic of a lone solve, so a
-row's result is bit for bit that of a one-point grid: :func:`steady_state`
-is the one-row case of :func:`steady_states`, and ``optimal_bounds(cfg,
-[alpha])`` gives the bound at one polarization.  Chunks of the grid are
-capped by :data:`CHUNK_BYTES`.
+A grid of reservoir polarizations is solved as one batch.  Each distinct
+``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
+registers, ``(G, 2^(n-m))`` non-reset vectors, ``(G, d, d)`` round matrices
+with ``d = 2^(n-m)``.  Every operation acts on each row alone with the
+arithmetic of a lone solve, so a row's result is bit for bit that of a
+one-point grid: :func:`steady_state` is the one-row case of
+:func:`steady_states`, and ``optimal_bounds(cfg, [alpha])`` gives the bound
+at one polarization.  Chunks of the grid are capped by :data:`CHUNK_BYTES`.
 
-None of the protocol code inspects the sign of ``alpha``: the same staircase
-amplifies whichever bias the sample carries.  The only sign-aware routine is
-the compression of :func:`optimal_bounds`, a benchmarking oracle that
-replaces the staircase with a full population sort.
+The kernel and the staircases never read the sign of ``alpha``: the same
+staircase amplifies whichever bias the sample carries, and the fixed point at
+``-alpha`` is the one at ``alpha`` with every bit flipped.  The solvers
+therefore solve ``|alpha|`` and return the exact mirror for a negative alpha;
+:func:`_solve_grid` is the one place that reads the sign.
 """
 
 from __future__ import annotations
@@ -269,30 +270,6 @@ def fixed_point(
     )
 
 
-def _steady_results(
-    cfg: RefrigeratorConfig,
-    alphas: np.ndarray,
-    compress: Compression,
-    start: np.ndarray,
-    tol: float,
-    max_cycles: int,
-    what: str,
-) -> list[SteadyStateResult]:
-    """Polish the rows of ``start`` to the fixed points at ``alphas``."""
-    step = _recycle_step(cfg, alphas, compress)
-    try:
-        a, evolved, cycles, residual = fixed_point(step, start, tol, max_cycles)
-    except ConvergenceError as exc:
-        where = f"{what} at alpha={float(alphas[exc.row])!r}, rounds={cfg.rounds}"
-        raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
-    ground, excited, enhanced = _target(evolved)
-    return [
-        SteadyStateResult(a[i], float(enhanced[i]), int(cycles[i]), float(residual[i]),
-                          float(ground[i]), float(excited[i]))
-        for i in range(alphas.size)
-    ]
-
-
 def _mirror(result: SteadyStateResult) -> SteadyStateResult:
     """The result at ``-alpha``, given the result at ``alpha``."""
     return SteadyStateResult(result.a_fixed[::-1], -result.alpha_enhanced, result.cycles_used,
@@ -302,32 +279,42 @@ def _mirror(result: SteadyStateResult) -> SteadyStateResult:
 def _solve_grid(
     cfg: RefrigeratorConfig,
     alphas,
-    solve: Callable[[np.ndarray], list[SteadyStateResult]],
+    compress: Compression,
+    start: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_cycles: int,
+    what: str,
 ) -> list[SteadyStateResult]:
-    """One result per entry of ``alphas``, in grid order.
+    """One fixed point per entry of ``alphas``, in grid order: the one
+    solver driver, and the only code that reads the sign of ``alpha``.
 
-    ``solve`` runs on chunks of the distinct polarizations.  An alpha whose
-    negation came earlier in the grid gets that result's mirror image, which
-    equals its own solve bit for bit: every step commutes with the bit flip.
+    Each distinct ``|alpha|`` is solved once, in chunks capped by
+    :data:`CHUNK_BYTES`: ``start(chunk)`` gives the start rows, which
+    :func:`fixed_point` polishes under ``compress``.  A negative alpha gets
+    the mirror image of its ``|alpha|`` result, which is its own solve bit
+    for bit: the kernel, the staircases and the sort commute with the bit
+    flip.  A failure names the first grid alpha of the row that stalled.
     """
-    index: dict[float, int] = {}
-    distinct: list[float] = []
-    plan: list[tuple[int, bool]] = []
-    for alpha in map(float, alphas):
-        if alpha in index:
-            plan.append((index[alpha], False))
-        elif -alpha in index:
-            plan.append((index[-alpha], True))
-        else:
-            index[alpha] = len(distinct)
-            plan.append((len(distinct), False))
-            distinct.append(alpha)
+    grid = [float(alpha) for alpha in alphas]
+    distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
     dim = 1 << (cfg.n - cfg.m)
     size = max(1, CHUNK_BYTES // (8 * dim * dim))
-    solved: list[SteadyStateResult] = []
-    for start in range(0, len(distinct), size):
-        solved += solve(np.array(distinct[start:start + size]))
-    return [_mirror(solved[i]) if flip else solved[i] for i, flip in plan]
+    solved: dict[float, SteadyStateResult] = {}
+    for low in range(0, len(distinct), size):
+        chunk = np.array(distinct[low:low + size])
+        try:
+            a, evolved, cycles, residual = fixed_point(
+                _recycle_step(cfg, chunk, compress), start(chunk), tol, max_cycles)
+        except ConvergenceError as exc:
+            alpha = next(alpha for alpha in grid if abs(alpha) == chunk[exc.row])
+            where = f"{what} at alpha={alpha!r}, rounds={cfg.rounds}"
+            raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
+        ground, excited, enhanced = _target(evolved)
+        for i, key in enumerate(distinct[low:low + size]):
+            solved[key] = SteadyStateResult(a[i], float(enhanced[i]), int(cycles[i]),
+                                            float(residual[i]), float(ground[i]),
+                                            float(excited[i]))
+    return [_mirror(solved[-alpha]) if alpha < 0 else solved[alpha] for alpha in grid]
 
 
 def _stationary_gth(rows: np.ndarray) -> np.ndarray:
@@ -374,28 +361,6 @@ def _cycle_rows(cfg: RefrigeratorConfig, alphas: np.ndarray, matrices: np.ndarra
     return _recycle_array(evolved, ground_excited_pair(alphas)[..., None, :])
 
 
-def _mirrored_seeds(
-    cfg: RefrigeratorConfig, alphas: np.ndarray, permutation: PermutationSpec
-) -> np.ndarray:
-    """Direct solves of the recycle fixed points, made exactly mirror-symmetric.
-
-    The cycle at ``-alpha`` is the cycle at ``alpha`` with every bit flipped,
-    so its solution reversed is the same vector up to rounding.  Averaging
-    the two makes ``seed(-alpha) == seed(alpha)[::-1]`` hold bit for bit,
-    since addition commutes; the staircases commute with the flip, so the
-    round matrix at ``-alpha`` is ``matrix[::-1, ::-1]`` bit for bit.  At
-    ``|alpha| = 1`` a pure reset leaves a chain with a closed subset; the
-    product state is the seed there.
-    """
-    matrices = build_round_matrix(cfg.n, cfg.m, alphas, permutation)
-    up = _stationary_gth(_cycle_rows(cfg, alphas, matrices))
-    down = _stationary_gth(_cycle_rows(cfg, -alphas, matrices[..., ::-1, ::-1]))
-    seeds = (up + down[..., ::-1]) / 2.0
-    closed = np.isnan(seeds).any(axis=-1)
-    seeds[closed] = product_probs(alphas[closed], cfg.n - cfg.m)
-    return seeds
-
-
 def steady_states(
     cfg: RefrigeratorConfig,
     alphas,
@@ -405,21 +370,27 @@ def steady_states(
     """Fixed points of the recycle cycle at each polarization of a grid, to
     an L1 residual of ``tol``, as one batched solve.
 
-    The stationary vectors of the cycle's matrix ``K R^rounds`` at ``alpha``
-    and ``-alpha`` are solved directly, by the blocked GTH elimination of
-    :func:`_stationary_gth`, and averaged into an exactly mirror-symmetric
-    seed.  That solve costs ``O(d^3)`` with ``d = 2^(n-m)``, most of it one
-    matmul per panel of :data:`GTH_PANEL` states, and dominates the call
-    from ``n = 10`` on.  Order-canonical kernel recycle cycles then polish
-    the seed until one cycle moves it by at most ``tol``; one or two suffice.
+    The stationary vector of the cycle's matrix ``K R^rounds`` at ``|alpha|``
+    is solved directly, by the blocked GTH elimination of
+    :func:`_stationary_gth`, and seeds the polish; a negative alpha gets its
+    exact mirror (:func:`_solve_grid`).  That solve costs ``O(d^3)`` with
+    ``d = 2^(n-m)``, most of it one matmul per panel of :data:`GTH_PANEL`
+    states, and dominates the call from ``n = 10`` on.  The product state
+    seeds ``alpha = 0``, where it is the exact fixed point, and ``|alpha| =
+    1``, where a pure reset leaves a chain with a closed subset.
+    Order-canonical kernel recycle cycles then polish the seed until one
+    cycle moves it by at most ``tol``; one or two suffice.
     """
     permutation = compression_permutation_for(cfg)
 
-    def solve(chunk: np.ndarray) -> list[SteadyStateResult]:
-        seeds = _mirrored_seeds(cfg, chunk, permutation)
-        return _steady_results(cfg, chunk, permutation, seeds, tol, max_cycles, "steady state")
+    def seeds(chunk: np.ndarray) -> np.ndarray:
+        matrices = build_round_matrix(cfg.n, cfg.m, chunk, permutation)
+        seed = _stationary_gth(_cycle_rows(cfg, chunk, matrices))
+        product = (chunk == 0.0) | np.isnan(seed).any(axis=-1)
+        seed[product] = product_probs(chunk[product], cfg.n - cfg.m)
+        return seed
 
-    return _solve_grid(cfg, alphas, solve)
+    return _solve_grid(cfg, alphas, permutation, seeds, tol, max_cycles, "steady state")
 
 
 def steady_state(
@@ -450,26 +421,20 @@ def optimal_bounds(
 ) -> list[SteadyStateResult]:
     """Upper-bound oracle at each polarization of a grid, as one batched
     solve: the protocol's recycle step, but every round applies the optimal
-    sign-aware compression (a full population sort of the register) instead
-    of the staircase.
+    compression (a full population sort of the register) instead of the
+    staircase.
 
-    Unlike the protocol itself, this benchmark's compression branches on the
-    sign of ``alpha``: it sorts descending for positive bias and ascending for
-    negative bias, which is the best any compression can do.  The sort is
-    only piecewise linear, so the iteration starts from the all-fresh state
-    rather than from a direct solve.
+    The sort runs descending at ``|alpha|``, the best any compression can do
+    for a positive bias; a negative alpha gets the exact mirror, which is the
+    ascending sort's solve (:func:`_solve_grid`).  The sort is only piecewise
+    linear, so the iteration starts from the all-fresh state rather than from
+    a direct solve.
     """
 
-    def solve(chunk: np.ndarray) -> list[SteadyStateResult]:
-        descending = chunk > 0
+    def sort(full: np.ndarray) -> np.ndarray:
+        return np.sort(full, axis=-1)[..., ::-1]
 
-        def sort(full: np.ndarray) -> np.ndarray:
-            out = np.sort(full, axis=-1)
-            out[descending] = out[descending, ::-1]
-            return out
+    def fresh(chunk: np.ndarray) -> np.ndarray:
+        return product_probs(chunk, cfg.n - cfg.m)
 
-        start = product_probs(chunk, cfg.n - cfg.m)
-        return _steady_results(cfg, chunk, sort, start, tol, max_cycles, "optimal bound")
-
-    return _solve_grid(cfg, alphas, solve)
-
+    return _solve_grid(cfg, alphas, sort, fresh, tol, max_cycles, "optimal bound")

@@ -168,7 +168,9 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     polarization-regime behavior (2/pi plateau at low alpha, exp(xi^2) growth,
     divergence as alpha -> 1) is the basis of the regime approximations.  The
     erf complement is evaluated with ``erfc`` so the result stays finite for
-    grid polarizations up to 0.99 at any ``n``.
+    grid polarizations up to 0.99 at any ``n``, and the enhanced
+    polarization is ``erf(xi)`` itself, not ``1 - erfc(xi)``, so the factor
+    keeps its relative accuracy as ``alpha -> 0``.
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -179,5 +181,9 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
             raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
         return math.inf
     a = abs(alpha)
-    c = math.erfc(compression_xi(n, a))  # 1 - alpha_ac_erf
-    return reduction_from_excited_mass(a, c / 2.0, n)
+    xi = compression_xi(n, a)
+    c = math.erfc(xi)  # twice the excited mass u: 4u(1-u) = c(2-c)
+    den = c * (2.0 - c) / math.erf(xi) ** 2
+    if den == 0.0:
+        return math.inf
+    return (1.0 - a * a) / (a * a) / den / n

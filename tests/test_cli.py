@@ -48,7 +48,8 @@ class TestAlphaGridParsing:
         grid = parse_alpha_grid("0.05:0.95:0.05")
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
-    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "1:2", "a:b:c", "0:inf:1"])
+    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "1:2", "a:b:c", "0:inf:1",
+                                     "0:1:1e-8", "0:1:1e-300"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_alpha_grid(bad)

@@ -26,6 +26,7 @@ from coolsign.refrigerator import (
     GTH_PANEL,
     LOCALITIES,
     _cycle_rows,
+    _mirror,
     _recycle_step,
     _stationary_gth,
     _target,
@@ -220,7 +221,8 @@ class TestRoundMatrix:
 
     @pytest.mark.parametrize("locality", ["full", "3local"])
     def test_mirror_is_reversal(self, locality):
-        # the steady-state seed takes the -alpha matrix as this reversal
+        # the round matrix commutes with the bit flip, as the kernel does, so
+        # the direct solve at |alpha| reversed is the direct solve at -alpha
         for n in range(3, 10):
             perm = build_uqr(n) if locality == "full" else build_uqr_3local(n)
             for m in (1, 2, 3):
@@ -310,9 +312,10 @@ class TestSteadyState:
 
     def test_residual_contract(self):
         cfg = RefrigeratorConfig(5, 2, 3)
-        result = steady_state(cfg, 0.4, tol=1e-12)
-        recycled, _ = recycle(result.a_fixed, cfg, 0.4)
-        assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
+        for alpha in (0.4, -0.4):
+            result = steady_state(cfg, alpha, tol=1e-12)
+            recycled, _ = recycle(result.a_fixed, cfg, alpha)
+            assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
 
     def test_sign_preserved_and_exactly_odd(self):
         for n, m, rounds in ((4, 1, 3), (5, 2, 5), (6, 3, 2), (7, 2, 9)):
@@ -450,6 +453,54 @@ def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, da
         by_alpha = dict(zip(grid, results))
         for alpha, got in zip(shuffled, batched(cfg, shuffled)):
             assert_same_result(got, by_alpha[alpha])
+
+
+def descending(full):
+    return np.sort(full, axis=-1)[..., ::-1]
+
+
+def ascending(full):
+    return np.sort(full, axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    m=st.integers(1, 3),
+    rounds=st.integers(1, 5),
+    locality=st.sampled_from(LOCALITIES),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recycle_step_commutes_with_the_bit_flip(n, m, rounds, locality, alpha, seed):
+    # the solvers return the mirror of the |alpha| solve for a negative alpha;
+    # this holds that mirror to the -alpha step itself, bit for bit
+    assume(m <= n - 1)
+    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+    x = np.random.default_rng(seed).dirichlet(np.ones(1 << (n - m)))
+    staircase = compression_permutation_for(cfg)
+    for up, down in ((staircase, staircase), (descending, ascending)):
+        recycled, evolved = _recycle_step(cfg, alpha, up)(x)
+        flipped = _recycle_step(cfg, -alpha, down)(x[::-1])
+        assert np.array_equal(flipped[0], recycled[::-1])
+        assert np.array_equal(flipped[1], evolved[::-1])
+        ground, excited, polarization = _target(evolved)
+        assert _target(evolved[::-1]) == (excited, ground, -polarization)
+
+
+def test_grid_solves_each_magnitude_once(monkeypatch):
+    from coolsign import refrigerator
+
+    calls = []
+    for name in ("build_round_matrix", "_stationary_gth"):
+        def counted(*args, _call=getattr(refrigerator, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(refrigerator, name, counted)
+    down, up = steady_states(RefrigeratorConfig(5, 2, 3), [-0.5, 0.5])
+    assert sorted(calls) == ["_stationary_gth", "build_round_matrix"]
+    assert_same_result(down, _mirror(up))
 
 
 def test_chunks_do_not_change_results(monkeypatch):

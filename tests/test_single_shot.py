@@ -175,6 +175,8 @@ class TestReductionFactorAc:
     def test_low_polarization_plateau(self):
         for n in (3, 5, 7):
             assert reduction_factor_ac(n, 1e-3) == pytest.approx(2 / math.pi, rel=0.01)
+            for alpha in (1e-14, 1e-12, 1e-9):
+                assert reduction_factor_ac(n, alpha) == pytest.approx(2 / math.pi, rel=1e-14)
 
     def test_small_alpha_regime_approximation(self):
         # 2(1-a^2)/(pi - 2 n a^2) tracks the factor to a few percent here
