@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 sweep flag the mode does not read, parameters a config or grid rejects, a
 ``--locality`` that contradicts the figure, a list of ``--n`` values for a
 refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
-a ``--jobs`` below 1, and a register too large to simulate in memory), 3
+a ``--jobs`` or ``--seed`` below its least value, a ``--budget`` above
+:data:`MAX_BUDGET`, and a register too large to simulate in memory), 3
 output I/O error, 4 budget too small, 5 a fixed point that did not
 converge.  Errors are reported on stderr without a traceback.
 """
@@ -71,6 +72,10 @@ SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "forma
 
 #: most points an ``--alpha-grid`` may hold
 MAX_GRID_POINTS = 1_000_000
+
+#: largest ``--budget``: the exact binomial tail of a point sums about
+#: ``5 sqrt(budget)`` terms, at most about 5 million here
+MAX_BUDGET = 10**12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,6 +363,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.budget > MAX_BUDGET:
+        print(f"--budget {args.budget} is more than {MAX_BUDGET}", file=sys.stderr)
         return EXIT_USAGE
 
     if not args.out:

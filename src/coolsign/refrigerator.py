@@ -11,13 +11,16 @@ protocol's figure of merit.
 
 One scatter kernel runs every round: it compresses the full register (by the
 staircase's index map, or by a full sort for the bound oracle) and traces
-the resets out.  A round is also a column-stochastic matrix on the non-reset
-vector.  That matrix feeds the direct solve of the fixed point, which kernel
-cycles then polish (:func:`steady_states`), and serves as a verification oracle.
+the resets out.  The fixed point is solved directly on the carried chain, the
+chain on the qubits that the recycle carries into the next cycle, composed
+sparsely from the same index map; kernel cycles then polish that solve
+(:func:`steady_states`).  A round is also a column-stochastic matrix on the
+non-reset vector (:func:`build_round_matrix`), which serves only as a
+verification oracle.
 
 A grid of reservoir polarizations is solved as one batch.  Each distinct
 ``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
-registers, ``(G, 2^(n-m))`` non-reset vectors, ``(G, d, d)`` round matrices
+registers, ``(G, d)`` non-reset vectors and ``(G, d/2, d/2)`` carried chains
 with ``d = 2^(n-m)``.  Every operation acts on each row alone with the
 arithmetic of a lone solve, so a row's result is bit for bit that of a
 one-point grid: :func:`steady_state` is the one-row case of
@@ -52,9 +55,10 @@ from .states import (
 LOCALITIES = ("full", "3local")
 
 
-#: bytes of stacked ``d x d`` round matrices one chunk of a batched solve may
-#: hold.  Batching pays where per-call overhead dominates (small ``d``); from
-#: ``d = 256`` a chunk is one point, so it holds what a lone solve holds
+#: bytes of stacked ``d/2 x d/2`` carried chains (``d = 2^(n-m)``) one chunk
+#: of a batched solve may hold.  Batching pays where per-call overhead
+#: dominates (small ``d``); from ``d = 512`` a chunk is one point, so it holds
+#: what a lone solve holds
 CHUNK_BYTES = 512 << 10
 
 #: states one panel of the blocked GTH elimination holds.  A panel's steps
@@ -191,27 +195,23 @@ def build_round_matrix(
     return scattered[..., 0, :, :].copy()
 
 
-def _recycle_array(evolved: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Trace the target out of each row and append a qubit in state ``fresh``."""
-    half = evolved.shape[-1] >> 1
-    return _attach(evolved[..., :half] + evolved[..., half:], fresh)
-
-
 #: one recycle cycle: ``step(a)`` returns ``(recycled, evolved)``, where
 #: ``evolved`` is ``a`` after the rounds and ``recycled`` the next input
 Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression) -> Step:
-    """``cfg.rounds`` kernel rounds with fresh resets, then the recycling;
-    an array of polarizations steps one row per entry."""
+    """``cfg.rounds`` kernel rounds with fresh resets, then the recycling:
+    the target traced out and a fresh qubit appended.  An array of
+    polarizations steps one row per entry."""
     reset = product_probs(alpha, cfg.m)
     fresh = ground_excited_pair(alpha)
 
     def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(cfg.rounds):
             a = _round(_attach(a, reset), compress, cfg.m)
-        return _recycle_array(a, fresh), a
+        half = a.shape[-1] >> 1
+        return _attach(a[..., :half] + a[..., half:], fresh), a
 
     return step
 
@@ -297,8 +297,8 @@ def _solve_grid(
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
-    dim = 1 << (cfg.n - cfg.m)
-    size = max(1, CHUNK_BYTES // (8 * dim * dim))
+    half = 1 << (cfg.n - cfg.m - 1)
+    size = max(1, CHUNK_BYTES // (8 * half * half))
     solved: dict[float, SteadyStateResult] = {}
     for low in range(0, len(distinct), size):
         chunk = np.array(distinct[low:low + size])
@@ -354,11 +354,45 @@ def _stationary_gth(rows: np.ndarray) -> np.ndarray:
     return pi / pi.sum(axis=-1, keepdims=True)
 
 
-def _cycle_rows(cfg: RefrigeratorConfig, alphas: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """The recycle cycles ``K R^rounds`` as row-stochastic matrices: row ``j``
-    is the next input when the current one is the basis vector ``e_j``."""
-    evolved = np.swapaxes(np.linalg.matrix_power(matrices, cfg.rounds), -1, -2)
-    return _recycle_array(evolved, ground_excited_pair(alphas)[..., None, :])
+def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the weights of equal keys: returns the sorted distinct keys and,
+    along the last axis of ``weights``, each one's summed weight, added in
+    the order the entries came."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights[..., order], starts, axis=-1)
+
+
+def _carried_cycle_rows(
+    cfg: RefrigeratorConfig, alphas: np.ndarray, permutation: PermutationSpec
+) -> np.ndarray:
+    """The carried chains of the recycle cycle at each of ``alphas``, as
+    stacked row-stochastic ``d/2 x d/2`` matrices with ``d = 2^(n-m)``.
+
+    Row ``i`` is the carried part (the target traced out) of the register
+    after the rounds, when the input is ``e_i`` with a fresh qubit appended.
+    The rows are composed sparsely from the staircase's index map, one round
+    at a time: entry ``j`` of the non-reset vector moves to ``perm[j 2^m +
+    s] // 2^m`` with the weight of reset pattern ``s``.  Each entry is keyed
+    by its row and column; the keys do not depend on alpha, so the batch
+    rows share them and each row sums its weights as a lone one would.
+    """
+    half = 1 << (cfg.n - cfg.m - 1)
+    dim, res_dim = 2 * half, 1 << cfg.m
+    reset = product_probs(alphas, cfg.m)
+    images = (permutation.perm // res_dim).reshape(dim, res_dim)
+    # key = row * d + column; row i starts at columns 2i and 2i + 1
+    keys = (np.arange(dim) >> 1) * dim + np.arange(dim)
+    weights = np.tile(ground_excited_pair(alphas), half)
+    for _ in range(cfg.rounds):
+        cols = keys % dim
+        keys, weights = _merge(((keys - cols)[:, None] + images[cols]).ravel(),
+                               _attach(weights, reset))
+    keys, weights = _merge(keys // dim * half + keys % half, weights)
+    carried = np.zeros(alphas.shape + (half * half,))
+    carried[..., keys] = weights
+    return carried.reshape(alphas.shape + (half, half))
 
 
 def steady_states(
@@ -370,11 +404,15 @@ def steady_states(
     """Fixed points of the recycle cycle at each polarization of a grid, to
     an L1 residual of ``tol``, as one batched solve.
 
-    The stationary vector of the cycle's matrix ``K R^rounds`` at ``|alpha|``
-    is solved directly, by the blocked GTH elimination of
-    :func:`_stationary_gth`, and seeds the polish; a negative alpha gets its
-    exact mirror (:func:`_solve_grid`).  That solve costs ``O(d^3)`` with
-    ``d = 2^(n-m)``, most of it one matmul per panel of :data:`GTH_PANEL`
+    Every recycled input ends in a fresh qubit, so the cycle's stationary
+    vector is ``v (x) fresh``, where ``v`` is the stationary vector of the
+    carried chain on the ``d/2`` states the recycle carries over
+    (:func:`_carried_cycle_rows`, ``d = 2^(n-m)``).  ``v`` is solved at
+    ``|alpha|`` by the blocked GTH elimination of :func:`_stationary_gth`,
+    one call per chunk, and ``v (x) fresh``, renormalized because the fresh
+    masses need not sum to exactly 1, seeds the polish; a negative alpha
+    gets its exact mirror (:func:`_solve_grid`).  That solve costs
+    ``O((d/2)^3)``, most of it one matmul per panel of :data:`GTH_PANEL`
     states, and dominates the call from ``n = 10`` on.  The product state
     seeds ``alpha = 0``, where it is the exact fixed point, and ``|alpha| =
     1``, where a pure reset leaves a chain with a closed subset.
@@ -384,8 +422,9 @@ def steady_states(
     permutation = compression_permutation_for(cfg)
 
     def seeds(chunk: np.ndarray) -> np.ndarray:
-        matrices = build_round_matrix(cfg.n, cfg.m, chunk, permutation)
-        seed = _stationary_gth(_cycle_rows(cfg, chunk, matrices))
+        carried = _stationary_gth(_carried_cycle_rows(cfg, chunk, permutation))
+        seed = _attach(carried, ground_excited_pair(chunk))
+        seed /= seed.sum(axis=-1, keepdims=True)
         product = (chunk == 0.0) | np.isnan(seed).any(axis=-1)
         seed[product] = product_probs(chunk[product], cfg.n - cfg.m)
         return seed

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coolsign import alpha_ac, alpha_infinity, reduction_factor_ac, refrigerator, verify
+from coolsign import (
+    alpha_ac,
+    alpha_infinity,
+    reduction_factor_ac,
+    refrigerator,
+    sampling,
+    verify,
+)
 from coolsign.cli import (
     EXIT_BUDGET,
     EXIT_CONVERGENCE,
@@ -23,6 +30,7 @@ from coolsign.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     FIGURE_LOCALITY,
+    MAX_BUDGET,
     main,
     parse_alpha_grid,
     write_rows,
@@ -387,6 +395,28 @@ class TestExitCodes:
         assert f"--jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
         assert not out.exists()
 
+    def test_seed_below_zero_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
+                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert "--seed must be at least 0, got -1\n" == self.one_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [str(10**20), str(2**63 - 1), str(10**12 + 1)])
+    def test_budget_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, budget):
+        # rejected before any point is sampled
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled a point")
+
+        monkeypatch.setattr(sampling, "resource_matched_comparison", no_work)
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", "1",
+                     "--alpha-grid", "0.5:0.5:1", "--out", str(out), "--budget", budget])
+        assert code == EXIT_USAGE
+        assert f"--budget {budget} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
+        assert not out.exists()
+
     def test_polarization_typed_near_zero(self, tmp_path, capsys):
         # written as typed where the arithmetic holds, one usage line where
         # alpha^2 or the cooled polarization underflows
@@ -402,9 +432,9 @@ class TestExitCodes:
             assert "too close to 0" in self.one_line(capsys)
 
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # stands in for the 2 TiB round matrix of n = 20 without allocating it
+        # stands in for the 128 GiB carried chain of n = 20 without allocating it
         def out_of_memory(cfg, alphas):
-            raise MemoryError("Unable to allocate 2.00 TiB")
+            raise MemoryError("Unable to allocate 128. GiB")
 
         monkeypatch.setattr(refrigerator, "steady_states", out_of_memory)
         code = main(["--figure", "bqr-polarization", "--n", "20", "--rounds", "3",

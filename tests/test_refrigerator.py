@@ -25,7 +25,7 @@ from coolsign import (
 from coolsign.refrigerator import (
     GTH_PANEL,
     LOCALITIES,
-    _cycle_rows,
+    _carried_cycle_rows,
     _mirror,
     _recycle_step,
     _stationary_gth,
@@ -33,7 +33,7 @@ from coolsign.refrigerator import (
     compression_permutation_for,
     fixed_point,
 )
-from coolsign.states import product_probs
+from coolsign.states import ground_excited_pair, product_probs
 from oracles import attach, full_cycle, full_round, qubits, sum_last
 
 
@@ -499,7 +499,7 @@ def test_grid_solves_each_magnitude_once(monkeypatch):
 
         monkeypatch.setattr(refrigerator, name, counted)
     down, up = steady_states(RefrigeratorConfig(5, 2, 3), [-0.5, 0.5])
-    assert sorted(calls) == ["_stationary_gth", "build_round_matrix"]
+    assert calls == ["_stationary_gth"]
     assert_same_result(down, _mirror(up))
 
 
@@ -509,7 +509,7 @@ def test_chunks_do_not_change_results(monkeypatch):
     cfg = RefrigeratorConfig(6, 2, 3)
     grid = [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6]
     whole = steady_states(cfg, grid) + optimal_bounds(cfg, grid)
-    monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 16 * 16)  # two points per chunk
+    monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 8 * 8)  # two points per chunk
     for got, want in zip(steady_states(cfg, grid) + optimal_bounds(cfg, grid), whole):
         assert_same_result(got, want)
 
@@ -579,11 +579,10 @@ def test_blocked_gth_matches_scalar_elimination(size, batch, seed, spread, densi
 
 
 def test_blocked_gth_keeps_tiny_masses_of_a_real_cycle():
-    # eight panels; the stationary masses span 1 down to about 5e-16
-    cfg = RefrigeratorConfig(10, 2, 5, locality="3local")
-    alphas = np.array([0.95])
-    matrices = build_round_matrix(cfg.n, cfg.m, alphas, compression_permutation_for(cfg))
-    rows = _cycle_rows(cfg, alphas, matrices)
+    # the carried chain has eight panels; its stationary masses span 1 down
+    # to about 8e-16
+    cfg = RefrigeratorConfig(11, 2, 5, locality="3local")
+    rows = _carried_cycle_rows(cfg, np.array([0.97]), compression_permutation_for(cfg))
     got, want = _stationary_gth(rows), scalar_gth(rows)
     assert want.min() < 1e-15
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -599,6 +598,64 @@ def test_blocked_gth_flags_a_closed_set_across_panels():
     assert np.isnan(_stationary_gth(rows)).all()
     batch = np.stack([random_chain(6, size, (), 1.0, 1.0), rows])
     assert np.isnan(_stationary_gth(batch)[1]).all()
+
+
+def dense_carried_rows(cfg, alphas, permutation):
+    """Oracle: the carried chains from the dense round matrix and its power.
+
+    Row ``i`` runs the rounds on ``e_i`` with a fresh qubit appended and
+    sums the target out of the result."""
+    fresh = ground_excited_pair(alphas)
+    power = np.linalg.matrix_power(
+        build_round_matrix(cfg.n, cfg.m, alphas, permutation), cfg.rounds)
+    evolved = (fresh[:, 0, None, None] * power[..., 0::2].swapaxes(-1, -2)
+               + fresh[:, 1, None, None] * power[..., 1::2].swapaxes(-1, -2))
+    half = evolved.shape[-1] >> 1
+    return evolved[..., :half] + evolved[..., half:]
+
+
+@pytest.mark.parametrize("locality", LOCALITIES)
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 10) for m in (1, 2, 3) if m < n])
+def test_carried_cycle_rows_match_the_dense_power(n, m, locality):
+    alphas = np.array([0.0, 1e-9, 0.1, 0.37, 0.5, 0.9, 0.999, 1.0])
+    for rounds in (1, 2, 3, 5, 9):
+        cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+        permutation = compression_permutation_for(cfg)
+        got = _carried_cycle_rows(cfg, alphas, permutation)
+        want = dense_carried_rows(cfg, alphas, permutation)
+        assert np.array_equal(got != 0.0, want != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for row in range(len(alphas)):
+            assert np.array_equal(_carried_cycle_rows(cfg, alphas[row:row + 1], permutation)[0],
+                                  got[row])
+
+
+@pytest.mark.parametrize("locality", LOCALITIES)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality, monkeypatch):
+    # the seed, the carried chain's stationary vector with the recycled
+    # fresh qubit appended, is with fresh resets appended the stationary
+    # vector of the whole cycle on the full 2^n register
+    from coolsign import refrigerator
+
+    starts = []
+
+    def recorded(step, start, tol, max_cycles):
+        starts.append(start)
+        return fixed_point(step, start, tol, max_cycles)
+
+    monkeypatch.setattr(refrigerator, "fixed_point", recorded)
+    alphas = [0.1, 0.37, 0.9, 0.999]
+    for m in range(1, min(3, n - 1) + 1):
+        for rounds in (1, 3, 9):
+            cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+            starts.clear()
+            steady_states(cfg, alphas)
+            (seeds,) = starts
+            for seed, alpha in zip(seeds, alphas):
+                want = scalar_gth(full_cycle(np.eye(1 << n), cfg, alpha)[0])
+                np.testing.assert_allclose(attach(seed, qubits(alpha, m)), want,
+                                           rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("locality", LOCALITIES)
