@@ -19,7 +19,7 @@ from coolsign import (
     build_round_matrix,
     marginal_target,
     product_state,
-    steady_state,
+    steady_states,
 )
 
 N, M, ALPHA = 5, 2, 0.5
@@ -38,15 +38,15 @@ print("\nsteady state per configured round count (recycled operation):")
 print(f"{'rounds':>7} {'alpha_qr':>12} {'cycles':>7} {'qubit cost':>11}")
 for rounds in (1, 2, 3, 5, 9, 20, 200):
     cfg = RefrigeratorConfig(N, M, rounds)
-    result = steady_state(cfg, ALPHA)
+    result = steady_states(cfg, [ALPHA])[0]
     print(f"{rounds:7d} {result.alpha_enhanced:12.8f} {result.cycles_used:7d} {cfg.cost:11d}")
 
 print("\nBidirectionality: the same circuit run on a negative bias")
-for alpha in (0.3, -0.3):
-    result = steady_state(RefrigeratorConfig(N, M, 5), alpha)
+biases = (0.3, -0.3)
+for alpha, result in zip(biases, steady_states(RefrigeratorConfig(N, M, 5), biases)):
     print(f"  alpha = {alpha:+.1f}  ->  alpha_qr = {result.alpha_enhanced:+.8f}")
 
 print("\nToo few rounds for a large register cool below the raw value (alpha = 0.1):")
 for rounds in (5, 9, 20):
-    result = steady_state(RefrigeratorConfig(9, M, rounds), 0.1)
+    result = steady_states(RefrigeratorConfig(9, M, rounds), [0.1])[0]
     print(f"  n = 9, rounds = {rounds:2d}  ->  alpha_qr = {result.alpha_enhanced:.4f}")

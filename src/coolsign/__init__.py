@@ -16,7 +16,6 @@ from .refrigerator import (
     build_round_matrix,
     build_uqr,
     optimal_bounds,
-    steady_state,
     steady_states,
 )
 from .sampling import (
@@ -80,7 +79,6 @@ __all__ = [
     "product_state",
     "reduction_factor_ac",
     "resource_matched_comparison",
-    "steady_state",
     "steady_states",
     "window_swaps",
 ]

@@ -4,9 +4,10 @@ resource-matched sampling experiments.
 Figures are emitted as data files (CSV or JSON), one row per grid
 polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
-byte-identical for identical flags and seed.  A refrigerator figure
-solves each curve's whole grid as one batched fixed point; ``--jobs``
-threads split the points of ``--sample``, with the same bytes for any count.
+byte-identical for identical flags and seed.  Every refrigerator command
+solves each curve's whole grid as one batched fixed point, ``--sample``
+included; ``--jobs`` threads split only the sampling of the ``--sample``
+points, with the same bytes for any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
 single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
@@ -254,17 +255,20 @@ def cmd_sample(spec: SweepSpec) -> int:
         spec.n_list[0], spec.m, spec.rounds_list[0], locality=spec.locality or "full"
     )
 
-    def one_point(item: tuple[int, float]) -> tuple:
-        index, alpha = item
-        return dataclasses.astuple(sampling.resource_matched_comparison(
-            alpha, cfg, spec.budget, sampling._derived_seed(spec.seed, index), trials=spec.trials
-        ))
-
     try:
-        rows = _map_grid(one_point, enumerate(spec.alpha_grid), spec.jobs)
+        sampling.cooled_shots(spec.budget, cfg.cost)
     except sampling.BudgetError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
+    cooled = refrigerator.steady_states(cfg, spec.alpha_grid)
+
+    def one_point(item: tuple[int, tuple[float, refrigerator.SteadyStateResult]]) -> tuple:
+        index, (alpha, steady) = item
+        return dataclasses.astuple(sampling.resource_matched_comparison(
+            alpha, steady, cfg.cost, spec.budget, sampling._derived_seed(spec.seed, index),
+            trials=spec.trials))
+
+    rows = _map_grid(one_point, enumerate(zip(spec.alpha_grid, cooled)), spec.jobs)
     try:
         write_rows(spec.out, spec.fmt, SAMPLE_HEADER, rows)
     except OSError as exc:
@@ -305,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
-                        help="worker threads that split the --sample points, at least 1 "
-                        "(default 1; output is byte-identical for any value)")
+                        help="worker threads that split the sampling of the --sample points, "
+                        "at least 1 (default 1; output is byte-identical for any value)")
     return parser
 
 

@@ -23,9 +23,9 @@ A grid of reservoir polarizations is solved as one batch.  Each distinct
 registers, ``(G, d)`` non-reset vectors and ``(G, d/2, d/2)`` carried chains
 with ``d = 2^(n-m)``.  Every operation acts on each row alone with the
 arithmetic of a lone solve, so a row's result is bit for bit that of a
-one-point grid: :func:`steady_state` is the one-row case of
-:func:`steady_states`, and ``optimal_bounds(cfg, [alpha])`` gives the bound
-at one polarization.  Chunks of the grid are capped by :data:`CHUNK_BYTES`.
+one-point grid: ``steady_states(cfg, [alpha])[0]`` is the steady state and
+``optimal_bounds(cfg, [alpha])[0]`` the bound at one polarization.  Chunks
+of the grid are capped by :data:`CHUNK_BYTES`.
 
 The kernel and the staircases never read the sign of ``alpha``: the same
 staircase amplifies whichever bias the sample carries, and the fixed point at
@@ -36,6 +36,7 @@ therefore solve ``|alpha|`` and return the exact mirror for a negative alpha;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .klocal import build_uqr_3local
-from .single_shot import _power_ratio, reduction_from_excited_mass
+from .single_shot import _power_ratio
 from .states import (
     PermutationSpec,
     ground_excited_pair,
@@ -125,11 +126,17 @@ class SteadyStateResult:
         """``(alpha^-2 - 1) / (alpha_enhanced^-2 - 1) / cost`` at reservoir
         polarization ``alpha``.
 
-        The enhanced term is read off the target's smaller mass, so it stays
-        finite when ``alpha_enhanced`` rounds to +-1, and it is exactly even
-        in ``alpha`` because the two masses swap.
+        The enhanced term is ``4 ground excited / (ground - excited)^2``, read
+        off both masses: it stays finite when ``alpha_enhanced`` rounds to
+        +-1, a drift that scales both masses alike leaves it as it is, and it
+        is exactly even in ``alpha`` because the two masses swap.
         """
-        return reduction_from_excited_mass(alpha, min(self.ground, self.excited), cost)
+        if alpha == 0.0:
+            raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
+        enhanced = 4.0 * (self.ground * self.excited) / (self.ground - self.excited) ** 2
+        if enhanced == 0.0:
+            return math.inf
+        return (1.0 - alpha * alpha) / (alpha * alpha) / enhanced / cost
 
 
 @lru_cache(maxsize=None)
@@ -430,17 +437,6 @@ def steady_states(
         return seed
 
     return _solve_grid(cfg, alphas, permutation, seeds, tol, max_cycles, "steady state")
-
-
-def steady_state(
-    cfg: RefrigeratorConfig,
-    alpha: float,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> SteadyStateResult:
-    """Fixed point of the recycle cycle at one polarization: the one-point
-    case of :func:`steady_states`."""
-    return steady_states(cfg, [alpha], tol, max_cycles)[0]
 
 
 def alpha_infinity(n: int, m: int, alpha: float) -> float:

@@ -6,6 +6,11 @@ bound and its prediction specialization, the exact wrong-sign probability
 from the binomial law, a reproducible Monte Carlo counterpart, and a
 resource-matched comparison of raw versus cooled estimation at a fixed
 qubit budget.
+
+The comparison reads a cooled polarization that is already solved: the
+module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
+with one batched :func:`coolsign.refrigerator.steady_states` call, and its
+``--jobs`` threads split only the sampling of the points.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .refrigerator import RefrigeratorConfig, steady_state
 
 #: trials per RNG substream; chunk boundaries depend only on the trial count,
 #: so results are identical however the chunks are scheduled
@@ -202,24 +205,31 @@ class ResourceComparison:
     reduction_factor: float
 
 
+def cooled_shots(total_budget: int, cost: int) -> int:
+    """Cooled shots that ``total_budget`` fresh qubits buy at ``cost`` qubits
+    each; raises :class:`BudgetError` when that is not one."""
+    k_cooled = int(total_budget) // cost
+    if k_cooled < 1:
+        raise BudgetError(f"budget {total_budget} cannot afford one cooled shot (cost {cost})")
+    return k_cooled
+
+
 def resource_matched_comparison(
     alpha: float,
-    cfg: RefrigeratorConfig,
+    cooled,
+    cost: int,
     total_budget: int,
     seed: int,
     trials: int = 10_000,
 ) -> ResourceComparison:
     """Spend ``total_budget`` fresh qubits either on raw shots at ``alpha`` or
-    on ``total_budget // (m rounds + 1)`` cooled shots at the refrigerator's
-    steady-state polarization, and compare wrong-sign error rates."""
+    on ``total_budget // cost`` cooled shots, and compare wrong-sign error
+    rates.  ``cooled`` is the refrigerator's solved steady state at
+    ``alpha`` (a ``SteadyStateResult``) and ``cost`` its fresh qubits per
+    cooled shot; the shots read its ``alpha_enhanced``."""
     k_raw = int(total_budget)
-    k_cooled = int(total_budget) // cfg.cost
-    if k_cooled < 1:
-        raise BudgetError(
-            f"budget {total_budget} cannot afford one cooled shot (cost {cfg.cost})"
-        )
-    steady = steady_state(cfg, alpha)
-    alpha_cooled = steady.alpha_enhanced
+    k_cooled = cooled_shots(total_budget, cost)
+    alpha_cooled = cooled.alpha_enhanced
 
     exact_raw = exact_sign_error(alpha, k_raw)
     exact_cooled = exact_sign_error(alpha_cooled, k_cooled)
@@ -235,7 +245,7 @@ def resource_matched_comparison(
     else:
         bound_raw = predict_error_bound(alpha, k_raw)
         bound_cooled = predict_error_bound(alpha_cooled, k_cooled)
-        reduction = steady.reduction_factor(alpha, cfg.cost)
+        reduction = cooled.reduction_factor(alpha, cost)
     ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
     return ResourceComparison(
         alpha=alpha,

@@ -145,22 +145,6 @@ def _power_ratio(alpha: float, exponent: int) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def reduction_from_excited_mass(alpha: float, excited_mass: float, cost: float) -> float:
-    """Reduction factor from the enhanced qubit's excited-state mass ``u``.
-
-    With ``alpha' = 1 - 2u``, ``alpha'^-2 - 1 = 4u(1-u)/(1-2u)^2``; computing
-    it from ``u`` directly avoids the catastrophic cancellation of
-    ``1 - alpha'^2`` when the enhanced polarization saturates near +-1.
-    """
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    num = (1.0 - alpha * alpha) / (alpha * alpha)
-    den = 4.0 * excited_mass * (1.0 - excited_mass) / (1.0 - 2.0 * excited_mass) ** 2
-    if den == 0.0:
-        return math.inf
-    return num / den / cost
-
-
 def reduction_factor_ac(n: int, alpha: float) -> float:
     """Error-bound reduction from single-shot compression at matched budget.
 

@@ -28,7 +28,7 @@ from coolsign import (
     product_state,
     reduction_factor_ac,
     resource_matched_comparison,
-    steady_state,
+    steady_states,
     ShotExperiment,
 )
 from coolsign.cli import main
@@ -143,7 +143,7 @@ def test_criterion_5_asymptotic_polarization():
     start = time.perf_counter()
     for n in (3, 4, 5):
         for alpha in (0.2, 0.5, 0.8):
-            result = steady_state(RefrigeratorConfig(n, 2, 200), alpha)
+            result = steady_states(RefrigeratorConfig(n, 2, 200), [alpha])[0]
             assert abs(result.alpha_enhanced - alpha_infinity(n, 2, alpha)) < 1e-6
     assert alpha_infinity(3, 2, 0.5) == 0.8
     report(5, "200-round polarization reaches tanh(m 2^(n-m-1) artanh) limit",
@@ -177,8 +177,8 @@ def test_criterion_7_upper_bound_dominance():
     for a in np.round(np.arange(0.30, 0.9001, 0.05), 10):
         alpha = float(a)
         r_bound = optimal_bounds(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
-        r_full = steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
-        r_local = steady_state(local_cfg, alpha).reduction_factor(alpha, local_cfg.cost)
+        r_full = steady_states(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
+        r_local = steady_states(local_cfg, [alpha])[0].reduction_factor(alpha, local_cfg.cost)
         assert r_bound >= r_full * (1 - 1e-9)
         assert r_full >= r_local * (1 - 1e-9)
         assert r_full >= 0.9 * r_bound
@@ -205,8 +205,9 @@ def test_criterion_8_sampling_suite():
                 assert exact_sign_error(alpha, k) <= predict_error_bound(alpha, k) + 1e-15
 
     cfg = RefrigeratorConfig(5, 2, 5)
-    for a in np.round(np.arange(0.5, 0.901, 0.05), 10):
-        rec = resource_matched_comparison(float(a), cfg, 55, seed=7, trials=1000)
+    grid = [float(a) for a in np.round(np.arange(0.5, 0.901, 0.05), 10)]
+    for a, cooled in zip(grid, steady_states(cfg, grid)):
+        rec = resource_matched_comparison(a, cooled, cfg.cost, 55, seed=7, trials=1000)
         assert rec.exact_error_cooled < rec.exact_error_raw
     report(8, "sampling: CDF oracle, CLT band, bound dominance, cooling wins",
            time.perf_counter() - start, 60.0)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -31,6 +32,7 @@ from coolsign.cli import (
     EXIT_VERIFY,
     FIGURE_LOCALITY,
     MAX_BUDGET,
+    SAMPLE_HEADER,
     main,
     parse_alpha_grid,
     write_rows,
@@ -203,13 +205,14 @@ def one_point_rows(figure, n, m, rounds_list, grid):
     header = ["alpha"] + [f"rounds{r}" for r in rounds_list]
     if figure == "bqr-polarization":
         header += ["baseline", "asymptotic"]
-        rows = [[a] + [refrigerator.steady_state(cfg, a).alpha_enhanced for cfg in cfgs]
+        rows = [[a] + [refrigerator.steady_states(cfg, [a])[0].alpha_enhanced for cfg in cfgs]
                 + [a, alpha_infinity(n, m, a)] for a in grid]
         return header, rows
     top = max(rounds_list)
     header += [f"single_shot_n{n}", f"optimal_bound_rounds{top}", "baseline"]
     bound_cfg = refrigerator.RefrigeratorConfig(n, m, top)
-    rows = [[a] + [refrigerator.steady_state(cfg, a).reduction_factor(a, cfg.cost) for cfg in cfgs]
+    rows = [[a] + [refrigerator.steady_states(cfg, [a])[0].reduction_factor(a, cfg.cost)
+                   for cfg in cfgs]
             + [reduction_factor_ac(n, a),
                refrigerator.optimal_bounds(bound_cfg, [a])[0].reduction_factor(a, bound_cfg.cost),
                1.0]
@@ -230,6 +233,41 @@ def test_batched_figure_matches_one_point_solves(tmp_path, figure, grid):
     write_rows(str(expect), "csv", *one_point_rows(figure, 5, 2, (3, 4, 9),
                                                    parse_alpha_grid(grid)))
     assert out.read_bytes() == expect.read_bytes()
+
+
+@pytest.mark.parametrize("locality", ["full", "3local"])
+def test_batched_sample_matches_one_point_solves(tmp_path, locality):
+    # the grid holds negative alphas and alpha = 0
+    grid, budget, trials, seed = "-0.6:0.9:0.3", 700, 300, 4
+    out, expect = tmp_path / "sample.csv", tmp_path / "expect.csv"
+    argv = ["--sample", "--n", "6", "--m", "2", "--rounds", "3", "--locality", locality,
+            "--budget", str(budget), "--trials", str(trials), "--seed", str(seed),
+            "--alpha-grid=" + grid, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    cfg = refrigerator.RefrigeratorConfig(6, 2, 3, locality=locality)
+    rows = [dataclasses.astuple(sampling.resource_matched_comparison(
+                alpha, refrigerator.steady_states(cfg, [alpha])[0], cfg.cost, budget,
+                sampling._derived_seed(seed, index), trials=trials))
+            for index, alpha in enumerate(parse_alpha_grid(grid))]
+    assert 0.0 in [row[0] for row in rows]
+    write_rows(str(expect), "csv", SAMPLE_HEADER, rows)
+    assert out.read_bytes() == expect.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_sample_solves_its_grid_in_one_call(tmp_path, monkeypatch, jobs):
+    calls, solve = [], refrigerator.steady_states
+
+    def counted(cfg, alphas, **kwargs):
+        calls.append(tuple(alphas))
+        return solve(cfg, alphas, **kwargs)
+
+    monkeypatch.setattr(refrigerator, "steady_states", counted)
+    code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", "50",
+                 "--budget", "100", "--alpha-grid=-0.4:0.8:0.2", "--jobs", jobs,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_OK
+    assert calls == [parse_alpha_grid("-0.4:0.8:0.2")]
 
 
 class TestVerifyCommand:
@@ -275,13 +313,21 @@ class TestSampleCommand:
         main(args + ["--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    def test_budget_too_small(self, tmp_path):
+    def test_budget_too_small(self, tmp_path, capsys, monkeypatch):
+        # rejected before any refrigerator work
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved a steady state")
+
+        monkeypatch.setattr(refrigerator, "steady_states", no_work)
+        out = tmp_path / "x.csv"
         code = main(
             ["--sample", "--n", "5", "--m", "2", "--rounds", "5",
              "--alpha-grid", "0.5:0.5:0.1", "--budget", "10", "--trials", "100",
-             "--out", str(tmp_path / "x.csv")]
+             "--out", str(out)]
         )
         assert code == EXIT_BUDGET
+        assert capsys.readouterr().err == "budget 10 cannot afford one cooled shot (cost 11)\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -437,11 +483,12 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 128. GiB")
 
         monkeypatch.setattr(refrigerator, "steady_states", out_of_memory)
-        code = main(["--figure", "bqr-polarization", "--n", "20", "--rounds", "3",
-                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert "n=20" in err and "m=2" in err
+        for mode in (["--figure", "bqr-polarization"], ["--sample", "--trials", "10"]):
+            code = main(mode + ["--n", "20", "--rounds", "3", "--alpha-grid", "0.5:0.5:0.1",
+                                "--out", str(tmp_path / "x.csv")])
+            assert code == EXIT_USAGE
+            err = self.one_line(capsys)
+            assert "n=20" in err and "m=2" in err
 
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
         # a zero cycle budget can never converge

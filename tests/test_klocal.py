@@ -16,7 +16,7 @@ from coolsign import (
     marginal_target,
     optimal_bounds,
     product_state,
-    steady_state,
+    steady_states,
 )
 from coolsign.refrigerator import compression_permutation_for
 from oracles import full_round, sum_last
@@ -52,7 +52,7 @@ def expected_m5_3local(p):
 
 def reduction_qr(cfg, alpha):
     """The refrigerator's reduction factor at one polarization."""
-    return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
+    return steady_states(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
 
 
 def stationary_by_power_iteration(matrix):
@@ -229,18 +229,18 @@ class TestReduction3Local:
     def test_never_exceeds_full_staircase_from_three_rounds(self):
         for rounds in (1, 3, 5, 9):
             for alpha in (0.2, 0.4, 0.6, 0.8):
-                local = steady_state(
-                    RefrigeratorConfig(5, 2, rounds, locality="3local"), alpha
-                ).alpha_enhanced
-                full = steady_state(RefrigeratorConfig(5, 2, rounds), alpha).alpha_enhanced
+                local = steady_states(
+                    RefrigeratorConfig(5, 2, rounds, locality="3local"), [alpha]
+                )[0].alpha_enhanced
+                full = steady_states(RefrigeratorConfig(5, 2, rounds), [alpha])[0].alpha_enhanced
                 assert local <= full + 1e-14
 
     def test_two_round_low_polarization_anomaly(self):
         # with exactly two rounds the sliding windows do more compression work
         # per round than the staircase and transiently come out ahead at low
         # polarization; confirmed against the full 2^n simulation
-        local = steady_state(RefrigeratorConfig(5, 2, 2, locality="3local"), 0.2)
-        full = steady_state(RefrigeratorConfig(5, 2, 2), 0.2)
+        local = steady_states(RefrigeratorConfig(5, 2, 2, locality="3local"), [0.2])[0]
+        full = steady_states(RefrigeratorConfig(5, 2, 2), [0.2])[0]
         assert local.alpha_enhanced > full.alpha_enhanced
 
     def test_below_optimal_bound_on_grid(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from coolsign import (
     ConvergenceError,
     RefrigeratorConfig,
+    SteadyStateResult,
     alpha_infinity,
     build_round_matrix,
     build_uqr,
@@ -18,7 +20,6 @@ from coolsign import (
     optimal_bounds,
     pairwise_sum,
     product_state,
-    steady_state,
     steady_states,
     window_swaps,
 )
@@ -46,7 +47,7 @@ def recycle(a, cfg, alpha):
 
 def reduction_qr(cfg, alpha):
     """The refrigerator's reduction factor at one polarization."""
-    return steady_state(cfg, alpha).reduction_factor(alpha, cfg.cost)
+    return steady_states(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
 
 
 def expected_m4(p):
@@ -287,13 +288,13 @@ class TestRecycleCycle:
 
 class TestSteadyState:
     def test_n3_converges_immediately(self):
-        result = steady_state(RefrigeratorConfig(3, 2, 1), 0.5)
+        result = steady_states(RefrigeratorConfig(3, 2, 1), [0.5])[0]
         assert result.alpha_enhanced == pytest.approx(0.6875, abs=1e-14)
         assert result.cycles_used <= 2
         assert result.residual <= 1e-12
 
     def test_zero_polarization(self):
-        result = steady_state(RefrigeratorConfig(5, 2, 4), 0.0)
+        result = steady_states(RefrigeratorConfig(5, 2, 4), [0.0])[0]
         assert result.alpha_enhanced == 0.0
         assert result.residual == 0.0
 
@@ -307,13 +308,13 @@ class TestSteadyState:
                 previous, enhanced = enhanced, marginal_target(evolved)
                 if abs(enhanced - previous) <= 1e-14:
                     break
-            result = steady_state(cfg, alpha)
+            result = steady_states(cfg, [alpha])[0]
             assert abs(result.alpha_enhanced - enhanced) < 1e-10
 
     def test_residual_contract(self):
         cfg = RefrigeratorConfig(5, 2, 3)
         for alpha in (0.4, -0.4):
-            result = steady_state(cfg, alpha, tol=1e-12)
+            result = steady_states(cfg, [alpha], tol=1e-12)[0]
             recycled, _ = recycle(result.a_fixed, cfg, alpha)
             assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
 
@@ -321,15 +322,15 @@ class TestSteadyState:
         for n, m, rounds in ((4, 1, 3), (5, 2, 5), (6, 3, 2), (7, 2, 9)):
             cfg = RefrigeratorConfig(n, m, rounds)
             for alpha in (0.05, 0.1, 0.37, 0.5, 0.9):
-                up = steady_state(cfg, alpha)
-                down = steady_state(cfg, -alpha)
+                up = steady_states(cfg, [alpha])[0]
+                down = steady_states(cfg, [-alpha])[0]
                 assert up.alpha_enhanced > 0
                 assert down.alpha_enhanced == -up.alpha_enhanced
                 assert down.cycles_used == up.cycles_used
 
     def test_monotone_in_rounds(self):
         values = [
-            steady_state(RefrigeratorConfig(5, 2, r), 0.3).alpha_enhanced
+            steady_states(RefrigeratorConfig(5, 2, r), [0.3])[0].alpha_enhanced
             for r in (1, 2, 4, 8, 16, 50)
         ]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
@@ -346,7 +347,7 @@ class TestSteadyState:
 
     def test_failure_message_names_alpha_rounds_and_residual(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            steady_state(RefrigeratorConfig(5, 2, 3), 0.25, max_cycles=0)
+            steady_states(RefrigeratorConfig(5, 2, 3), [0.25], max_cycles=0)
         message = str(excinfo.value)
         assert "alpha=0.25" in message and "rounds=3" in message and "residual" in message
         assert "\n" not in message
@@ -357,7 +358,7 @@ class TestSteadyState:
     )
     def test_converges_near_saturation(self, cfg, alpha):
         # power iteration from the product state stalled on these cells
-        result = steady_state(cfg, alpha)
+        result = steady_states(cfg, [alpha])[0]
         assert result.cycles_used <= 2
         assert result.residual <= 1e-12
         recycled, enhanced = recycle(result.a_fixed, cfg, alpha)
@@ -366,19 +367,19 @@ class TestSteadyState:
 
     def test_target_masses(self):
         for alpha in (0.3, -0.3, 0.95):
-            result = steady_state(RefrigeratorConfig(6, 2, 4), alpha)
+            result = steady_states(RefrigeratorConfig(6, 2, 4), [alpha])[0]
             assert result.ground - result.excited == result.alpha_enhanced
             assert abs(result.ground + result.excited - 1.0) < 1e-14
 
     def test_unit_polarization(self):
         for alpha in (1.0, -1.0):
-            result = steady_state(RefrigeratorConfig(5, 2, 3), alpha)
+            result = steady_states(RefrigeratorConfig(5, 2, 3), [alpha])[0]
             assert result.alpha_enhanced == alpha
             assert result.residual == 0.0
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            steady_state(RefrigeratorConfig(4, 2, 1), 0.5, tol=0.0)
+            steady_states(RefrigeratorConfig(4, 2, 1), [0.5], tol=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -401,10 +402,10 @@ def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality
     history = power @ product_state(alpha, n).probs
     cycle_start = history / history.sum()
     evolved = full_cycle(cycle_start, cfg, alpha)[1]
-    result = steady_state(cfg, alpha)
+    result = steady_states(cfg, [alpha])[0]
     assert abs(result.alpha_enhanced - marginal_target(evolved)) < 1e-9
     assert np.abs(result.a_fixed - sum_last(cycle_start, m)).max() < 1e-9
-    assert steady_state(cfg, -alpha).alpha_enhanced == -result.alpha_enhanced
+    assert steady_states(cfg, [-alpha])[0].alpha_enhanced == -result.alpha_enhanced
 
 
 @settings(max_examples=25, deadline=None)
@@ -419,7 +420,7 @@ def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality
 def test_polarization_stays_within_unit_range(n, m, rounds, locality, alpha):
     assume(m <= n - 1)
     cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
-    up, down = steady_state(cfg, alpha), steady_state(cfg, -alpha)
+    up, down = steady_states(cfg, [alpha])[0], steady_states(cfg, [-alpha])[0]
     assert abs(up.alpha_enhanced) <= 1.0
     assert down.alpha_enhanced == -up.alpha_enhanced
     assert abs(optimal_bounds(cfg, [alpha])[0].alpha_enhanced) <= 1.0
@@ -445,7 +446,7 @@ def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, da
     cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
     grid = data.draw(st.permutations([0.0, 1.0, -1.0] + alphas + [-a for a in alphas]))
     shuffled = data.draw(st.permutations(grid))
-    for batched, one_point in ((steady_states, steady_state),
+    for batched, one_point in ((steady_states, lambda cfg, a: steady_states(cfg, [a])[0]),
                                (optimal_bounds, lambda cfg, a: optimal_bounds(cfg, [a])[0])):
         results = batched(cfg, grid)
         for alpha, got in zip(grid, results):
@@ -664,11 +665,11 @@ def test_multi_panel_registers_stay_odd_and_batch_exact(n, locality):
     cfg = RefrigeratorConfig(n, 2, 5, locality=locality)
     grid = [0.3, -0.3, 0.0, -0.6, 0.6, 0.95, -0.95]
     for alpha in (0.3, 0.6, 0.95):
-        up, down = steady_state(cfg, alpha), steady_state(cfg, -alpha)
+        up, down = steady_states(cfg, [alpha])[0], steady_states(cfg, [-alpha])[0]
         assert np.array_equal(down.a_fixed, up.a_fixed[::-1])
         assert down.alpha_enhanced == -up.alpha_enhanced
     for alpha, got in zip(grid, steady_states(cfg, grid)):
-        assert_same_result(got, steady_state(cfg, alpha))
+        assert_same_result(got, steady_states(cfg, [alpha])[0])
 
 
 def exact_reduction_factor(n, m, rounds, alpha):
@@ -764,7 +765,7 @@ class TestAlphaInfinity:
     def test_rounds_converge_to_limit(self):
         for n in (3, 4, 5):
             for alpha in (0.2, 0.5, 0.8):
-                result = steady_state(RefrigeratorConfig(n, 2, 200), alpha)
+                result = steady_states(RefrigeratorConfig(n, 2, 200), [alpha])[0]
                 assert abs(result.alpha_enhanced - alpha_infinity(n, 2, alpha)) < 1e-6
 
 
@@ -792,16 +793,53 @@ class TestReductionFactorQr:
 
     def test_finite_near_saturated_polarization(self):
         cfg = RefrigeratorConfig(5, 2, 200)
-        assert steady_state(cfg, 0.99).alpha_enhanced > 1 - 1e-14
+        assert steady_states(cfg, [0.99])[0].alpha_enhanced > 1 - 1e-14
         value = reduction_qr(cfg, 0.99)
         assert math.isfinite(value) and value > 0
+
+
+def from_masses(ground, excited):
+    """A steady state that carries only its target's two masses."""
+    return SteadyStateResult(np.zeros(0), (ground - excited) / (ground + excited), 0, 0.0,
+                             ground, excited)
+
+
+class TestReductionFromMasses:
+    def test_spec_arithmetic_for_three_qubits(self):
+        # (alpha^-2 - 1)/(alpha_ac^-2 - 1)/n with the exact closed-form gain:
+        # alpha_ac(3, 0.5) = 11/16 leaves the masses 27/32 and 5/32
+        value = from_masses(27 / 32, 5 / 32).reduction_factor(0.5, 3)
+        assert value == pytest.approx(float(Fraction(121, 135)), abs=1e-14)
+        assert value == pytest.approx(0.89630, abs=1e-5)
+
+    def test_identity_case(self):
+        assert from_masses(0.7, 0.3).reduction_factor(0.4, 1) == pytest.approx(1.0, abs=1e-14)
+
+    def test_undefined_at_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            from_masses(0.75, 0.25).reduction_factor(0.0, 3)
+
+    @pytest.mark.parametrize("cfg", [RefrigeratorConfig(5, 2, 5), RefrigeratorConfig(5, 2, 9),
+                                     RefrigeratorConfig(6, 2, 4, locality="3local")])
+    def test_mass_drift_does_not_leak_in(self, cfg):
+        # scaling both masses alike leaves 4 g e / (g - e)^2 as it is; the
+        # scaled masses are themselves rounded, and |g - e| amplifies that
+        # rounding by 1 / alpha_enhanced
+        grid = [0.0005, 0.001, 0.003, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
+        for alpha, result in zip(grid, steady_states(cfg, grid)):
+            drifted = dataclasses.replace(result, ground=result.ground * (1 + 1e-12),
+                                          excited=result.excited * (1 + 1e-12))
+            want = result.reduction_factor(alpha, cfg.cost)
+            got = drifted.reduction_factor(alpha, cfg.cost)
+            assert abs(got - want) <= 1e-15 / result.alpha_enhanced * want
+            assert _mirror(drifted).reduction_factor(-alpha, cfg.cost) == got
 
 
 class TestOptimalBound:
     def test_matches_staircase_for_n3(self):
         cfg = RefrigeratorConfig(3, 2, 1)
         bound = optimal_bounds(cfg, [0.5])[0]
-        protocol = steady_state(cfg, 0.5)
+        protocol = steady_states(cfg, [0.5])[0]
         assert bound.alpha_enhanced == pytest.approx(protocol.alpha_enhanced, abs=1e-14)
 
     def test_zero_polarization(self):

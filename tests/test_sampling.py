@@ -1,7 +1,9 @@
+import ast
 import math
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from coolsign import (
     monte_carlo_sign_error,
     predict_error_bound,
     resource_matched_comparison,
-    steady_state,
+    sampling,
+    steady_states,
 )
 from coolsign.sampling import _stirlerr
 
@@ -225,10 +228,17 @@ class TestMonteCarlo:
             ShotExperiment(1.2, 5, 10, seed=1)
 
 
+def compare(alpha, cfg, budget, **kwargs):
+    """The resource-matched comparison at ``alpha``, read off its lone
+    steady-state solve."""
+    cooled = steady_states(cfg, [alpha])[0]
+    return resource_matched_comparison(alpha, cooled, cfg.cost, budget, **kwargs)
+
+
 class TestResourceMatchedComparison:
     def test_three_qubit_budget_split(self):
         cfg = RefrigeratorConfig(3, 2, 1)
-        rec = resource_matched_comparison(0.5, cfg, 300, seed=11, trials=2000)
+        rec = compare(0.5, cfg, 300, seed=11, trials=2000)
         assert rec.k_raw == 300
         assert rec.k_cooled == 100
         assert rec.alpha_cooled == pytest.approx(0.6875, abs=1e-14)
@@ -236,42 +246,56 @@ class TestResourceMatchedComparison:
         assert rec.exact_error_cooled == pytest.approx(exact_sign_error(0.6875, 100), abs=1e-14)
 
     def test_zero_polarization_both_coin_flips(self):
-        rec = resource_matched_comparison(0.0, RefrigeratorConfig(4, 2, 1), 60, seed=3)
+        rec = compare(0.0, RefrigeratorConfig(4, 2, 1), 60, seed=3)
         assert rec.exact_error_raw == 0.5
         assert rec.exact_error_cooled == 0.5
         assert math.isnan(rec.reduction_factor)
 
     def test_high_polarization_cooling_wins_empirically(self):
         cfg = RefrigeratorConfig(5, 2, 5)
-        rec = resource_matched_comparison(0.8, cfg, 11, seed=42, trials=200_000)
+        rec = compare(0.8, cfg, 11, seed=42, trials=200_000)
         assert rec.mc_error_cooled < rec.mc_error_raw
         assert rec.exact_error_cooled < rec.exact_error_raw
 
     def test_cooling_wins_for_moderate_polarizations(self):
         cfg = RefrigeratorConfig(5, 2, 5)
         for alpha in np.arange(0.5, 0.901, 0.05):
-            rec = resource_matched_comparison(float(alpha), cfg, 55, seed=9, trials=100)
+            rec = compare(float(alpha), cfg, 55, seed=9, trials=100)
             assert rec.exact_error_cooled < rec.exact_error_raw
 
     def test_budget_too_small(self):
         with pytest.raises(BudgetError):
-            resource_matched_comparison(0.5, RefrigeratorConfig(5, 2, 5), 10, seed=1)
+            compare(0.5, RefrigeratorConfig(5, 2, 5), 10, seed=1)
 
     def test_reduction_factor_reported(self):
         cfg = RefrigeratorConfig(4, 2, 2)
-        rec = resource_matched_comparison(0.6, cfg, 50, seed=2, trials=500)
-        assert rec.reduction_factor == steady_state(cfg, 0.6).reduction_factor(0.6, cfg.cost)
+        rec = compare(0.6, cfg, 50, seed=2, trials=500)
+        assert rec.reduction_factor == steady_states(cfg, [0.6])[0].reduction_factor(0.6, cfg.cost)
 
     def test_seed_determinism(self):
         cfg = RefrigeratorConfig(4, 2, 1)
-        a = resource_matched_comparison(0.4, cfg, 30, seed=123, trials=20_000)
-        b = resource_matched_comparison(0.4, cfg, 30, seed=123, trials=20_000)
+        a = compare(0.4, cfg, 30, seed=123, trials=20_000)
+        b = compare(0.4, cfg, 30, seed=123, trials=20_000)
         assert a == b
-        c = resource_matched_comparison(0.4, cfg, 30, seed=124, trials=20_000)
+        c = compare(0.4, cfg, 30, seed=124, trials=20_000)
         assert c.mc_error_raw != a.mc_error_raw
 
 
 def test_steady_state_feeds_cooled_polarization():
     cfg = RefrigeratorConfig(5, 2, 5)
-    rec = resource_matched_comparison(0.6, cfg, 22, seed=5, trials=100)
-    assert rec.alpha_cooled == steady_state(cfg, 0.6).alpha_enhanced
+    rec = compare(0.6, cfg, 22, seed=5, trials=100)
+    assert rec.alpha_cooled == steady_states(cfg, [0.6])[0].alpha_enhanced
+
+
+def test_sampling_runs_no_refrigerator():
+    # the comparison reads a steady state solved elsewhere
+    tree = ast.parse(Path(sampling.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("refrigerator" in name for name in names), ast.unparse(node)
+

@@ -12,7 +12,7 @@ from coolsign import (
     product_state,
     reduction_factor_ac,
 )
-from coolsign.single_shot import compress_products, reduction_from_excited_mass
+from coolsign.single_shot import compress_products
 
 
 def sort_oracle_marginal(n, alpha):
@@ -221,18 +221,3 @@ class TestReductionFactorAc:
             values = [reduction_factor_ac(n, a) for a in np.arange(0.01, 0.9901, 0.01)]
             assert all(math.isfinite(v) and v > 0 for v in values)
 
-
-class TestExactGainReduction:
-    def test_spec_arithmetic_for_three_qubits(self):
-        # (alpha^-2 - 1)/(alpha_ac^-2 - 1)/n with the exact closed-form gain:
-        # alpha_ac(3, 0.5) = 11/16 leaves the excited mass 5/32
-        value = reduction_from_excited_mass(0.5, 5 / 32, 3)
-        assert value == pytest.approx(float(Fraction(121, 135)), abs=1e-14)
-        assert value == pytest.approx(0.89630, abs=1e-5)
-
-    def test_identity_case(self):
-        assert reduction_from_excited_mass(0.4, 0.3, 1) == pytest.approx(1.0, abs=1e-14)
-
-    def test_undefined_at_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            reduction_from_excited_mass(0.0, 0.25, 3)
