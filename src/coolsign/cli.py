@@ -18,9 +18,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 sweep flag the mode does not read, parameters a config or grid rejects, a
 ``--locality`` that contradicts the figure, a list of ``--n`` values for a
 refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
-a ``--jobs`` or ``--seed`` below its least value, a ``--budget`` above
-:data:`MAX_BUDGET`, and a register too large to simulate in memory), 3
-output I/O error, 4 budget too small, 5 a fixed point that did not
+a ``--jobs``, ``--seed`` or ``--trials`` below its least value, a
+``--budget`` above :data:`MAX_BUDGET`, and a register too large to simulate
+in memory), 3 output I/O error, 4 budget too small, 5 a steady state that
+failed its one-cycle residual check or a sort-oracle bound that did not
 converge.  Errors are reported on stderr without a traceback.
 """
 
@@ -370,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if args.seed < 0:
         print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trials < 1:
+        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
         return EXIT_USAGE
     if args.budget > MAX_BUDGET:
         print(f"--budget {args.budget} is more than {MAX_BUDGET}", file=sys.stderr)

@@ -13,7 +13,7 @@ One scatter kernel runs every round: it compresses the full register (by the
 staircase's index map, or by a full sort for the bound oracle) and traces
 the resets out.  The fixed point is solved directly on the carried chain, the
 chain on the qubits that the recycle carries into the next cycle, composed
-sparsely from the same index map; kernel cycles then polish that solve
+sparsely from the same index map, and checked by one kernel cycle
 (:func:`steady_states`).  A round is also a column-stochastic matrix on the
 non-reset vector (:func:`build_round_matrix`), which serves only as a
 verification oracle.
@@ -68,10 +68,16 @@ CHUNK_BYTES = 512 << 10
 #: ``d = 1024``; 32 keeps every matrix of ``d <= 32`` in one panel
 GTH_PANEL = 32
 
+#: largest L1 distance between a fixed point and its own recycled image
+RESIDUAL_TOL = 1e-12
+
+#: recycle cycles the sort oracle may iterate toward :data:`RESIDUAL_TOL`
+MAX_CYCLES = 10_000
+
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach tolerance; carries the residual
-    and the flat index of the batch row that did not converge."""
+    """A steady state failed its check by one cycle, or the sort oracle did
+    not converge; carries the residual and the flat index of the batch row."""
 
     def __init__(self, message: str, residual: float, row: int = 0):
         super().__init__(message)
@@ -111,8 +117,8 @@ class SteadyStateResult:
     ``ground`` and ``excited`` are the target's masses after the rounds run
     on ``a_fixed``, and ``alpha_enhanced`` is their difference over their
     sum, so a drift of the total mass never carries it past +-1.
-    ``residual`` is the L1 distance between ``a_fixed`` and its own recycled
-    image.
+    ``residual`` is the L1 distance between ``a_fixed`` and its recycled
+    image, and ``cycles_used`` is 0 where ``a_fixed`` was solved directly.
     """
 
     a_fixed: np.ndarray
@@ -236,9 +242,11 @@ def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ground, excited, (ground - excited) / (ground + excited)
 
 
-def fixed_point(
-    step: Step, start: np.ndarray, tol: float, max_cycles: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+#: ``(a, evolved, cycles, residual)``, one row per polarization of a solve
+Solved = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def fixed_point(step: Step, start: np.ndarray, tol: float, max_cycles: int) -> Solved:
     """Iterate the recycle ``step`` from ``start`` until one cycle moves each
     row by at most ``tol`` in L1 distance.
 
@@ -250,8 +258,6 @@ def fixed_point(
     records stay as they were.  The cycle maps are L1 non-expansive, so a
     residual is at most its row's last move.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     a = start
     image, evolved = step(a)
     moved = pairwise_sum(np.abs(image - a))
@@ -284,23 +290,16 @@ def _mirror(result: SteadyStateResult) -> SteadyStateResult:
 
 
 def _solve_grid(
-    cfg: RefrigeratorConfig,
-    alphas,
-    compress: Compression,
-    start: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    max_cycles: int,
-    what: str,
+    cfg: RefrigeratorConfig, alphas, solve: Callable[[np.ndarray], Solved], what: str
 ) -> list[SteadyStateResult]:
     """One fixed point per entry of ``alphas``, in grid order: the one
     solver driver, and the only code that reads the sign of ``alpha``.
 
-    Each distinct ``|alpha|`` is solved once, in chunks capped by
-    :data:`CHUNK_BYTES`: ``start(chunk)`` gives the start rows, which
-    :func:`fixed_point` polishes under ``compress``.  A negative alpha gets
-    the mirror image of its ``|alpha|`` result, which is its own solve bit
-    for bit: the kernel, the staircases and the sort commute with the bit
-    flip.  A failure names the first grid alpha of the row that stalled.
+    Each distinct ``|alpha|`` is solved once, by ``solve(chunk)`` on chunks
+    capped by :data:`CHUNK_BYTES`.  A negative alpha gets the mirror image of its
+    ``|alpha|`` result, which is its own solve bit for bit: the kernel, the
+    staircases and the sort commute with the bit flip.  A failure names the
+    first grid alpha of the failing row.
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
@@ -310,8 +309,7 @@ def _solve_grid(
     for low in range(0, len(distinct), size):
         chunk = np.array(distinct[low:low + size])
         try:
-            a, evolved, cycles, residual = fixed_point(
-                _recycle_step(cfg, chunk, compress), start(chunk), tol, max_cycles)
+            a, evolved, cycles, residual = solve(chunk)
         except ConvergenceError as exc:
             alpha = next(alpha for alpha in grid if abs(alpha) == chunk[exc.row])
             where = f"{what} at alpha={alpha!r}, rounds={cfg.rounds}"
@@ -402,41 +400,45 @@ def _carried_cycle_rows(
     return carried.reshape(alphas.shape + (half, half))
 
 
-def steady_states(
-    cfg: RefrigeratorConfig,
-    alphas,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> list[SteadyStateResult]:
-    """Fixed points of the recycle cycle at each polarization of a grid, to
-    an L1 residual of ``tol``, as one batched solve.
+def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
+    """Fixed points of the recycle cycle at each polarization of a grid, as
+    one batched solve checked by one cycle.
 
     Every recycled input ends in a fresh qubit, so the cycle's stationary
     vector is ``v (x) fresh``, where ``v`` is the stationary vector of the
     carried chain on the ``d/2`` states the recycle carries over
     (:func:`_carried_cycle_rows`, ``d = 2^(n-m)``).  ``v`` is solved at
     ``|alpha|`` by the blocked GTH elimination of :func:`_stationary_gth`,
-    one call per chunk, and ``v (x) fresh``, renormalized because the fresh
-    masses need not sum to exactly 1, seeds the polish; a negative alpha
-    gets its exact mirror (:func:`_solve_grid`).  That solve costs
-    ``O((d/2)^3)``, most of it one matmul per panel of :data:`GTH_PANEL`
-    states, and dominates the call from ``n = 10`` on.  The product state
-    seeds ``alpha = 0``, where it is the exact fixed point, and ``|alpha| =
-    1``, where a pure reset leaves a chain with a closed subset.
-    Order-canonical kernel recycle cycles then polish the seed until one
-    cycle moves it by at most ``tol``; one or two suffice.
+    one call per chunk, and ``v (x) fresh`` is renormalized, because the
+    fresh masses need not sum to exactly 1; a negative alpha gets its exact
+    mirror (:func:`_solve_grid`).  That solve costs ``O((d/2)^3)``, most of
+    it one matmul per panel of :data:`GTH_PANEL` states, and dominates the
+    call from ``n = 10`` on.  The product state stands in at ``alpha = 0``,
+    where it is the exact fixed point, and at ``|alpha| = 1``, where a pure
+    reset leaves a chain with a closed subset.  One kernel recycle cycle
+    then checks the solve and reads its target masses; a row it moves by
+    more than :data:`RESIDUAL_TOL` in L1 distance raises
+    :class:`ConvergenceError`.
     """
     permutation = compression_permutation_for(cfg)
 
-    def seeds(chunk: np.ndarray) -> np.ndarray:
+    def solve(chunk: np.ndarray) -> Solved:
         carried = _stationary_gth(_carried_cycle_rows(cfg, chunk, permutation))
-        seed = _attach(carried, ground_excited_pair(chunk))
-        seed /= seed.sum(axis=-1, keepdims=True)
-        product = (chunk == 0.0) | np.isnan(seed).any(axis=-1)
-        seed[product] = product_probs(chunk[product], cfg.n - cfg.m)
-        return seed
+        a = _attach(carried, ground_excited_pair(chunk))
+        a /= a.sum(axis=-1, keepdims=True)
+        product = (chunk == 0.0) | np.isnan(a).any(axis=-1)
+        a[product] = product_probs(chunk[product], cfg.n - cfg.m)
+        image, evolved = _recycle_step(cfg, chunk, permutation)(a)
+        residual = pairwise_sum(np.abs(image - a))
+        failed = np.flatnonzero(~(residual <= RESIDUAL_TOL))  # a NaN fails too
+        if failed.size:
+            row = int(failed[0])
+            raise ConvergenceError(
+                f"residual {residual[row]:.3e} after one cycle is above {RESIDUAL_TOL:g}",
+                float(residual[row]), row)
+        return a, evolved, np.zeros(chunk.shape, dtype=int), residual
 
-    return _solve_grid(cfg, alphas, permutation, seeds, tol, max_cycles, "steady state")
+    return _solve_grid(cfg, alphas, solve, "steady state")
 
 
 def alpha_infinity(n: int, m: int, alpha: float) -> float:
@@ -448,12 +450,7 @@ def alpha_infinity(n: int, m: int, alpha: float) -> float:
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
 
 
-def optimal_bounds(
-    cfg: RefrigeratorConfig,
-    alphas,
-    tol: float = 1e-12,
-    max_cycles: int = 10_000,
-) -> list[SteadyStateResult]:
+def optimal_bounds(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     """Upper-bound oracle at each polarization of a grid, as one batched
     solve: the protocol's recycle step, but every round applies the optimal
     compression (a full population sort of the register) instead of the
@@ -462,14 +459,16 @@ def optimal_bounds(
     The sort runs descending at ``|alpha|``, the best any compression can do
     for a positive bias; a negative alpha gets the exact mirror, which is the
     ascending sort's solve (:func:`_solve_grid`).  The sort is only piecewise
-    linear, so the iteration starts from the all-fresh state rather than from
-    a direct solve.
+    linear, so :func:`fixed_point` iterates from the all-fresh state, rather
+    than from a direct solve, to a residual of :data:`RESIDUAL_TOL` within
+    :data:`MAX_CYCLES` cycles.
     """
 
     def sort(full: np.ndarray) -> np.ndarray:
         return np.sort(full, axis=-1)[..., ::-1]
 
-    def fresh(chunk: np.ndarray) -> np.ndarray:
-        return product_probs(chunk, cfg.n - cfg.m)
+    def solve(chunk: np.ndarray) -> Solved:
+        return fixed_point(_recycle_step(cfg, chunk, sort), product_probs(chunk, cfg.n - cfg.m),
+                           RESIDUAL_TOL, MAX_CYCLES)
 
-    return _solve_grid(cfg, alphas, sort, fresh, tol, max_cycles, "optimal bound")
+    return _solve_grid(cfg, alphas, solve, "optimal bound")

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -11,6 +10,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -449,6 +449,20 @@ class TestExitCodes:
         assert "--seed must be at least 0, got -1\n" == self.one_line(capsys)
         assert not out.exists()
 
+    def test_trials_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # rejected before any refrigerator work
+        def no_work(*args, **kwargs):
+            raise AssertionError("solved a steady state")
+
+        monkeypatch.setattr(refrigerator, "steady_states", no_work)
+        out = tmp_path / "x.csv"
+        for trials in ("0", "-3"):
+            code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", trials,
+                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert f"--trials must be at least 1, got {trials}\n" == self.one_line(capsys)
+            assert not out.exists()
+
     @pytest.mark.parametrize("budget", [str(10**20), str(2**63 - 1), str(10**12 + 1)])
     def test_budget_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, budget):
         # rejected before any point is sampled
@@ -491,14 +505,19 @@ class TestExitCodes:
             assert "n=20" in err and "m=2" in err
 
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
-        # a zero cycle budget can never converge
-        stalled = functools.partial(refrigerator.steady_states, max_cycles=0)
-        monkeypatch.setattr(refrigerator, "steady_states", stalled)
-        code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "3",
-                     "--alpha-grid", "0.25:0.25:0.1", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_CONVERGENCE
-        err = self.one_line(capsys)
-        assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
+        # a broken GTH hands the check the uniform vector, which no cycle keeps
+        def uniform(rows):
+            return np.full(rows.shape[:-1], 1.0 / rows.shape[-1])
+
+        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform)
+        for mode in (["--figure", "bqr-polarization"], ["--sample", "--trials", "10"]):
+            out = tmp_path / "x.csv"
+            code = main(mode + ["--n", "4", "--rounds", "3", "--alpha-grid", "0.25:0.25:0.1",
+                                "--out", str(out)])
+            assert code == EXIT_CONVERGENCE
+            err = self.one_line(capsys)
+            assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
+            assert not out.exists()
 
     def test_saturated_sample_point(self, tmp_path):
         # the rounds drift the target's total mass above 1 here; its

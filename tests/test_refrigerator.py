@@ -23,6 +23,7 @@ from coolsign import (
     steady_states,
     window_swaps,
 )
+from coolsign import refrigerator
 from coolsign.refrigerator import (
     GTH_PANEL,
     LOCALITIES,
@@ -36,6 +37,11 @@ from coolsign.refrigerator import (
 )
 from coolsign.states import ground_excited_pair, product_probs
 from oracles import attach, full_cycle, full_round, qubits, sum_last
+
+
+def uniform_gth(rows):
+    """A broken GTH: the uniform vector, which no recycle cycle keeps."""
+    return np.full(rows.shape[:-1], 1.0 / rows.shape[-1])
 
 
 def recycle(a, cfg, alpha):
@@ -314,7 +320,7 @@ class TestSteadyState:
     def test_residual_contract(self):
         cfg = RefrigeratorConfig(5, 2, 3)
         for alpha in (0.4, -0.4):
-            result = steady_states(cfg, [alpha], tol=1e-12)[0]
+            result = steady_states(cfg, [alpha])[0]
             recycled, _ = recycle(result.a_fixed, cfg, alpha)
             assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
 
@@ -345,9 +351,10 @@ class TestSteadyState:
         assert excinfo.value.residual >= 0.0
         assert excinfo.value.residual == 2.0
 
-    def test_failure_message_names_alpha_rounds_and_residual(self):
+    def test_failure_message_names_alpha_rounds_and_residual(self, monkeypatch):
+        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
         with pytest.raises(ConvergenceError) as excinfo:
-            steady_states(RefrigeratorConfig(5, 2, 3), [0.25], max_cycles=0)
+            steady_states(RefrigeratorConfig(5, 2, 3), [0.25])
         message = str(excinfo.value)
         assert "alpha=0.25" in message and "rounds=3" in message and "residual" in message
         assert "\n" not in message
@@ -376,10 +383,6 @@ class TestSteadyState:
             result = steady_states(RefrigeratorConfig(5, 2, 3), [alpha])[0]
             assert result.alpha_enhanced == alpha
             assert result.residual == 0.0
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            steady_states(RefrigeratorConfig(4, 2, 1), [0.5], tol=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -490,8 +493,6 @@ def test_recycle_step_commutes_with_the_bit_flip(n, m, rounds, locality, alpha, 
 
 
 def test_grid_solves_each_magnitude_once(monkeypatch):
-    from coolsign import refrigerator
-
     calls = []
     for name in ("build_round_matrix", "_stationary_gth"):
         def counted(*args, _call=getattr(refrigerator, name), _name=name):
@@ -505,8 +506,6 @@ def test_grid_solves_each_magnitude_once(monkeypatch):
 
 
 def test_chunks_do_not_change_results(monkeypatch):
-    from coolsign import refrigerator
-
     cfg = RefrigeratorConfig(6, 2, 3)
     grid = [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6]
     whole = steady_states(cfg, grid) + optimal_bounds(cfg, grid)
@@ -516,19 +515,26 @@ def test_chunks_do_not_change_results(monkeypatch):
 
 
 class TestBatchedNonConvergence:
-    def test_names_the_point_that_stalls(self):
+    def test_names_the_point_that_stalls(self, monkeypatch):
         # the all-fresh start is already fixed at alpha = 0 only
         cfg = RefrigeratorConfig(5, 2, 3)
+        monkeypatch.setattr(refrigerator, "MAX_CYCLES", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            optimal_bounds(cfg, [0.0, 0.25, 0.5], max_cycles=1)
+            optimal_bounds(cfg, [0.0, 0.25, 0.5])
         message = str(excinfo.value)
         assert "alpha=0.25" in message and "rounds=3" in message and "residual" in message
         assert excinfo.value.residual > 1e-12
 
-    def test_zero_cycle_budget(self):
+    def test_zero_cycle_budget(self, monkeypatch):
+        monkeypatch.setattr(refrigerator, "MAX_CYCLES", 0)
         with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual"):
-            steady_states(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5],
-                          max_cycles=0)
+            optimal_bounds(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5])
+
+    def test_failed_check_names_the_first_grid_alpha(self, monkeypatch):
+        # the product state stands in at alpha = 0, so the check fails on row 1
+        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
+        with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual"):
+            steady_states(RefrigeratorConfig(4, 2, 2, locality="3local"), [0.0, -0.5, 0.5])
 
 
 def scalar_gth(rows):
@@ -633,30 +639,41 @@ def test_carried_cycle_rows_match_the_dense_power(n, m, locality):
 
 @pytest.mark.parametrize("locality", LOCALITIES)
 @pytest.mark.parametrize("n", range(3, 9))
-def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality, monkeypatch):
-    # the seed, the carried chain's stationary vector with the recycled
-    # fresh qubit appended, is with fresh resets appended the stationary
-    # vector of the whole cycle on the full 2^n register
-    from coolsign import refrigerator
-
-    starts = []
-
-    def recorded(step, start, tol, max_cycles):
-        starts.append(start)
-        return fixed_point(step, start, tol, max_cycles)
-
-    monkeypatch.setattr(refrigerator, "fixed_point", recorded)
+def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality):
+    # the fixed point, the carried chain's stationary vector with the
+    # recycled fresh qubit appended, is with fresh resets appended the
+    # stationary vector of the whole cycle on the full 2^n register
     alphas = [0.1, 0.37, 0.9, 0.999]
     for m in range(1, min(3, n - 1) + 1):
         for rounds in (1, 3, 9):
             cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
-            starts.clear()
-            steady_states(cfg, alphas)
-            (seeds,) = starts
-            for seed, alpha in zip(seeds, alphas):
+            for result, alpha in zip(steady_states(cfg, alphas), alphas):
                 want = scalar_gth(full_cycle(np.eye(1 << n), cfg, alpha)[0])
-                np.testing.assert_allclose(attach(seed, qubits(alpha, m)), want,
+                np.testing.assert_allclose(attach(result.a_fixed, qubits(alpha, m)), want,
                                            rtol=1e-14, atol=0)
+
+
+def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
+    def no_fixed_point(*args):
+        raise AssertionError("steady_states iterated a fixed point")
+
+    steps = []
+
+    def counted(cfg, alphas, compress):
+        step = _recycle_step(cfg, alphas, compress)
+
+        def recorded(a):
+            steps.append(len(alphas))
+            return step(a)
+
+        return recorded
+
+    monkeypatch.setattr(refrigerator, "fixed_point", no_fixed_point)
+    monkeypatch.setattr(refrigerator, "_recycle_step", counted)
+    monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 8 * 8)  # two points per chunk
+    results = steady_states(RefrigeratorConfig(6, 2, 3), [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6])
+    assert steps == [2, 2, 1]
+    assert all(result.cycles_used == 0 for result in results)
 
 
 @pytest.mark.parametrize("locality", LOCALITIES)
