@@ -25,8 +25,10 @@ from .sampling import (
     chebyshev_bound,
     exact_sign_error,
     monte_carlo_sign_error,
+    monte_carlo_sign_errors,
     predict_error_bound,
     resource_matched_comparison,
+    resource_matched_comparisons,
 )
 from .single_shot import (
     CompressionResult,
@@ -72,6 +74,7 @@ __all__ = [
     "fibonacci",
     "marginal_target",
     "monte_carlo_sign_error",
+    "monte_carlo_sign_errors",
     "optimal_bounds",
     "optimal_compression",
     "pairwise_sum",
@@ -79,6 +82,7 @@ __all__ = [
     "product_state",
     "reduction_factor_ac",
     "resource_matched_comparison",
+    "resource_matched_comparisons",
     "steady_states",
     "window_swaps",
 ]

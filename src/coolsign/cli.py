@@ -6,8 +6,11 @@ polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed.  Every refrigerator command
 solves each curve's whole grid as one batched fixed point, ``--sample``
-included; ``--jobs`` threads split only the sampling of the ``--sample``
-points, with the same bytes for any count.
+included.  ``--sample`` then runs the Monte Carlo of every point in one
+:func:`coolsign.sampling.resource_matched_comparisons` call, whose
+``--jobs`` threads split the Monte Carlo's seeded chunks; ``--jobs``
+defaults to the CPUs this process may use, and the bytes are the same for
+any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
 single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
@@ -19,7 +22,8 @@ sweep flag the mode does not read, parameters a config or grid rejects, a
 ``--locality`` that contradicts the figure, a list of ``--n`` values for a
 refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
 a ``--jobs``, ``--seed`` or ``--trials`` below its least value, a
-``--budget`` above :data:`MAX_BUDGET`, and a register too large to simulate
+``--budget`` above :data:`MAX_BUDGET` or a ``--jobs`` above
+:data:`coolsign.sampling.MAX_JOBS`, and a register too large to simulate
 in memory), 3 output I/O error, 4 budget too small, 5 a steady state that
 failed its one-cycle residual check or a sort-oracle bound that did not
 converge.  Errors are reported on stderr without a traceback.
@@ -32,7 +36,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,9 +70,9 @@ SINGLE_SHOT_FLAGS = ("--n", "--alpha-grid", "--out", "--format")
 REFRIGERATOR_FLAGS = SINGLE_SHOT_FLAGS + ("--m", "--rounds", "--locality")
 
 #: values of the sweep flags a command line leaves out, by argparse dest; the
-#: parser's own defaults are None, so a given flag is told from an absent one
-SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "format": "csv",
-                  "jobs": 1}
+#: parser's own defaults are None, so a given flag is told from an absent one.
+#: ``--jobs`` stays None, which the sampling reads as every usable CPU
+SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "format": "csv"}
 
 
 #: most points an ``--alpha-grid`` may hold
@@ -94,7 +97,7 @@ class SweepSpec:
     seed: int
     out: str
     fmt: str
-    jobs: int = 1
+    jobs: int | None = None  # None: every CPU this process may use
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -193,14 +196,6 @@ def _figure_bqr(spec: SweepSpec, reduction: bool, locality: str) -> tuple[list[s
     return header, [[a, *values] for a, values in zip(grid, zip(*columns))]
 
 
-def _map_grid(fn, items, jobs: int) -> list[list]:
-    """``[fn(item) for item in items]``, on ``jobs`` threads when above one."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cmd_figure(name: str, spec: SweepSpec) -> int:
     locality = FIGURE_LOCALITY.get(name)
     if locality and spec.locality not in (None, locality):
@@ -262,14 +257,10 @@ def cmd_sample(spec: SweepSpec) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
     cooled = refrigerator.steady_states(cfg, spec.alpha_grid)
-
-    def one_point(item: tuple[int, tuple[float, refrigerator.SteadyStateResult]]) -> tuple:
-        index, (alpha, steady) = item
-        return dataclasses.astuple(sampling.resource_matched_comparison(
-            alpha, steady, cfg.cost, spec.budget, sampling._derived_seed(spec.seed, index),
-            trials=spec.trials))
-
-    rows = _map_grid(one_point, enumerate(zip(spec.alpha_grid, cooled)), spec.jobs)
+    comparisons = sampling.resource_matched_comparisons(
+        spec.alpha_grid, cooled, cfg.cost, spec.budget, spec.seed, trials=spec.trials,
+        jobs=spec.jobs)
+    rows = [dataclasses.astuple(comparison) for comparison in comparisons]
     try:
         write_rows(spec.out, spec.fmt, SAMPLE_HEADER, rows)
     except OSError as exc:
@@ -310,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
-                        help="worker threads that split the sampling of the --sample points, "
-                        "at least 1 (default 1; output is byte-identical for any value)")
+                        help="worker threads that split the --sample Monte Carlo's seeded "
+                        f"chunks, 1 to {sampling.MAX_JOBS} (default: the CPUs this process may "
+                        "use; output is byte-identical for any value)")
     return parser
 
 
@@ -366,8 +358,11 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.jobs is not None and args.jobs > sampling.MAX_JOBS:
+        print(f"--jobs {args.jobs} is more than {sampling.MAX_JOBS}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)

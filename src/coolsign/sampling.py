@@ -9,20 +9,40 @@ qubit budget.
 
 The comparison reads a cooled polarization that is already solved: the
 module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
-with one batched :func:`coolsign.refrigerator.steady_states` call, and its
-``--jobs`` threads split only the sampling of the points.
+with one batched :func:`coolsign.refrigerator.steady_states` call and
+samples it with one :func:`resource_matched_comparisons` call.
+
+The Monte Carlo draws each chunk of :data:`MC_CHUNK` trials from its own
+counter-based Philox substream, so the chunks may run in any order on any
+number of threads and give the same counts.  :func:`monte_carlo_sign_errors`
+cuts every experiment of a call into tasks of :data:`TASK_CHUNKS` chunks,
+and the threads of one pool per call take those tasks in turn; the pool is
+by default as large as the CPUs this process may use, and numpy releases
+the GIL while it draws.  The integer counts are added back per experiment,
+so the result is byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 #: trials per RNG substream; chunk boundaries depend only on the trial count,
 #: so results are identical however the chunks are scheduled
 MC_CHUNK = 4096
+
+#: chunks per thread-pool task; fixed, so task boundaries never depend on the
+#: thread count
+TASK_CHUNKS = 16
+
+#: most worker threads a Monte Carlo call may start
+MAX_JOBS = 256
 
 
 class BudgetError(ValueError):
@@ -39,12 +59,16 @@ class ShotExperiment:
     seed: int
 
     def __post_init__(self) -> None:
-        if abs(self.alpha_true) > 1:
-            raise ValueError(f"polarization must lie in [-1, 1], got {self.alpha_true}")
+        _check_polarization(self.alpha_true)
         if self.shots < 1:
             raise ValueError(f"need shots >= 1, got {self.shots}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+
+
+def _check_polarization(alpha: float) -> None:
+    if not abs(alpha) <= 1:  # NaN fails this too
+        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
 
 
 def chebyshev_bound(variance: float, k: int, epsilon: float) -> float:
@@ -62,8 +86,7 @@ def predict_error_bound(alpha: float, k: int) -> float:
     """Wrong-sign probability bound ``min(1, (1 - alpha^2) / (k alpha^2))``."""
     if alpha == 0.0:
         raise ZeroDivisionError("prediction bound is undefined at alpha = 0")
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+    _check_polarization(alpha)
     return chebyshev_bound(1.0 - alpha * alpha, k, abs(alpha))
 
 
@@ -79,8 +102,7 @@ def exact_sign_error(alpha: float, k: int) -> float:
     the ratio recurrence giving the terms below it.  Only ``|alpha|``
     enters, so the result is exactly even in ``alpha``.
     """
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+    _check_polarization(alpha)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if alpha == 0.0:
@@ -161,27 +183,81 @@ def _substream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def monte_carlo_sign_error(exp: ShotExperiment) -> float:
-    """Empirical wrong-sign fraction over ``exp.trials`` seeded repetitions.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Trials are drawn in fixed-size chunks, each from its own counter-based
-    substream keyed by the chunk index, so the result is reproducible for a
-    fixed seed no matter how the chunks are scheduled or parallelized.
-    """
+
+def _count_chunks(exp: ShotExperiment, first: int, stop: int) -> tuple[int, int]:
+    """Wrong-sign and tied trials of chunks ``first`` to ``stop - 1``."""
     p = (1.0 + exp.alpha_true) / 2.0
-    wrong = 0.0
-    n_chunks = (exp.trials + MC_CHUNK - 1) // MC_CHUNK
-    for chunk in range(n_chunks):
+    wrong = ties = 0
+    for chunk in range(first, stop):
         size = min(MC_CHUNK, exp.trials - chunk * MC_CHUNK)
-        rng = _substream(exp.seed, (chunk,))
-        successes = rng.binomial(exp.shots, p, size=size)
-        lean = 2 * successes - exp.shots
-        ties = np.count_nonzero(lean == 0)
+        successes = _substream(exp.seed, (chunk,)).binomial(exp.shots, p, size=size)
+        # the shot mean leans the wrong way below (k+1)//2 ground outcomes
+        # for alpha >= 0 and above k//2 for alpha < 0, and ties at k/2
         if exp.alpha_true >= 0:
-            wrong += np.count_nonzero(lean < 0) + 0.5 * ties
+            wrong += int(np.count_nonzero(successes < (exp.shots + 1) // 2))
         else:
-            wrong += np.count_nonzero(lean > 0) + 0.5 * ties
-    return wrong / exp.trials
+            wrong += int(np.count_nonzero(successes > exp.shots // 2))
+        if exp.shots % 2 == 0:
+            ties += int(np.count_nonzero(successes == exp.shots // 2))
+    return wrong, ties
+
+
+def monte_carlo_sign_errors(
+    experiments: Sequence[ShotExperiment], jobs: int | None = None
+) -> list[float]:
+    """Empirical wrong-sign fraction of each experiment, a tie counting half.
+
+    Each experiment's trials are drawn in chunks of :data:`MC_CHUNK`, each
+    from its own counter-based substream keyed by the chunk index.  The
+    chunks of every experiment are cut into tasks of :data:`TASK_CHUNKS`,
+    which ``min(jobs, tasks)`` threads take in turn; ``jobs`` defaults to
+    the CPUs this process may use, at most :data:`MAX_JOBS`.  Each thread
+    adds up integer counts per experiment, which are exact in any order, so
+    each fraction is the same for any ``jobs`` and equals a lone call's.
+    Memory does not grow with the trial count.
+    """
+    if jobs is None:
+        jobs = min(_usable_cpus(), MAX_JOBS)
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
+    chunks = [(exp.trials + MC_CHUNK - 1) // MC_CHUNK for exp in experiments]
+    tasks = ((index, first, min(first + TASK_CHUNKS, count))
+             for index, count in enumerate(chunks) for first in range(0, count, TASK_CHUNKS))
+    taking = threading.Lock()
+
+    def work() -> tuple[list[int], list[int]]:
+        wrong, ties = [0] * len(experiments), [0] * len(experiments)
+        while True:
+            with taking:
+                task = next(tasks, None)
+            if task is None:
+                return wrong, ties
+            index, first, stop = task
+            task_wrong, task_ties = _count_chunks(experiments[index], first, stop)
+            wrong[index] += task_wrong
+            ties[index] += task_ties
+
+    workers = min(jobs, sum((count + TASK_CHUNKS - 1) // TASK_CHUNKS for count in chunks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
+    else:
+        parts = [work()]
+    wrong = [sum(counts) for counts in zip(*(part[0] for part in parts))]
+    ties = [sum(counts) for counts in zip(*(part[1] for part in parts))]
+    return [(w + 0.5 * t) / exp.trials for exp, w, t in zip(experiments, wrong, ties)]
+
+
+def monte_carlo_sign_error(exp: ShotExperiment) -> float:
+    """:func:`monte_carlo_sign_errors` of the one experiment ``exp``."""
+    return monte_carlo_sign_errors([exp])[0]
 
 
 @dataclass(frozen=True)
@@ -227,40 +303,60 @@ def resource_matched_comparison(
     rates.  ``cooled`` is the refrigerator's solved steady state at
     ``alpha`` (a ``SteadyStateResult``) and ``cost`` its fresh qubits per
     cooled shot; the shots read its ``alpha_enhanced``."""
+    return _compare([alpha], [cooled], cost, total_budget, [seed], trials, None)[0]
+
+
+def resource_matched_comparisons(
+    alphas: Sequence[float],
+    cooled: Sequence,
+    cost: int,
+    total_budget: int,
+    seed: int,
+    trials: int = 10_000,
+    jobs: int | None = None,
+) -> list[ResourceComparison]:
+    """:func:`resource_matched_comparison` at every point of a grid, with
+    the Monte Carlo of all points in one :func:`monte_carlo_sign_errors`
+    call on ``jobs`` threads.  Point ``i`` is compared with the seed
+    ``_derived_seed(seed, i)``, so it equals a lone comparison at that
+    seed."""
+    seeds = [_derived_seed(seed, index) for index in range(len(alphas))]
+    return _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs)
+
+
+def _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs) -> list[ResourceComparison]:
     k_raw = int(total_budget)
     k_cooled = cooled_shots(total_budget, cost)
-    alpha_cooled = cooled.alpha_enhanced
-
-    exact_raw = exact_sign_error(alpha, k_raw)
-    exact_cooled = exact_sign_error(alpha_cooled, k_cooled)
-    mc_raw = monte_carlo_sign_error(
-        ShotExperiment(alpha, k_raw, trials, _derived_seed(seed, 0))
-    )
-    mc_cooled = monte_carlo_sign_error(
-        ShotExperiment(alpha_cooled, k_cooled, trials, _derived_seed(seed, 1))
-    )
-    if alpha == 0.0:
-        bound_raw = bound_cooled = 1.0
-        reduction = math.nan
-    else:
-        bound_raw = predict_error_bound(alpha, k_raw)
-        bound_cooled = predict_error_bound(alpha_cooled, k_cooled)
-        reduction = cooled.reduction_factor(alpha, cost)
-    ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
-    return ResourceComparison(
-        alpha=alpha,
-        k_raw=k_raw,
-        k_cooled=k_cooled,
-        alpha_cooled=alpha_cooled,
-        exact_error_raw=exact_raw,
-        exact_error_cooled=exact_cooled,
-        mc_error_raw=mc_raw,
-        mc_error_cooled=mc_cooled,
-        bound_raw=bound_raw,
-        bound_cooled=bound_cooled,
-        empirical_ratio=ratio,
-        reduction_factor=reduction,
-    )
+    points, experiments = [], []
+    for alpha, steady, seed in zip(alphas, cooled, seeds):
+        alpha_cooled = steady.alpha_enhanced
+        if alpha == 0.0:
+            bound_raw = bound_cooled = 1.0
+            reduction = math.nan
+        else:
+            bound_raw = predict_error_bound(alpha, k_raw)
+            bound_cooled = predict_error_bound(alpha_cooled, k_cooled)
+            reduction = steady.reduction_factor(alpha, cost)
+        points.append(dict(
+            alpha=alpha,
+            k_raw=k_raw,
+            k_cooled=k_cooled,
+            alpha_cooled=alpha_cooled,
+            exact_error_raw=exact_sign_error(alpha, k_raw),
+            exact_error_cooled=exact_sign_error(alpha_cooled, k_cooled),
+            bound_raw=bound_raw,
+            bound_cooled=bound_cooled,
+            reduction_factor=reduction,
+        ))
+        experiments += [ShotExperiment(alpha, k_raw, trials, _derived_seed(seed, 0)),
+                        ShotExperiment(alpha_cooled, k_cooled, trials, _derived_seed(seed, 1))]
+    errors = monte_carlo_sign_errors(experiments, jobs)
+    rows = []
+    for point, mc_raw, mc_cooled in zip(points, errors[::2], errors[1::2]):
+        ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
+        rows.append(ResourceComparison(**point, mc_error_raw=mc_raw, mc_error_cooled=mc_cooled,
+                                       empirical_ratio=ratio))
+    return rows
 
 
 def _derived_seed(seed: int, branch: int) -> int:

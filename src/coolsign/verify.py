@@ -151,15 +151,14 @@ def verify_sampling(seed: int = 20240613) -> list[CheckResult]:
 
     worst_band = 0.0
     worst_dominance = 0.0
-    for alpha in (0.1, 0.2, 0.4, -0.3, 0.6):
-        for k in (5, 24, 101):
-            exact = sampling.exact_sign_error(alpha, k)
-            mc = sampling.monte_carlo_sign_error(sampling.ShotExperiment(alpha, k, 100_000, seed))
-            stderr = max(np.sqrt(exact * (1 - exact) / 100_000), 1e-12)
-            worst_band = max(worst_band, abs(mc - exact) / stderr / 4.0)
-            worst_dominance = max(
-                worst_dominance, exact - sampling.predict_error_bound(alpha, k)
-            )
+    cases = [(alpha, k) for alpha in (0.1, 0.2, 0.4, -0.3, 0.6) for k in (5, 24, 101)]
+    mcs = sampling.monte_carlo_sign_errors(
+        [sampling.ShotExperiment(alpha, k, 100_000, seed) for alpha, k in cases])
+    for (alpha, k), mc in zip(cases, mcs):
+        exact = sampling.exact_sign_error(alpha, k)
+        stderr = max(np.sqrt(exact * (1 - exact) / 100_000), 1e-12)
+        worst_band = max(worst_band, abs(mc - exact) / stderr / 4.0)
+        worst_dominance = max(worst_dominance, exact - sampling.predict_error_bound(alpha, k))
     return [
         _check("exact_sign_error(0.2, 25) vs independent binomial CDF", cdf_residual, 1e-12),
         _check("monte carlo within 4 standard errors of exact", worst_band, 1.0),

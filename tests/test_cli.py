@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -270,6 +271,42 @@ def test_sample_solves_its_grid_in_one_call(tmp_path, monkeypatch, jobs):
     assert calls == [parse_alpha_grid("-0.4:0.8:0.2")]
 
 
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], ["--jobs", "3"], []])
+def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
+    # without --jobs the pool is sized by the usable CPUs, patched to 2
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+    limit = int(jobs[1]) if jobs else 2
+    sizes, threads, pool, count = [], set(), sampling.ThreadPoolExecutor, sampling._count_chunks
+
+    def recorded(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers)
+
+    def counted(*args):
+        threads.add(threading.get_ident())
+        return count(*args)
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(sampling, "_count_chunks", counted)
+    # 20 tasks: 5 points, 2 experiments each, 2 tasks of chunks each
+    trials = str(sampling.MC_CHUNK * sampling.TASK_CHUNKS + 1)
+    code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", trials,
+                 "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_OK
+    assert sizes == ([] if limit == 1 else [limit])
+    assert 1 <= len(threads) <= limit
+
+
+def test_sampling_suite_output_independent_of_usable_cpus(monkeypatch, capsys):
+    outputs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert main(["--suite", "sampling"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["theorem1", "klocal-fixedpoint"])
     def test_suites_pass(self, suite, capsys):
@@ -441,6 +478,21 @@ class TestExitCodes:
         assert f"--jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [str(sampling.MAX_JOBS + 1), str(10**9)])
+    def test_jobs_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        # rejected before any work, and without starting a thread
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work")
+
+        monkeypatch.setattr(refrigerator, "steady_states", no_work)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_work)
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "1000000",
+                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
+        assert code == EXIT_USAGE
+        assert f"--jobs {jobs} is more than {sampling.MAX_JOBS}\n" == self.one_line(capsys)
+        assert not out.exists()
+
     def test_seed_below_zero_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
@@ -469,7 +521,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("sampled a point")
 
-        monkeypatch.setattr(sampling, "resource_matched_comparison", no_work)
+        monkeypatch.setattr(sampling, "resource_matched_comparisons", no_work)
         out = tmp_path / "x.csv"
         code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", "1",
                      "--alpha-grid", "0.5:0.5:1", "--out", str(out), "--budget", budget])

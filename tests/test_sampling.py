@@ -1,5 +1,9 @@
 import ast
+import dataclasses
+import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -17,12 +21,14 @@ from coolsign import (
     chebyshev_bound,
     exact_sign_error,
     monte_carlo_sign_error,
+    monte_carlo_sign_errors,
     predict_error_bound,
     resource_matched_comparison,
+    resource_matched_comparisons,
     sampling,
     steady_states,
 )
-from coolsign.sampling import _stirlerr
+from coolsign.sampling import MAX_JOBS, MC_CHUNK, TASK_CHUNKS, _stirlerr
 
 
 def binomial_cdf_fraction(successes, k, p: Fraction) -> Fraction:
@@ -226,6 +232,130 @@ class TestMonteCarlo:
             ShotExperiment(0.2, 5, 0, seed=1)
         with pytest.raises(ValueError):
             ShotExperiment(1.2, 5, 10, seed=1)
+
+
+def chunk_by_chunk(exp: ShotExperiment) -> float:
+    """The Monte Carlo as one loop over its chunks, a tie counting half: the
+    per-chunk float sum the batched counts must reproduce bit for bit."""
+    wrong = 0.0
+    for chunk in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK):
+        size = min(MC_CHUNK, exp.trials - chunk * MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(exp.seed, spawn_key=(chunk,))))
+        lean = 2 * rng.binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0, size=size) - exp.shots
+        against = lean < 0 if exp.alpha_true >= 0 else lean > 0
+        wrong += np.count_nonzero(against) + 0.5 * np.count_nonzero(lean == 0)
+    return wrong / exp.trials
+
+
+#: negative alpha, alpha = +-1, even and odd shots, and trials that are not
+#: a multiple of MC_CHUNK or of a task's TASK_CHUNKS chunks
+BATCH = [
+    ShotExperiment(0.2, 25, 3 * MC_CHUNK * TASK_CHUNKS // 2 + 17, seed=3),
+    ShotExperiment(-0.3, 24, MC_CHUNK * TASK_CHUNKS + 1, seed=4),
+    ShotExperiment(1.0, 7, 5000, seed=5),
+    ShotExperiment(-1.0, 8, 100, seed=6),
+    ShotExperiment(0.0, 10, MC_CHUNK + 3, seed=7),
+    ShotExperiment(0.05, 101, 2 * MC_CHUNK * TASK_CHUNKS, seed=8),
+]
+
+
+class TestBatchedMonteCarlo:
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_equals_lone_calls_and_chunk_loop(self, jobs):
+        lone = [monte_carlo_sign_error(exp) for exp in BATCH]
+        assert monte_carlo_sign_errors(BATCH, jobs=jobs) == lone
+        assert lone == [chunk_by_chunk(exp) for exp in BATCH]
+
+    def test_pure_states(self):
+        assert monte_carlo_sign_errors(BATCH[2:4], jobs=2) == [0.0, 0.0]
+
+    def test_same_experiment_twice(self):
+        assert monte_carlo_sign_errors([BATCH[0], BATCH[0]], jobs=2) == [
+            monte_carlo_sign_error(BATCH[0])] * 2
+
+    def test_empty(self):
+        assert monte_carlo_sign_errors([], jobs=3) == []
+
+    def test_many_threads_take_each_task_once(self):
+        # eight threads, more than the cores, take 400 one-chunk tasks from
+        # one shared generator with a switch forced every microsecond; a task
+        # lost or taken twice moves a count
+        batch = [ShotExperiment(0.1, 3, 100 + i, seed=i) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = monte_carlo_sign_errors(batch, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [chunk_by_chunk(exp) for exp in batch]
+
+    def test_default_jobs_follow_usable_cpus(self, monkeypatch):
+        sizes, pool = [], sampling.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
+        expected = [chunk_by_chunk(exp) for exp in BATCH]
+        for cpus in (1, 4, 10**6):
+            monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert monte_carlo_sign_errors(BATCH) == expected
+        # one thread runs inline; the batch's 2+2+1+1+1+2 tasks cap the pool
+        assert sizes == [4, 9]
+
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9])
+    def test_jobs_outside_range_start_no_thread(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=str(MAX_JOBS)):
+            monte_carlo_sign_errors(BATCH, jobs=jobs)
+
+    def test_comparisons_equal_lone_comparisons(self):
+        cfg = RefrigeratorConfig(4, 2, 2)
+        grid = [-0.6, 0.0, 0.3, 1.0]
+        cooled = steady_states(cfg, grid)
+        lone = [resource_matched_comparison(a, c, cfg.cost, 40, sampling._derived_seed(9, i),
+                                            trials=5000)
+                for i, (a, c) in enumerate(zip(grid, cooled))]
+        for jobs in (1, 3):
+            rows = resource_matched_comparisons(grid, cooled, cfg.cost, 40, 9, trials=5000,
+                                                jobs=jobs)
+            assert [dataclasses.astuple(r) for r in rows] == [
+                dataclasses.astuple(r) for r in lone]
+
+
+def test_non_finite_polarization_rejected_fast():
+    """NaN once sent ``exact_sign_error`` into an endless series loop, so the
+    calls run in a child process that a timeout stops."""
+    code = (
+        "import json, math\n"
+        "from coolsign import sampling\n"
+        "calls = [lambda a: sampling.exact_sign_error(a, 5),\n"
+        "         lambda a: sampling.predict_error_bound(a, 11),\n"
+        "         lambda a: sampling.ShotExperiment(a, 5, 10, seed=1)]\n"
+        "raised = []\n"
+        "for alpha in (math.nan, math.inf, -math.inf):\n"
+        "    for call in calls:\n"
+        "        try:\n"
+        "            call(alpha)\n"
+        "            raised.append(None)\n"
+        "        except ValueError as exc:\n"
+        "            raised.append(str(exc))\n"
+        "print(json.dumps(raised))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    raised = json.loads(proc.stdout)
+    assert len(raised) == 9
+    assert all(message and "[-1, 1]" in message for message in raised), raised
 
 
 def compare(alpha, cfg, budget, **kwargs):
