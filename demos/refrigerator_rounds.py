@@ -17,8 +17,8 @@ from coolsign import (
     RefrigeratorConfig,
     alpha_infinity,
     build_round_matrix,
-    marginal_target,
-    product_state,
+    marginal_targets,
+    product_probs,
     steady_states,
 )
 
@@ -28,11 +28,11 @@ print(f"n={N}, m={M} reset qubits, reservoir polarization {ALPHA}")
 print(f"asymptotic limit: {alpha_infinity(N, M, ALPHA):.10f}\n")
 
 matrix = build_round_matrix(N, M, ALPHA)
-vec = product_state(ALPHA, N - M).probs.copy()
+vec = product_probs(ALPHA, N - M)
 print("round-by-round target polarization (first cycle, fresh register):")
 for rnd in range(1, 13):
     vec = matrix @ vec
-    print(f"  after round {rnd:2d}: {marginal_target(vec):.8f}")
+    print(f"  after round {rnd:2d}: {marginal_targets(vec):.8f}")
 
 print("\nsteady state per configured round count (recycled operation):")
 print(f"{'rounds':>7} {'alpha_qr':>12} {'residual':>9} {'qubit cost':>11}")

@@ -13,8 +13,9 @@ import numpy as np
 from coolsign import (
     alpha_ac,
     alpha_ac_erf,
-    optimal_compression,
-    product_state,
+    compress_products,
+    marginal_targets,
+    product_probs,
     reduction_factor_ac,
 )
 
@@ -27,11 +28,11 @@ for alpha in (-0.8, -0.3, 0.05, 0.3, 0.5, 0.8):
 
 print()
 print("The closed form is just the marginal of the reordered register:")
-state = product_state(0.5, 3)
-result = optimal_compression(state)
-print("  populations before:", np.round(state.probs, 5))
-print("  populations after: ", np.round(result.state_after.probs, 5))
-print("  target polarization 0.5 ->", result.alpha_target)
+before = product_probs(0.5, 3)
+after = compress_products(before, 3)
+print("  populations before:", np.round(before, 5))
+print("  populations after: ", np.round(after, 5))
+print("  target polarization 0.5 ->", float(marginal_targets(after)))
 
 print()
 print("Sampling-error reduction at matched qubit budget (k shots vs k/n):")

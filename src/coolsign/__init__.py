@@ -24,26 +24,22 @@ from .sampling import (
     ShotExperiment,
     chebyshev_bound,
     exact_sign_error,
-    monte_carlo_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
-    resource_matched_comparison,
     resource_matched_comparisons,
 )
 from .single_shot import (
-    CompressionResult,
     alpha_ac,
     alpha_ac_erf,
+    compress_products,
     compression_permutation,
-    optimal_compression,
     reduction_factor_ac,
 )
 from .states import (
-    DiagonalState,
     PermutationSpec,
-    marginal_target,
+    marginal_targets,
     pairwise_sum,
-    product_state,
+    product_probs,
     window_swaps,
 )
 
@@ -51,9 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "CompressionResult",
     "ConvergenceError",
-    "DiagonalState",
     "KLocalAsymptotics",
     "PermutationSpec",
     "RefrigeratorConfig",
@@ -69,19 +63,17 @@ __all__ = [
     "build_uqr",
     "build_uqr_3local",
     "chebyshev_bound",
+    "compress_products",
     "compression_permutation",
     "exact_sign_error",
     "fibonacci",
-    "marginal_target",
-    "monte_carlo_sign_error",
+    "marginal_targets",
     "monte_carlo_sign_errors",
     "optimal_bounds",
-    "optimal_compression",
     "pairwise_sum",
     "predict_error_bound",
-    "product_state",
+    "product_probs",
     "reduction_factor_ac",
-    "resource_matched_comparison",
     "resource_matched_comparisons",
     "steady_states",
     "window_swaps",

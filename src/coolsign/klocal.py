@@ -48,8 +48,6 @@ def alpha_infinity_3local(n: int, alpha: float) -> float:
     evaluated as in :func:`coolsign.refrigerator.alpha_infinity`."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     return _power_ratio(alpha, fibonacci(n))
 
 

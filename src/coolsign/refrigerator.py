@@ -116,14 +116,12 @@ class SteadyStateResult:
 
     ``ground`` and ``excited`` are the target's masses after the rounds run
     on ``a_fixed``, and ``alpha_enhanced`` is their difference over their
-    sum, so a drift of the total mass never carries it past +-1.
-    ``residual`` is the L1 distance between ``a_fixed`` and its recycled
-    image, and ``cycles_used`` is 0 where ``a_fixed`` was solved directly.
+    sum, so a drift of the total mass never carries it past +-1.  ``residual``
+    is the L1 distance between ``a_fixed`` and its recycled image.
     """
 
     a_fixed: np.ndarray
     alpha_enhanced: float
-    cycles_used: int
     residual: float
     ground: float
     excited: float
@@ -242,8 +240,8 @@ def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ground, excited, (ground - excited) / (ground + excited)
 
 
-#: ``(a, evolved, cycles, residual)``, one row per polarization of a solve
-Solved = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: ``(a, evolved, residual)``, one row per polarization of a solve
+Solved = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def fixed_point(step: Step, start: np.ndarray, tol: float, max_cycles: int) -> Solved:
@@ -252,29 +250,27 @@ def fixed_point(step: Step, start: np.ndarray, tol: float, max_cycles: int) -> S
 
     Vectors lie along the last axis and rows along any leading axes.  Each
     row keeps what it had at the cycle where it converged: returns
-    ``(a, evolved, cycles, residual)``, the iterate, its evolved vector, the
-    cycle count and the L1 distance from the iterate to its own image.  Rows
-    that have converged step on with the rest; rows never mix, so their
-    records stay as they were.  The cycle maps are L1 non-expansive, so a
-    residual is at most its row's last move.
+    ``(a, evolved, residual)``, the iterate, its evolved vector and the L1
+    distance from the iterate to its own image.  Rows that have converged
+    step on with the rest; rows never mix, so their records stay as they
+    were.  The cycle maps are L1 non-expansive, so a residual is at most
+    its row's last move.
     """
-    a = start
-    image, evolved = step(a)
-    moved = pairwise_sum(np.abs(image - a))
+    image, evolved = step(start)
+    moved = pairwise_sum(np.abs(image - start))
     done = np.zeros(moved.shape, dtype=bool)
-    fixed, fixed_evolved, cycles, residual = a, evolved, np.zeros(moved.shape, dtype=int), moved
-    for cycle in range(1, max_cycles + 1):
+    fixed, fixed_evolved, residual = start, evolved, moved
+    for _ in range(max_cycles):
         a = image
         image, evolved = step(a)
         remaining = pairwise_sum(np.abs(image - a))
         now = (moved <= tol) & ~done
         fixed = np.where(now[..., None], a, fixed)
         fixed_evolved = np.where(now[..., None], evolved, fixed_evolved)
-        cycles = np.where(now, cycle, cycles)
         residual = np.where(now, remaining, residual)
         done |= now
         if done.all():
-            return fixed, fixed_evolved, cycles, residual
+            return fixed, fixed_evolved, residual
         moved = remaining
     row = int(np.flatnonzero(~done)[0])
     last = float(np.ravel(moved)[row])
@@ -285,8 +281,8 @@ def fixed_point(step: Step, start: np.ndarray, tol: float, max_cycles: int) -> S
 
 def _mirror(result: SteadyStateResult) -> SteadyStateResult:
     """The result at ``-alpha``, given the result at ``alpha``."""
-    return SteadyStateResult(result.a_fixed[::-1], -result.alpha_enhanced, result.cycles_used,
-                             result.residual, result.excited, result.ground)
+    return SteadyStateResult(result.a_fixed[::-1], -result.alpha_enhanced, result.residual,
+                             result.excited, result.ground)
 
 
 def _solve_grid(
@@ -309,16 +305,15 @@ def _solve_grid(
     for low in range(0, len(distinct), size):
         chunk = np.array(distinct[low:low + size])
         try:
-            a, evolved, cycles, residual = solve(chunk)
+            a, evolved, residual = solve(chunk)
         except ConvergenceError as exc:
             alpha = next(alpha for alpha in grid if abs(alpha) == chunk[exc.row])
             where = f"{what} at alpha={alpha!r}, rounds={cfg.rounds}"
             raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
         ground, excited, enhanced = _target(evolved)
         for i, key in enumerate(distinct[low:low + size]):
-            solved[key] = SteadyStateResult(a[i], float(enhanced[i]), int(cycles[i]),
-                                            float(residual[i]), float(ground[i]),
-                                            float(excited[i]))
+            solved[key] = SteadyStateResult(a[i], float(enhanced[i]), float(residual[i]),
+                                            float(ground[i]), float(excited[i]))
     return [_mirror(solved[-alpha]) if alpha < 0 else solved[alpha] for alpha in grid]
 
 
@@ -436,7 +431,7 @@ def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
             raise ConvergenceError(
                 f"residual {residual[row]:.3e} after one cycle is above {RESIDUAL_TOL:g}",
                 float(residual[row]), row)
-        return a, evolved, np.zeros(chunk.shape, dtype=int), residual
+        return a, evolved, residual
 
     return _solve_grid(cfg, alphas, solve, "steady state")
 
@@ -445,8 +440,6 @@ def alpha_infinity(n: int, m: int, alpha: float) -> float:
     """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``, by the
     power ratio of :func:`coolsign.single_shot._power_ratio`: exact for small
     exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd."""
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
 
 

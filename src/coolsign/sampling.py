@@ -3,11 +3,12 @@
 A classifier's decision is the sign of a single-qubit polarization ``alpha``
 estimated from ``k`` projective shots.  This module provides the Chebyshev
 bound and its prediction specialization, the exact wrong-sign probability
-from the binomial law, a reproducible Monte Carlo counterpart, and a
-resource-matched comparison of raw versus cooled estimation at a fixed
-qubit budget.
+from the binomial law, a reproducible Monte Carlo counterpart
+(:func:`monte_carlo_sign_errors`, one call for a list of experiments), and
+resource-matched comparisons of raw versus cooled estimation at a fixed
+qubit budget over a grid (:func:`resource_matched_comparisons`).
 
-The comparison reads a cooled polarization that is already solved: the
+The comparisons read cooled polarizations that are already solved: the
 module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
 with one batched :func:`coolsign.refrigerator.steady_states` call and
 samples it with one :func:`resource_matched_comparisons` call.
@@ -25,6 +26,7 @@ so the result is byte-identical for any thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .states import _check_polarization
 
 #: trials per RNG substream; chunk boundaries depend only on the trial count,
 #: so results are identical however the chunks are scheduled
@@ -60,15 +64,14 @@ class ShotExperiment:
 
     def __post_init__(self) -> None:
         _check_polarization(self.alpha_true)
-        if self.shots < 1:
-            raise ValueError(f"need shots >= 1, got {self.shots}")
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
+        _check_count("shots", self.shots)
+        _check_count("trials", self.trials)
 
 
-def _check_polarization(alpha: float) -> None:
-    if not abs(alpha) <= 1:  # NaN fails this too
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"need an integer {name} >= 1, got {value}")
 
 
 def chebyshev_bound(variance: float, k: int, epsilon: float) -> float:
@@ -77,8 +80,7 @@ def chebyshev_bound(variance: float, k: int, epsilon: float) -> float:
         raise ValueError(f"need epsilon > 0, got {epsilon}")
     if variance < 0:
         raise ValueError(f"need variance >= 0, got {variance}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_count("k", k)
     return min(1.0, variance / (k * epsilon * epsilon))
 
 
@@ -103,8 +105,7 @@ def exact_sign_error(alpha: float, k: int) -> float:
     enters, so the result is exactly even in ``alpha``.
     """
     _check_polarization(alpha)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_count("k", k)
     if alpha == 0.0:
         return 0.5
     p, q = (1.0 + abs(alpha)) / 2.0, (1.0 - abs(alpha)) / 2.0
@@ -255,11 +256,6 @@ def monte_carlo_sign_errors(
     return [(w + 0.5 * t) / exp.trials for exp, w, t in zip(experiments, wrong, ties)]
 
 
-def monte_carlo_sign_error(exp: ShotExperiment) -> float:
-    """:func:`monte_carlo_sign_errors` of the one experiment ``exp``."""
-    return monte_carlo_sign_errors([exp])[0]
-
-
 @dataclass(frozen=True)
 class ResourceComparison:
     """Raw versus cooled sign estimation at the same total qubit budget.
@@ -290,22 +286,6 @@ def cooled_shots(total_budget: int, cost: int) -> int:
     return k_cooled
 
 
-def resource_matched_comparison(
-    alpha: float,
-    cooled,
-    cost: int,
-    total_budget: int,
-    seed: int,
-    trials: int = 10_000,
-) -> ResourceComparison:
-    """Spend ``total_budget`` fresh qubits either on raw shots at ``alpha`` or
-    on ``total_budget // cost`` cooled shots, and compare wrong-sign error
-    rates.  ``cooled`` is the refrigerator's solved steady state at
-    ``alpha`` (a ``SteadyStateResult``) and ``cost`` its fresh qubits per
-    cooled shot; the shots read its ``alpha_enhanced``."""
-    return _compare([alpha], [cooled], cost, total_budget, [seed], trials, None)[0]
-
-
 def resource_matched_comparisons(
     alphas: Sequence[float],
     cooled: Sequence,
@@ -315,11 +295,11 @@ def resource_matched_comparisons(
     trials: int = 10_000,
     jobs: int | None = None,
 ) -> list[ResourceComparison]:
-    """:func:`resource_matched_comparison` at every point of a grid, with
-    the Monte Carlo of all points in one :func:`monte_carlo_sign_errors`
-    call on ``jobs`` threads.  Point ``i`` is compared with the seed
-    ``_derived_seed(seed, i)``, so it equals a lone comparison at that
-    seed."""
+    """At each ``alphas[i]``, spend ``total_budget`` fresh qubits on raw
+    shots or on ``total_budget // cost`` shots at the ``alpha_enhanced`` of
+    the steady state ``cooled[i]``, and compare wrong-sign error rates.  One
+    :func:`monte_carlo_sign_errors` call on ``jobs`` threads samples every
+    point, point ``i`` from the seed ``_derived_seed(seed, i)``."""
     seeds = [_derived_seed(seed, index) for index in range(len(alphas))]
     return _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs)
 

@@ -5,34 +5,26 @@ groups basis states by Hamming weight (ascending weight first, the all-ground
 state at index 0).  On a product state this sorts the populations descending
 when ``alpha > 0`` and ascending when ``alpha < 0``, so the same permutation
 amplifies the target's polarization toward whichever bias the input carries.
+:func:`compress_products` applies it to rows of product states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .states import (
-    DiagonalState,
     PermutationSpec,
+    _check_polarization,
     ground_excited_pair,
-    marginal_target,
     marginal_targets,
     product_probs,
 )
 
-#: inputs to optimal_compression must match a product state this closely
+#: rows passed to compress_products must match a product state this closely
 PRODUCT_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CompressionResult:
-    state_after: DiagonalState
-    alpha_target: float
-    n: int
 
 
 @lru_cache(maxsize=None)
@@ -64,15 +56,8 @@ def compress_products(probs: np.ndarray, n: int) -> np.ndarray:
     """
     expected = product_probs(marginal_targets(probs), n)
     if not np.allclose(probs, expected, atol=PRODUCT_ATOL, rtol=0.0):
-        raise ValueError("optimal_compression requires a product state of identical qubits")
+        raise ValueError("compress_products requires product states of identical qubits")
     return compression_permutation(n)(probs)
-
-
-def optimal_compression(d: DiagonalState) -> CompressionResult:
-    """Apply the fixed weight-ordering compression to ``n`` identical qubits:
-    the one-state case of :func:`compress_products`."""
-    out = DiagonalState(d.n, compress_products(d.probs, d.n))
-    return CompressionResult(out, marginal_target(out), d.n)
 
 
 def alpha_ac(n: int, alpha: float) -> float:
@@ -91,8 +76,6 @@ def alpha_ac(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    if abs(alpha) > 1:
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
     p, q = ground_excited_pair(alpha)
     half = range((n - 1) // 2 + 1)
     try:
@@ -109,6 +92,7 @@ def alpha_ac(n: int, alpha: float) -> float:
 
 def compression_xi(n: int, alpha: float) -> float:
     """Argument of the Gaussian-limit approximation of alpha_ac."""
+    _check_polarization(alpha)
     return n * alpha / math.sqrt(2.0 * n * (1.0 - alpha * alpha))
 
 
@@ -116,15 +100,13 @@ def alpha_ac_erf(n: int, alpha: float) -> float:
     """Gaussian (erf) approximation of :func:`alpha_ac`, good for large n."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    if abs(alpha) >= 1:
-        if abs(alpha) > 1:
-            raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+    if abs(alpha) == 1:
         return math.copysign(1.0, alpha)
     return math.erf(compression_xi(n, alpha))
 
 
 def _power_ratio(alpha: float, exponent: int) -> float:
-    """``tanh(exponent * artanh(alpha))`` for ``|alpha| <= 1``.
+    """``tanh(exponent * artanh(alpha))`` for ``|alpha| <= 1``, else ValueError.
 
     Evaluated through the equivalent power ratio
     ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever the powers stay
@@ -133,6 +115,7 @@ def _power_ratio(alpha: float, exponent: int) -> float:
     ``K = 1`` returns ``alpha`` itself, so that ``(1 + t) / 2`` reproduces
     the reservoir population ``(1 + alpha) / 2`` bit for bit.
     """
+    _check_polarization(alpha)
     if abs(alpha) == 1.0:
         return math.copysign(1.0, alpha)
     if exponent == 1:
@@ -160,14 +143,11 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if alpha == 0.0:
         raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-    if abs(alpha) >= 1:
-        if abs(alpha) > 1:
-            raise ValueError(f"polarization must lie in [-1, 1], got {alpha}")
+    if abs(alpha) == 1:
         return math.inf
-    a = abs(alpha)
-    xi = compression_xi(n, a)
+    xi = abs(compression_xi(n, alpha))  # exactly xi at |alpha|: the form is odd
     c = math.erfc(xi)  # twice the excited mass u: 4u(1-u) = c(2-c)
     den = c * (2.0 - c) / math.erf(xi) ** 2
     if den == 0.0:
         return math.inf
-    return (1.0 - a * a) / (a * a) / den / n
+    return (1.0 - alpha * alpha) / (alpha * alpha) / den / n

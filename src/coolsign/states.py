@@ -13,18 +13,15 @@ All reductions over basis indices (sums, marginals, L1 norms) go through
 commutative, folding a bit-reversed vector yields the bit-reversed fold.  This
 makes the simulators exactly symmetric under a global polarization flip
 ``alpha -> -alpha`` without ever branching on the sign, which downstream
-modules rely on.
+modules rely on.  A batch of states is a stack of such vectors, one row
+per polarization.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-#: accepted drift of a probability vector's total mass
-NORM_ATOL = 1e-12
 
 
 def pairwise_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -43,6 +40,13 @@ def pairwise_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return x[..., 0]
 
 
+def _check_polarization(alpha) -> None:
+    """Raise ValueError unless every entry of ``alpha`` lies in [-1, 1]."""
+    outside = ~(np.abs(alpha) <= 1)  # NaN fails this too
+    if outside.any():
+        raise ValueError(f"polarization must lie in [-1, 1], got {np.asarray(alpha)[outside][0]}")
+
+
 def ground_excited_pair(alpha) -> np.ndarray:
     """Single-qubit diagonal ``[(1+alpha)/2, (1-alpha)/2]``, one along the
     last axis for each entry of an array of polarizations.
@@ -51,44 +55,8 @@ def ground_excited_pair(alpha) -> np.ndarray:
     so that negating ``alpha`` swaps them bit-exactly.
     """
     alpha = np.asarray(alpha, dtype=float)
-    outside = np.abs(alpha) > 1
-    if outside.any():
-        raise ValueError(f"polarization must lie in [-1, 1], got {alpha[outside].flat[0]}")
+    _check_polarization(alpha)
     return np.stack([(1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0], axis=-1)
-
-
-def _check_mass(probs: np.ndarray, where: str) -> np.ndarray:
-    total = float(pairwise_sum(probs))
-    drift = abs(total - 1.0)
-    if drift > NORM_ATOL:
-        warnings.warn(
-            f"{where}: probability mass drifted by {drift:.3e}; renormalizing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        probs = probs / total
-    return probs
-
-
-@dataclass(frozen=True)
-class DiagonalState:
-    """Probability vector over the computational basis of ``n`` qubits."""
-
-    n: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} entries for n={self.n}, got {probs.shape}")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        probs = _check_mass(probs, "DiagonalState")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -99,12 +67,11 @@ class PermutationSpec:
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=np.intp)
+        perm = np.array(self.perm, dtype=np.intp)  # a copy, made read-only below
         if perm.shape != (1 << self.n,):
             raise ValueError(f"permutation length {perm.shape} does not match n={self.n}")
         if not np.array_equal(np.sort(perm), np.arange(1 << self.n)):
             raise ValueError("index map is not a bijection")
-        perm = perm.copy()
         perm.setflags(write=False)
         object.__setattr__(self, "perm", perm)
 
@@ -137,6 +104,8 @@ def product_probs(alpha, n: int) -> np.ndarray:
     """Probability vector of ``n`` identical qubits, each with polarization
     ``alpha``; an array of polarizations gives one vector per entry, along a
     new last axis."""
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     cell = ground_excited_pair(alpha)
     batch = cell.shape[:-1]
     probs = np.ones(batch + (1,))
@@ -145,23 +114,9 @@ def product_probs(alpha, n: int) -> np.ndarray:
     return probs
 
 
-def product_state(alpha: float, n: int) -> DiagonalState:
-    """State of ``n`` identical qubits, each with polarization ``alpha``."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    return DiagonalState(n, product_probs(alpha, n))
-
-
 def marginal_targets(probs: np.ndarray) -> np.ndarray:
     """Polarization ``Tr(Z rho_target)`` of the most significant qubit of
     each probability vector along the last axis."""
     probs = np.asarray(probs, dtype=float)
     half = probs.shape[-1] >> 1
     return pairwise_sum(probs[..., :half]) - pairwise_sum(probs[..., half:])
-
-
-def marginal_target(d: DiagonalState | np.ndarray) -> float:
-    """Polarization ``Tr(Z rho_target)`` of the most significant qubit: the
-    one-vector case of :func:`marginal_targets`."""
-    return float(marginal_targets(d.probs if isinstance(d, DiagonalState) else d))
-

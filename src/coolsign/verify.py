@@ -135,7 +135,7 @@ def verify_klocal_fixedpoint() -> list[CheckResult]:
             worst_factor = max(worst_factor, float(np.abs(fixed - product).max()))
             worst_tanh = max(
                 worst_tanh,
-                abs(states.marginal_target(fixed) - asym.alpha_target_infinity),
+                abs(float(states.marginal_targets(fixed)) - asym.alpha_target_infinity),
             )
     return [
         _check("3-local steady state factorizes (fibonacci populations)", worst_factor, 1e-9),

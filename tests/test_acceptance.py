@@ -21,13 +21,13 @@ from coolsign import (
     build_uqr,
     build_uqr_3local,
     exact_sign_error,
-    marginal_target,
-    monte_carlo_sign_error,
+    marginal_targets,
+    monte_carlo_sign_errors,
     optimal_bounds,
     predict_error_bound,
-    product_state,
+    product_probs,
     reduction_factor_ac,
-    resource_matched_comparison,
+    resource_matched_comparisons,
     steady_states,
     ShotExperiment,
 )
@@ -42,7 +42,7 @@ def report(number: int, label: str, elapsed: float, budget: float) -> None:
 
 def value_sort_marginal(n: int, alpha: float) -> float:
     """Sort-oracle: order populations by value (descending for positive bias)."""
-    probs = np.sort(product_state(alpha, n).probs)
+    probs = np.sort(product_probs(alpha, n))
     if alpha > 0:
         probs = probs[::-1]
     half = 1 << (n - 1)
@@ -98,8 +98,8 @@ def test_criterion_3_bqr_oracle_equivalence():
                 cfg = RefrigeratorConfig(n, m, 1, locality=locality)
                 for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
                     matrix = build_round_matrix(n, m, alpha, perm)
-                    vec = product_state(alpha, n - m).probs.copy()
-                    full = product_state(alpha, n).probs
+                    vec = product_probs(alpha, n - m)
+                    full = product_probs(alpha, n)
                     for _ in range(10):
                         vec = matrix @ vec
                         full = full_round(full, cfg, alpha)
@@ -107,7 +107,7 @@ def test_criterion_3_bqr_oracle_equivalence():
                         worst = max(
                             worst,
                             float(np.abs(vec - traced).max()),
-                            abs(marginal_target(vec) - marginal_target(traced)),
+                            abs(marginal_targets(vec) - marginal_targets(traced)),
                         )
     assert worst < 1e-12
     report(3, f"matrix path vs full 2^n simulation, both staircases (worst {worst:.2e})",
@@ -195,7 +195,7 @@ def test_criterion_8_sampling_suite():
 
     for alpha, k in ((0.2, 25), (0.5, 10), (-0.4, 51), (0.1, 4)):
         exact = exact_sign_error(alpha, k)
-        mc = monte_carlo_sign_error(ShotExperiment(alpha, k, 100_000, seed=20240612))
+        mc = monte_carlo_sign_errors([ShotExperiment(alpha, k, 100_000, seed=20240612)])[0]
         stderr = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(mc - exact) <= 4 * stderr
 
@@ -206,8 +206,8 @@ def test_criterion_8_sampling_suite():
 
     cfg = RefrigeratorConfig(5, 2, 5)
     grid = [float(a) for a in np.round(np.arange(0.5, 0.901, 0.05), 10)]
-    for a, cooled in zip(grid, steady_states(cfg, grid)):
-        rec = resource_matched_comparison(a, cooled, cfg.cost, 55, seed=7, trials=1000)
+    for rec in resource_matched_comparisons(grid, steady_states(cfg, grid), cfg.cost, 55,
+                                            seed=7, trials=1000):
         assert rec.exact_error_cooled < rec.exact_error_raw
     report(8, "sampling: CDF oracle, CLT band, bound dominance, cooling wins",
            time.perf_counter() - start, 60.0)

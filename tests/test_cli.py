@@ -246,9 +246,9 @@ def test_batched_sample_matches_one_point_solves(tmp_path, locality):
             "--alpha-grid=" + grid, "--out", str(out)]
     assert main(argv) == EXIT_OK
     cfg = refrigerator.RefrigeratorConfig(6, 2, 3, locality=locality)
-    rows = [dataclasses.astuple(sampling.resource_matched_comparison(
-                alpha, refrigerator.steady_states(cfg, [alpha])[0], cfg.cost, budget,
-                sampling._derived_seed(seed, index), trials=trials))
+    rows = [dataclasses.astuple(sampling._compare(
+                [alpha], [refrigerator.steady_states(cfg, [alpha])[0]], cfg.cost, budget,
+                [sampling._derived_seed(seed, index)], trials, None)[0])
             for index, alpha in enumerate(parse_alpha_grid(grid))]
     assert 0.0 in [row[0] for row in rows]
     write_rows(str(expect), "csv", SAMPLE_HEADER, rows)

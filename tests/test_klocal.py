@@ -13,9 +13,9 @@ from coolsign import (
     build_uqr,
     build_uqr_3local,
     fibonacci,
-    marginal_target,
+    marginal_targets,
     optimal_bounds,
-    product_state,
+    product_probs,
     steady_states,
 )
 from coolsign.refrigerator import compression_permutation_for
@@ -70,19 +70,19 @@ class TestPermutation:
 
     def test_n4_window_swaps(self):
         # last-3 window swaps {3,4},{11,12}; top window then swaps {6,8},{7,9}
-        d = product_state(0.37, 4)
-        manual = d.probs.copy()
+        probs = product_probs(0.37, 4)
+        manual = probs.copy()
         for a, b in ((3, 4), (11, 12), (6, 8), (7, 9)):
             manual[[a, b]] = manual[[b, a]]
-        out = build_uqr_3local(4)(d.probs)
+        out = build_uqr_3local(4)(probs)
         assert np.allclose(out, manual, atol=0)
 
     def test_inverse_roundtrip(self):
         for n in (3, 4, 5, 6):
             perm = build_uqr_3local(n)
             inverse = PermutationSpec(n, np.argsort(perm.perm))
-            d = product_state(0.61, n)
-            assert np.array_equal(inverse(perm(d.probs)), d.probs)
+            probs = product_probs(0.61, n)
+            assert np.array_equal(inverse(perm(probs)), probs)
 
     def test_bijection(self):
         for n in (3, 4, 5, 6, 7):
@@ -119,8 +119,8 @@ class TestRoundMatrices:
     def test_matrix_matches_full_simulation(self, n):
         cfg = RefrigeratorConfig(n, 2, 1, locality="3local")
         matrix = build_round_matrix(n, 2, 0.5, build_uqr_3local(n))
-        vec = product_state(0.5, n - 2).probs.copy()
-        full = product_state(0.5, n).probs
+        vec = product_probs(0.5, n - 2)
+        full = product_probs(0.5, n)
         for _ in range(5):
             vec = matrix @ vec
             full = full_round(full, cfg, 0.5)
@@ -217,7 +217,7 @@ class TestAsymptoticPopulations:
             for pop in pops[:1:-1]:  # target first, down to the last auxiliary
                 product = np.kron(product, np.array([pop, 1.0 - pop]))
             assert np.abs(fixed - product).max() < 1e-9
-            assert abs(marginal_target(fixed) - alpha_infinity_3local(n, alpha)) < 1e-9
+            assert abs(marginal_targets(fixed) - alpha_infinity_3local(n, alpha)) < 1e-9
 
 
 class TestReduction3Local:

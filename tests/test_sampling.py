@@ -20,10 +20,8 @@ from coolsign import (
     ShotExperiment,
     chebyshev_bound,
     exact_sign_error,
-    monte_carlo_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
-    resource_matched_comparison,
     resource_matched_comparisons,
     sampling,
     steady_states,
@@ -204,25 +202,25 @@ class TestMonteCarlo:
     def test_within_clt_band_of_exact(self):
         for alpha, k in ((0.2, 25), (0.5, 10), (-0.4, 51), (0.1, 4)):
             exact = exact_sign_error(alpha, k)
-            mc = monte_carlo_sign_error(ShotExperiment(alpha, k, 100_000, seed=20240612))
+            mc = monte_carlo_sign_errors([ShotExperiment(alpha, k, 100_000, seed=20240612)])[0]
             stderr = math.sqrt(exact * (1 - exact) / 100_000)
             assert abs(mc - exact) <= 4 * stderr
 
     def test_pure_state_never_errs(self):
-        assert monte_carlo_sign_error(ShotExperiment(1.0, 3, 1000, seed=1)) == 0.0
+        assert monte_carlo_sign_errors([ShotExperiment(1.0, 3, 1000, seed=1)])[0] == 0.0
 
     def test_same_seed_identical(self):
         exp = ShotExperiment(0.3, 20, 50_000, seed=777)
-        assert monte_carlo_sign_error(exp) == monte_carlo_sign_error(exp)
+        assert monte_carlo_sign_errors([exp])[0] == monte_carlo_sign_errors([exp])[0]
 
     def test_different_seeds_differ(self):
-        a = monte_carlo_sign_error(ShotExperiment(0.2, 25, 50_000, seed=1))
-        b = monte_carlo_sign_error(ShotExperiment(0.2, 25, 50_000, seed=2))
+        a = monte_carlo_sign_errors([ShotExperiment(0.2, 25, 50_000, seed=1)])[0]
+        b = monte_carlo_sign_errors([ShotExperiment(0.2, 25, 50_000, seed=2)])[0]
         assert a != b
 
     def test_trials_not_multiple_of_chunk(self):
         exp = ShotExperiment(0.2, 9, 5000, seed=5)
-        value = monte_carlo_sign_error(exp)
+        value = monte_carlo_sign_errors([exp])[0]
         assert 0.0 <= value <= 1.0
 
     def test_validation(self):
@@ -232,6 +230,26 @@ class TestMonteCarlo:
             ShotExperiment(0.2, 5, 0, seed=1)
         with pytest.raises(ValueError):
             ShotExperiment(1.2, 5, 10, seed=1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ShotExperiment(0.5, 2.5, 10, seed=1),
+        lambda: ShotExperiment(0.5, 3.0, 10, seed=1),
+        lambda: ShotExperiment(0.5, 3, 10.5, seed=1),
+        lambda: exact_sign_error(0.5, 2.5),
+        lambda: predict_error_bound(0.5, 2.5),
+        lambda: chebyshev_bound(0.5, 2.5, 0.1),
+    ], ids=["shots", "integral-float-shots", "trials", "exact-k", "bound-k", "chebyshev-k"])
+    def test_non_integer_counts_rejected(self, call):
+        # numpy would draw floor(k) shots while the tie rule reads ties at k/2
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+    def test_numpy_integer_counts_accepted(self):
+        plain = ShotExperiment(0.3, 5, 1000, seed=1)
+        numpy_counts = ShotExperiment(0.3, np.int64(5), np.int32(1000), seed=1)
+        assert monte_carlo_sign_errors([numpy_counts]) == monte_carlo_sign_errors([plain])
+        assert exact_sign_error(0.3, np.int64(25)) == exact_sign_error(0.3, 25)
+        assert predict_error_bound(0.3, np.uint8(25)) == predict_error_bound(0.3, 25)
 
 
 def chunk_by_chunk(exp: ShotExperiment) -> float:
@@ -263,7 +281,7 @@ BATCH = [
 class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_equals_lone_calls_and_chunk_loop(self, jobs):
-        lone = [monte_carlo_sign_error(exp) for exp in BATCH]
+        lone = [monte_carlo_sign_errors([exp])[0] for exp in BATCH]
         assert monte_carlo_sign_errors(BATCH, jobs=jobs) == lone
         assert lone == [chunk_by_chunk(exp) for exp in BATCH]
 
@@ -272,7 +290,7 @@ class TestBatchedMonteCarlo:
 
     def test_same_experiment_twice(self):
         assert monte_carlo_sign_errors([BATCH[0], BATCH[0]], jobs=2) == [
-            monte_carlo_sign_error(BATCH[0])] * 2
+            monte_carlo_sign_errors([BATCH[0]])[0]] * 2
 
     def test_empty(self):
         assert monte_carlo_sign_errors([], jobs=3) == []
@@ -318,8 +336,8 @@ class TestBatchedMonteCarlo:
         cfg = RefrigeratorConfig(4, 2, 2)
         grid = [-0.6, 0.0, 0.3, 1.0]
         cooled = steady_states(cfg, grid)
-        lone = [resource_matched_comparison(a, c, cfg.cost, 40, sampling._derived_seed(9, i),
-                                            trials=5000)
+        lone = [sampling._compare([a], [c], cfg.cost, 40, [sampling._derived_seed(9, i)], 5000,
+                                  None)[0]
                 for i, (a, c) in enumerate(zip(grid, cooled))]
         for jobs in (1, 3):
             rows = resource_matched_comparisons(grid, cooled, cfg.cost, 40, 9, trials=5000,
@@ -362,7 +380,7 @@ def compare(alpha, cfg, budget, **kwargs):
     """The resource-matched comparison at ``alpha``, read off its lone
     steady-state solve."""
     cooled = steady_states(cfg, [alpha])[0]
-    return resource_matched_comparison(alpha, cooled, cfg.cost, budget, **kwargs)
+    return resource_matched_comparisons([alpha], [cooled], cfg.cost, budget, **kwargs)[0]
 
 
 class TestResourceMatchedComparison:

@@ -7,19 +7,19 @@ import pytest
 from coolsign import (
     alpha_ac,
     alpha_ac_erf,
+    compress_products,
     compression_permutation,
-    optimal_compression,
-    product_state,
+    marginal_targets,
+    product_probs,
     reduction_factor_ac,
 )
-from coolsign.single_shot import compress_products
 
 
 def sort_oracle_marginal(n, alpha):
     """Independent oracle: sort the product-state diagonal by Hamming weight
     (ascending weight, i.e. descending populations for alpha > 0) and read off
     the target marginal."""
-    probs = product_state(alpha, n).probs
+    probs = product_probs(alpha, n)
     order = sorted(range(1 << n), key=lambda i: (bin(i).count("1"), i))
     reordered = probs[order]
     half = 1 << (n - 1)
@@ -37,30 +37,38 @@ def alpha_ac_fraction(n, alpha):
     return total
 
 
+def compressed(alpha, n):
+    """The weight-ordered compression of one product state."""
+    return compress_products(product_probs(alpha, n), n)
+
+
+def compressed_target(alpha, n):
+    """The target polarization after compressing one product state."""
+    return float(marginal_targets(compressed(alpha, n)))
+
+
 class TestOptimalCompression:
     def test_half_polarized_three_qubits(self):
-        result = optimal_compression(product_state(0.5, 3))
-        assert result.alpha_target == pytest.approx(0.6875, abs=1e-15)
+        assert compressed_target(0.5, 3) == pytest.approx(0.6875, abs=1e-15)
 
     def test_zero_polarization_all_entries_equal(self):
-        result = optimal_compression(product_state(0.0, 5))
-        assert result.alpha_target == 0.0
+        assert compressed_target(0.0, 5) == 0.0
 
     def test_bidirectional_mirror(self):
-        down = optimal_compression(product_state(-0.5, 3))
-        assert down.alpha_target == pytest.approx(-0.6875, abs=1e-15)
-        assert down.alpha_target == pytest.approx(-sort_oracle_marginal(3, 0.5), abs=1e-15)
+        down = compressed_target(-0.5, 3)
+        assert down == pytest.approx(-0.6875, abs=1e-15)
+        assert down == pytest.approx(-sort_oracle_marginal(3, 0.5), abs=1e-15)
 
     def test_output_is_weight_sorted_rearrangement(self):
         n, alpha = 4, 0.62
-        result = optimal_compression(product_state(alpha, n))
-        probs = product_state(alpha, n).probs
-        assert np.array_equal(np.sort(result.state_after.probs), np.sort(probs))
-        assert np.array_equal(result.state_after.probs, np.sort(probs)[::-1])
+        out = compressed(alpha, n)
+        probs = product_probs(alpha, n)
+        assert np.array_equal(np.sort(out), np.sort(probs))
+        assert np.array_equal(out, np.sort(probs)[::-1])
 
     def test_ascending_for_negative_bias(self):
-        result = optimal_compression(product_state(-0.62, 4))
-        assert np.array_equal(result.state_after.probs, np.sort(result.state_after.probs))
+        out = compressed(-0.62, 4)
+        assert np.array_equal(out, np.sort(out))
 
     def test_same_permutation_both_signs(self):
         perm = compression_permutation(3)
@@ -69,23 +77,21 @@ class TestOptimalCompression:
         assert perm.perm[3] == 4 and perm.perm[4] == 3
 
     def test_majorization_for_positive_bias(self):
-        probs = product_state(0.7, 5).probs
-        out = optimal_compression(product_state(0.7, 5)).state_after.probs
+        probs = product_probs(0.7, 5)
+        out = compressed(0.7, 5)
         assert np.all(np.cumsum(out) >= np.cumsum(probs) - 1e-15)
 
     def test_non_product_input_rejected(self):
-        from coolsign import DiagonalState
-
-        correlated = DiagonalState(3, [0.5, 0, 0, 0, 0, 0, 0, 0.5])
+        correlated = np.array([0.5, 0, 0, 0, 0, 0, 0, 0.5])
         with pytest.raises(ValueError):
-            optimal_compression(correlated)
+            compress_products(correlated, 3)
 
     def test_rows_compress_as_single_states_and_any_correlated_row_is_rejected(self):
         alphas = [0.3, -0.5, 0.0, 0.99]
-        rows = np.array([product_state(a, 4).probs for a in alphas])
+        rows = np.array([product_probs(a, 4) for a in alphas])
         got = compress_products(rows, 4)
         for a, row in zip(alphas, got):
-            assert np.array_equal(row, optimal_compression(product_state(a, 4)).state_after.probs)
+            assert np.array_equal(row, compressed(a, 4))
         rows[2] = np.eye(16)[0] / 2 + np.eye(16)[15] / 2
         with pytest.raises(ValueError):
             compress_products(rows, 4)
@@ -114,7 +120,7 @@ class TestAlphaAc:
     def test_closed_form_vs_compression_op(self):
         for n in (3, 4, 6, 7):
             for alpha in (-0.9, -0.3, 0.2, 0.8):
-                got = optimal_compression(product_state(alpha, n)).alpha_target
+                got = compressed_target(alpha, n)
                 assert alpha_ac(n, alpha) == pytest.approx(got, abs=1e-12)
 
     def test_beyond_float_binomials_matches_exact_rational(self):

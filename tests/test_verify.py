@@ -20,8 +20,9 @@ def reference_theorem1():
         for a in alphas:
             a = float(a)
             closed = single_shot.alpha_ac(n, a)
-            sorted_state = single_shot.optimal_compression(states.product_state(a, n))
-            worst_closed = max(worst_closed, abs(closed - sorted_state.alpha_target))
+            compressed = single_shot.compress_products(states.product_probs(a, n), n)
+            target = float(states.marginal_targets(compressed))
+            worst_closed = max(worst_closed, abs(closed - target))
             worst_gain = max(worst_gain, max(0.0, abs(a) - abs(closed)))
             sign_ok &= np.sign(closed) == np.sign(a)
     spot = abs(single_shot.alpha_ac(3, 0.5) - 11 / 16)
@@ -43,7 +44,7 @@ def reference_bqr_oracle():
             for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
                 matrix = refrigerator.build_round_matrix(n, m, alpha, perm)
                 reset = states.product_probs(alpha, m)
-                a = states.product_state(alpha, n - m).probs.copy()
+                a = states.product_probs(alpha, n - m)
                 full = states.product_probs(alpha, n)
                 for _ in range(10):
                     a = matrix @ a
@@ -52,7 +53,7 @@ def reference_bqr_oracle():
                     worst = max(
                         worst,
                         float(np.abs(a - traced).max()),
-                        abs(states.marginal_target(a) - states.marginal_target(traced)),
+                        abs(states.marginal_targets(a) - states.marginal_targets(traced)),
                     )
     col_worst = 0.0
     rng = np.random.default_rng(20240611)
