@@ -21,8 +21,7 @@ ALPHA = 0.5
 
 print("Asymptotic ground populations (string end -> target), alpha = 0.5:")
 for n in (4, 5, 6):
-    asym = asymptotic_population_vector(n, ALPHA)
-    pops = ", ".join(f"{p:.6f}" for p in asym.populations)
+    pops = ", ".join(f"{p:.6f}" for p in asymptotic_population_vector(n, ALPHA))
     print(f"  n={n}: [{pops}]")
     print(f"       fibonacci exponents: {[fibonacci(j) for j in range(1, n + 1)]}")
 

@@ -2,7 +2,6 @@
 sign-based quantum classification."""
 
 from .klocal import (
-    KLocalAsymptotics,
     alpha_infinity_3local,
     asymptotic_population_vector,
     build_uqr_3local,
@@ -22,7 +21,6 @@ from .sampling import (
     BudgetError,
     ResourceComparison,
     ShotExperiment,
-    chebyshev_bound,
     exact_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "ConvergenceError",
-    "KLocalAsymptotics",
     "PermutationSpec",
     "RefrigeratorConfig",
     "ResourceComparison",
@@ -62,7 +59,6 @@ __all__ = [
     "build_round_matrix",
     "build_uqr",
     "build_uqr_3local",
-    "chebyshev_bound",
     "compress_products",
     "compression_permutation",
     "exact_sign_error",

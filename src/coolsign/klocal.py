@@ -5,12 +5,11 @@ round applies the 3-qubit compression swap to every window of neighboring
 qubits, starting at the end of the string and sliding up to the target.  The
 price of locality is a slower cooling limit: with two reset qubits the
 asymptotic per-qubit ground populations follow Fibonacci-number exponents
-rather than powers of two.
+rather than powers of two (:func:`asymptotic_population_vector`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,27 +50,16 @@ def alpha_infinity_3local(n: int, alpha: float) -> float:
     return _power_ratio(alpha, fibonacci(n))
 
 
-@dataclass(frozen=True)
-class KLocalAsymptotics:
-    """Per-qubit ground populations of the 3-local cooling limit (m = 2).
-
-    ``populations[j]`` belongs to the ``(j+1)``-th qubit counting from the end
-    of the string; the last entry is the target.
-    """
-
-    n: int
-    populations: np.ndarray
-    alpha_target_infinity: float
-
-
-def asymptotic_population_vector(n: int, alpha: float) -> KLocalAsymptotics:
-    """Fibonacci-exponent populations ``(1 + tanh(F_j artanh(alpha))) / 2``,
-    j = 1..n, i.e. ``p^F_j / (p^F_j + q^F_j)``.
+def asymptotic_population_vector(n: int, alpha: float) -> np.ndarray:
+    """Ground populations ``(1 + tanh(F_j artanh(alpha))) / 2``, i.e.
+    ``p^F_j / (p^F_j + q^F_j)``, of the 3-local cooling limit (m = 2), for
+    the j-th qubit from the end of the string, j = 1..n; the last entry is
+    the target, at polarization :func:`alpha_infinity_3local`.
 
     The first two entries (the reset qubits) stay at ``p`` since ``F_1 = F_2
     = 1``; the steady state of the 3-local round map factorizes into exactly
     this product state.
     """
-    target = alpha_infinity_3local(n, alpha)
-    populations = [(1.0 + _power_ratio(alpha, fibonacci(j))) / 2.0 for j in range(1, n + 1)]
-    return KLocalAsymptotics(n, np.array(populations), target)
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    return np.array([(1.0 + _power_ratio(alpha, fibonacci(j))) / 2.0 for j in range(1, n + 1)])

@@ -47,6 +47,7 @@ from .klocal import build_uqr_3local
 from .single_shot import _power_ratio
 from .states import (
     PermutationSpec,
+    _attach,
     ground_excited_pair,
     pairwise_sum,
     product_probs,
@@ -168,13 +169,6 @@ def _round(full: np.ndarray, compress: Compression, m: int) -> np.ndarray:
     ``m`` (reset) qubits out, leaving the non-reset rows."""
     compressed = compress(full)
     return pairwise_sum(compressed.reshape(compressed.shape[:-1] + (-1, 1 << m)))
-
-
-def _attach(a: np.ndarray, qubits: np.ndarray) -> np.ndarray:
-    """Append qubits with the probabilities ``qubits`` after the last qubit of
-    each row of ``a``; the leading axes of ``qubits`` broadcast against the
-    rows."""
-    return (a[..., :, None] * qubits[..., None, :]).reshape(a.shape[:-1] + (-1,))
 
 
 def build_round_matrix(

@@ -2,8 +2,8 @@
 
 A classifier's decision is the sign of a single-qubit polarization ``alpha``
 estimated from ``k`` projective shots.  This module provides the Chebyshev
-bound and its prediction specialization, the exact wrong-sign probability
-from the binomial law, a reproducible Monte Carlo counterpart
+prediction bound (:func:`predict_error_bound`), the exact wrong-sign
+probability from the binomial law, a reproducible Monte Carlo counterpart
 (:func:`monte_carlo_sign_errors`, one call for a list of experiments), and
 resource-matched comparisons of raw versus cooled estimation at a fixed
 qubit budget over a grid (:func:`resource_matched_comparisons`).
@@ -74,22 +74,14 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"need an integer {name} >= 1, got {value}")
 
 
-def chebyshev_bound(variance: float, k: int, epsilon: float) -> float:
-    """``min(1, variance / (k epsilon^2))``: tail bound for a k-shot mean."""
-    if epsilon <= 0:
-        raise ValueError(f"need epsilon > 0, got {epsilon}")
-    if variance < 0:
-        raise ValueError(f"need variance >= 0, got {variance}")
-    _check_count("k", k)
-    return min(1.0, variance / (k * epsilon * epsilon))
-
-
 def predict_error_bound(alpha: float, k: int) -> float:
-    """Wrong-sign probability bound ``min(1, (1 - alpha^2) / (k alpha^2))``."""
+    """Wrong-sign probability bound ``min(1, (1 - alpha^2) / (k alpha^2))``,
+    Chebyshev's for a k-shot mean of variance ``1 - alpha^2``."""
     if alpha == 0.0:
         raise ZeroDivisionError("prediction bound is undefined at alpha = 0")
     _check_polarization(alpha)
-    return chebyshev_bound(1.0 - alpha * alpha, k, abs(alpha))
+    _check_count("k", k)
+    return min(1.0, (1.0 - alpha * alpha) / (k * abs(alpha) * abs(alpha)))
 
 
 def exact_sign_error(alpha: float, k: int) -> float:

@@ -14,7 +14,7 @@ commutative, folding a bit-reversed vector yields the bit-reversed fold.  This
 makes the simulators exactly symmetric under a global polarization flip
 ``alpha -> -alpha`` without ever branching on the sign, which downstream
 modules rely on.  A batch of states is a stack of such vectors, one row
-per polarization.
+per polarization, and :func:`_attach` appends qubits to every row.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def pairwise_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over ``axis`` (power-of-two length) via pairwise halving.
+def pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis (power-of-two length) via pairwise halving.
 
     Unlike ``np.sum``, the result is invariant under reversal of the summed
     axis, which is what makes polarization-flip symmetry bit-exact.
     """
     x = np.asarray(x, dtype=float)
-    if axis not in (-1, x.ndim - 1):
-        x = np.moveaxis(x, axis, -1)
     if x.shape[-1] & (x.shape[-1] - 1):
         raise ValueError(f"pairwise_sum needs a power-of-two length, got {x.shape[-1]}")
     while x.shape[-1] > 1:
@@ -107,11 +105,18 @@ def product_probs(alpha, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     cell = ground_excited_pair(alpha)
-    batch = cell.shape[:-1]
-    probs = np.ones(batch + (1,))
+    probs = np.ones(cell.shape[:-1] + (1,))
     for _ in range(n):
-        probs = (probs[..., :, None] * cell[..., None, :]).reshape(batch + (2 * probs.shape[-1],))
+        probs = _attach(probs, cell)
     return probs
+
+
+def _attach(a: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    """Append qubits with the probabilities ``qubits`` after the last qubit of
+    each row of ``a``; the leading axes of ``qubits`` broadcast against the
+    rows."""
+    return (a[..., :, None] * qubits[..., None, :]).reshape(
+        a.shape[:-1] + (a.shape[-1] * qubits.shape[-1],))
 
 
 def marginal_targets(probs: np.ndarray) -> np.ndarray:

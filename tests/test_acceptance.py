@@ -160,7 +160,7 @@ def test_criterion_6_klocal_asymptotics():
                 power = power @ power
                 power /= power.sum(axis=0, keepdims=True)
             fixed = power[:, 0] / power[:, 0].sum()
-            pops = asymptotic_population_vector(n, alpha).populations
+            pops = asymptotic_population_vector(n, alpha)
             product = np.array([1.0])
             for pop in pops[:1:-1]:
                 product = np.kron(product, np.array([pop, 1.0 - pop]))

@@ -350,6 +350,24 @@ class TestSampleCommand:
         main(args + ["--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    def test_json_writes_non_finite_cells_as_strings(self, tmp_path):
+        # at alpha = 0 the reduction factor is NaN, and at |alpha| = 0.5 both
+        # Monte Carlo errors are 0, so their ratio is NaN
+        def reject(constant):
+            raise AssertionError(f"bare {constant} in the JSON")
+
+        out = tmp_path / "sample.json"
+        code = main(["--sample", "--trials", "10", "--format", "json",
+                     "--alpha-grid=-0.5:0.5:0.5", "--budget", "1000000", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        rows = [dict(zip(payload["columns"], row)) for row in payload["rows"]]
+        assert [row["alpha"] for row in rows] == [-0.5, 0.0, 0.5]
+        strings = {(column, row["alpha"], v) for row in rows for column, v in row.items()
+                   if isinstance(v, str)}
+        assert strings == {("empirical_ratio", -0.5, "nan"), ("reduction_factor", 0.0, "nan"),
+                           ("empirical_ratio", 0.5, "nan")}
+
     def test_budget_too_small(self, tmp_path, capsys, monkeypatch):
         # rejected before any refrigerator work
         def no_work(*args, **kwargs):

@@ -181,38 +181,36 @@ class TestAlphaInfinity3Local:
 
 class TestAsymptoticPopulations:
     def test_four_qubits_half_polarized(self):
-        result = asymptotic_population_vector(4, 0.5)
-        assert np.allclose(result.populations, [0.75, 0.75, 0.9, 27 / 28], atol=1e-14)
+        pops = asymptotic_population_vector(4, 0.5)
+        assert np.allclose(pops, [0.75, 0.75, 0.9, 27 / 28], atol=1e-14)
 
     def test_zero_polarization_all_half(self):
-        assert np.allclose(asymptotic_population_vector(5, 0.0).populations, 0.5, atol=0)
+        assert np.allclose(asymptotic_population_vector(5, 0.0), 0.5, atol=0)
 
     def test_five_qubit_target_population(self):
-        result = asymptotic_population_vector(5, 0.5)
-        assert result.populations[-1] == pytest.approx(3**5 / (3**5 + 1), abs=1e-14)
-        assert result.populations[-1] == pytest.approx(0.995902, abs=5e-7)
+        target = asymptotic_population_vector(5, 0.5)[-1]
+        assert target == pytest.approx(3**5 / (3**5 + 1), abs=1e-14)
+        assert target == pytest.approx(0.995902, abs=5e-7)
 
     def test_reset_qubits_keep_reservoir_population(self):
         for alpha in (0.3, -0.6):
-            pops = asymptotic_population_vector(6, alpha).populations
+            pops = asymptotic_population_vector(6, alpha)
             assert pops[0] == pops[1] == (1 + alpha) / 2
 
     def test_nondecreasing_toward_target(self):
-        pops = asymptotic_population_vector(7, 0.4).populations
+        pops = asymptotic_population_vector(7, 0.4)
         assert np.all(np.diff(pops) >= -1e-15)
 
     def test_alpha_target_consistency(self):
-        result = asymptotic_population_vector(6, 0.55)
-        assert 2 * result.populations[-1] - 1 == pytest.approx(
-            result.alpha_target_infinity, abs=1e-14
-        )
+        pops = asymptotic_population_vector(6, 0.55)
+        assert 2 * pops[-1] - 1 == pytest.approx(alpha_infinity_3local(6, 0.55), abs=1e-14)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_steady_state_factorizes(self, n):
         for alpha in (0.2, 0.5, 0.8):
             matrix = build_round_matrix(n, 2, alpha, build_uqr_3local(n))
             fixed = stationary_by_power_iteration(matrix)
-            pops = asymptotic_population_vector(n, alpha).populations
+            pops = asymptotic_population_vector(n, alpha)
             product = np.array([1.0])
             for pop in pops[:1:-1]:  # target first, down to the last auxiliary
                 product = np.kron(product, np.array([pop, 1.0 - pop]))

@@ -181,7 +181,8 @@ def scattered_round_matrix(n, m, alpha, permutation):
     scattered = np.zeros(reset.shape[:-1] + (dim * res_dim, dim))
     src = np.arange(dim * res_dim)
     scattered[..., permutation.perm[src], src // res_dim] = reset[..., src % res_dim]
-    return pairwise_sum(scattered.reshape(reset.shape[:-1] + (dim, res_dim, dim)), axis=-2)
+    scattered = scattered.reshape(reset.shape[:-1] + (dim, res_dim, dim))
+    return pairwise_sum(np.moveaxis(scattered, -2, -1))
 
 
 class TestRoundMatrix:

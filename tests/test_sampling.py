@@ -18,7 +18,6 @@ from coolsign import (
     BudgetError,
     RefrigeratorConfig,
     ShotExperiment,
-    chebyshev_bound,
     exact_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
@@ -65,18 +64,19 @@ def wrong_sign_mpmath(alpha: float, k: int):
 
 
 class TestChebyshevBound:
+    """``predict_error_bound`` is Chebyshev's bound with variance
+    ``1 - alpha^2`` and deviation ``|alpha|``."""
+
     def test_direct_evaluation(self):
-        assert chebyshev_bound(1.0, 100, 0.5) == pytest.approx(0.04, abs=1e-15)
+        assert predict_error_bound(-0.8, 3) == pytest.approx(0.36 / (3 * 0.64), abs=1e-15)
 
     def test_zero_variance(self):
-        assert chebyshev_bound(0.0, 7, 0.3) == 0.0
+        assert predict_error_bound(1.0, 7) == 0.0
+        assert predict_error_bound(-1.0, 7) == 0.0
 
     def test_clamped_to_one(self):
-        assert chebyshev_bound(1.0, 1, 0.1) == 1.0
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            chebyshev_bound(1.0, 10, 0.0)
+        assert predict_error_bound(0.1, 1) == 1.0
+        assert predict_error_bound(-0.1, 1) == 1.0
 
 
 class TestPredictErrorBound:
@@ -237,7 +237,7 @@ class TestMonteCarlo:
         lambda: ShotExperiment(0.5, 3, 10.5, seed=1),
         lambda: exact_sign_error(0.5, 2.5),
         lambda: predict_error_bound(0.5, 2.5),
-        lambda: chebyshev_bound(0.5, 2.5, 0.1),
+        lambda: predict_error_bound(-0.5, 4.0),
     ], ids=["shots", "integral-float-shots", "trials", "exact-k", "bound-k", "chebyshev-k"])
     def test_non_integer_counts_rejected(self, call):
         # numpy would draw floor(k) shots while the tie rule reads ties at k/2

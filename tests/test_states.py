@@ -25,7 +25,7 @@ from coolsign import (
     steady_states,
     window_swaps,
 )
-from coolsign.states import ground_excited_pair
+from coolsign.states import _attach, ground_excited_pair
 
 
 def dyadic_probs(n, rng):
@@ -61,6 +61,12 @@ class TestProductState:
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
             product_probs(0.3, 0)
+
+    def test_empty_batch_keeps_zero_rows(self):
+        # the steady-state solve asks for the product states of an empty
+        # selection of its grid on every call
+        assert product_probs(np.array([]), 3).shape == (0, 8)
+        assert _attach(np.ones((0, 4)), np.ones((0, 2))).shape == (0, 8)
 
 
 #: every function that takes a polarization, called at ``alpha``

@@ -48,7 +48,7 @@ def reference_bqr_oracle():
                 full = states.product_probs(alpha, n)
                 for _ in range(10):
                     a = matrix @ a
-                    full = refrigerator._attach(refrigerator._round(full, perm, m), reset)
+                    full = states._attach(refrigerator._round(full, perm, m), reset)
                     traced = states.pairwise_sum(full.reshape(-1, 1 << m))
                     worst = max(
                         worst,
