@@ -8,7 +8,7 @@ byte-identical for identical flags and seed.  Every refrigerator command
 solves each curve's whole grid as one batched fixed point, ``--sample``
 included.  ``--sample`` then runs the Monte Carlo of every point in one
 :func:`coolsign.sampling.resource_matched_comparisons` call, whose
-``--jobs`` threads split the Monte Carlo's seeded chunks; ``--jobs``
+``--jobs`` threads split the Monte Carlo's seeded substreams; ``--jobs``
 defaults to the CPUs this process may use, and the bytes are the same for
 any count.
 
@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
                         help="worker threads that split the --sample Monte Carlo's seeded "
-                        f"chunks, 1 to {sampling.MAX_JOBS} (default: the CPUs this process may "
-                        "use; output is byte-identical for any value)")
+                        f"substreams, 1 to {sampling.MAX_JOBS} (default: the CPUs this process "
+                        "may use; output is byte-identical for any value)")
     return parser
 
 

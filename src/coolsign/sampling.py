@@ -13,14 +13,15 @@ module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
 with one batched :func:`coolsign.refrigerator.steady_states` call and
 samples it with one :func:`resource_matched_comparisons` call.
 
-The Monte Carlo draws each chunk of :data:`MC_CHUNK` trials from its own
-counter-based Philox substream, so the chunks may run in any order on any
-number of threads and give the same counts.  :func:`monte_carlo_sign_errors`
-cuts every experiment of a call into tasks of :data:`TASK_CHUNKS` chunks,
-and the threads of one pool per call take those tasks in turn; the pool is
-by default as large as the CPUs this process may use, and numpy releases
-the GIL while it draws.  The integer counts are added back per experiment,
-so the result is byte-identical for any thread count.
+The Monte Carlo draws each substream of :data:`MC_CHUNK` trials from its
+own PCG64 generator, seeded by the experiment's seed and the substream's
+index, so the substreams may run in any order on any number of threads and
+give the same counts.  One substream is one task: the threads of one pool
+per :func:`monte_carlo_sign_errors` call take the substreams of every
+experiment of the call in turn; the pool is by default as large as the CPUs
+this process may use, and numpy releases the GIL while it draws.  The
+integer counts are added back per experiment, so the result is
+byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ import numpy as np
 
 from .states import _check_polarization
 
-#: trials per RNG substream; chunk boundaries depend only on the trial count,
-#: so results are identical however the chunks are scheduled
-MC_CHUNK = 4096
-
-#: chunks per thread-pool task; fixed, so task boundaries never depend on the
-#: thread count
-TASK_CHUNKS = 16
+#: trials per RNG substream, the unit a thread takes; substream boundaries
+#: depend only on the trial count, so results are identical however the
+#: substreams are scheduled
+MC_CHUNK = 16384
 
 #: most worker threads a Monte Carlo call may start
 MAX_JOBS = 256
@@ -66,12 +64,13 @@ class ShotExperiment:
         _check_polarization(self.alpha_true)
         _check_count("shots", self.shots)
         _check_count("trials", self.trials)
+        _check_count("seed", self.seed, least=0)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy's too) >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"need an integer {name} >= 1, got {value}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {value}")
 
 
 def predict_error_bound(alpha: float, k: int) -> float:
@@ -172,8 +171,8 @@ def _binomial_pmf(x: int, n: int, p: float, q: float) -> float:
     return math.exp(lc - 0.5 * math.log(2.0 * math.pi * x * (n - x) / n))
 
 
-def _substream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+def _substream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _usable_cpus() -> int:
@@ -184,21 +183,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_chunks(exp: ShotExperiment, first: int, stop: int) -> tuple[int, int]:
-    """Wrong-sign and tied trials of chunks ``first`` to ``stop - 1``."""
-    p = (1.0 + exp.alpha_true) / 2.0
-    wrong = ties = 0
-    for chunk in range(first, stop):
-        size = min(MC_CHUNK, exp.trials - chunk * MC_CHUNK)
-        successes = _substream(exp.seed, (chunk,)).binomial(exp.shots, p, size=size)
-        # the shot mean leans the wrong way below (k+1)//2 ground outcomes
-        # for alpha >= 0 and above k//2 for alpha < 0, and ties at k/2
-        if exp.alpha_true >= 0:
-            wrong += int(np.count_nonzero(successes < (exp.shots + 1) // 2))
-        else:
-            wrong += int(np.count_nonzero(successes > exp.shots // 2))
-        if exp.shots % 2 == 0:
-            ties += int(np.count_nonzero(successes == exp.shots // 2))
+def _count_substream(exp: ShotExperiment, index: int) -> tuple[int, int]:
+    """Wrong-sign and tied trials of substream ``index``."""
+    size = min(MC_CHUNK, exp.trials - index * MC_CHUNK)
+    successes = _substream(exp.seed, index).binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0,
+                                                     size=size)
+    # the shot mean leans the wrong way below (k+1)//2 ground outcomes for
+    # alpha >= 0 and above k//2 for alpha < 0, and ties at k/2
+    if exp.alpha_true >= 0:
+        wrong = int(np.count_nonzero(successes < (exp.shots + 1) // 2))
+    else:
+        wrong = int(np.count_nonzero(successes > exp.shots // 2))
+    ties = int(np.count_nonzero(successes == exp.shots // 2)) if exp.shots % 2 == 0 else 0
     return wrong, ties
 
 
@@ -207,22 +203,22 @@ def monte_carlo_sign_errors(
 ) -> list[float]:
     """Empirical wrong-sign fraction of each experiment, a tie counting half.
 
-    Each experiment's trials are drawn in chunks of :data:`MC_CHUNK`, each
-    from its own counter-based substream keyed by the chunk index.  The
-    chunks of every experiment are cut into tasks of :data:`TASK_CHUNKS`,
-    which ``min(jobs, tasks)`` threads take in turn; ``jobs`` defaults to
-    the CPUs this process may use, at most :data:`MAX_JOBS`.  Each thread
-    adds up integer counts per experiment, which are exact in any order, so
-    each fraction is the same for any ``jobs`` and equals a lone call's.
-    Memory does not grow with the trial count.
+    Each experiment's trials are drawn in substreams of :data:`MC_CHUNK`,
+    substream ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
+    ``min(jobs, substreams)`` threads take the substreams of every
+    experiment in turn; ``jobs`` defaults to the CPUs this process may use,
+    at most :data:`MAX_JOBS`.  Each thread adds up integer counts per
+    experiment, which are exact in any order, so each fraction is the same
+    for any ``jobs`` and equals a lone call's.  Memory does not grow with
+    the trial count.
     """
     if jobs is None:
         jobs = min(_usable_cpus(), MAX_JOBS)
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
-    chunks = [(exp.trials + MC_CHUNK - 1) // MC_CHUNK for exp in experiments]
-    tasks = ((index, first, min(first + TASK_CHUNKS, count))
-             for index, count in enumerate(chunks) for first in range(0, count, TASK_CHUNKS))
+    substreams = [(exp.trials + MC_CHUNK - 1) // MC_CHUNK for exp in experiments]
+    tasks = ((index, substream) for index, count in enumerate(substreams)
+             for substream in range(count))
     taking = threading.Lock()
 
     def work() -> tuple[list[int], list[int]]:
@@ -232,12 +228,12 @@ def monte_carlo_sign_errors(
                 task = next(tasks, None)
             if task is None:
                 return wrong, ties
-            index, first, stop = task
-            task_wrong, task_ties = _count_chunks(experiments[index], first, stop)
+            index, substream = task
+            task_wrong, task_ties = _count_substream(experiments[index], substream)
             wrong[index] += task_wrong
             ties[index] += task_ties
 
-    workers = min(jobs, sum((count + TASK_CHUNKS - 1) // TASK_CHUNKS for count in chunks))
+    workers = min(jobs, sum(substreams))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]

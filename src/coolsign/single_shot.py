@@ -18,7 +18,6 @@ import numpy as np
 from .states import (
     PermutationSpec,
     _check_polarization,
-    ground_excited_pair,
     marginal_targets,
     product_probs,
 )
@@ -76,7 +75,8 @@ def alpha_ac(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    p, q = ground_excited_pair(alpha)
+    _check_polarization(alpha)
+    p, q = (1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0
     half = range((n - 1) // 2 + 1)
     try:
         terms = [math.comb(n, i) * (p ** (n - i) * q**i - q ** (n - i) * p**i) for i in half]

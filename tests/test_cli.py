@@ -276,7 +276,7 @@ def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
     # without --jobs the pool is sized by the usable CPUs, patched to 2
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
     limit = int(jobs[1]) if jobs else 2
-    sizes, threads, pool, count = [], set(), sampling.ThreadPoolExecutor, sampling._count_chunks
+    sizes, threads, pool, count = [], set(), sampling.ThreadPoolExecutor, sampling._count_substream
 
     def recorded(max_workers):
         sizes.append(max_workers)
@@ -287,9 +287,9 @@ def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
         return count(*args)
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
-    monkeypatch.setattr(sampling, "_count_chunks", counted)
-    # 20 tasks: 5 points, 2 experiments each, 2 tasks of chunks each
-    trials = str(sampling.MC_CHUNK * sampling.TASK_CHUNKS + 1)
+    monkeypatch.setattr(sampling, "_count_substream", counted)
+    # 20 tasks: 5 points, 2 experiments each, 2 substreams each
+    trials = str(sampling.MC_CHUNK + 1)
     code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", trials,
                  "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
                  "--out", str(tmp_path / "x.csv")])

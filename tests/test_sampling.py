@@ -25,7 +25,7 @@ from coolsign import (
     sampling,
     steady_states,
 )
-from coolsign.sampling import MAX_JOBS, MC_CHUNK, TASK_CHUNKS, _stirlerr
+from coolsign.sampling import MAX_JOBS, MC_CHUNK, _stirlerr
 
 
 def binomial_cdf_fraction(successes, k, p: Fraction) -> Fraction:
@@ -231,6 +231,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             ShotExperiment(1.2, 5, 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected_before_any_thread(self, monkeypatch, seed):
+        # numpy would reject both only inside a worker, after other tasks ran
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="integer seed >= 0"):
+            monte_carlo_sign_errors([BATCH[0], ShotExperiment(0.2, 25, 100, seed=seed)], jobs=2)
+
     @pytest.mark.parametrize("call", [
         lambda: ShotExperiment(0.5, 2.5, 10, seed=1),
         lambda: ShotExperiment(0.5, 3.0, 10, seed=1),
@@ -246,35 +256,36 @@ class TestMonteCarlo:
 
     def test_numpy_integer_counts_accepted(self):
         plain = ShotExperiment(0.3, 5, 1000, seed=1)
-        numpy_counts = ShotExperiment(0.3, np.int64(5), np.int32(1000), seed=1)
+        numpy_counts = ShotExperiment(0.3, np.int64(5), np.int32(1000), seed=np.uint8(1))
         assert monte_carlo_sign_errors([numpy_counts]) == monte_carlo_sign_errors([plain])
         assert exact_sign_error(0.3, np.int64(25)) == exact_sign_error(0.3, 25)
         assert predict_error_bound(0.3, np.uint8(25)) == predict_error_bound(0.3, 25)
 
 
 def chunk_by_chunk(exp: ShotExperiment) -> float:
-    """The Monte Carlo as one loop over its chunks, a tie counting half: the
-    per-chunk float sum the batched counts must reproduce bit for bit."""
+    """The Monte Carlo as one loop over its substreams, a tie counting half:
+    substream ``i`` holds trials ``i * MC_CHUNK`` on and is drawn from
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  This per-substream
+    float sum is what the batched counts must reproduce bit for bit."""
     wrong = 0.0
-    for chunk in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK):
-        size = min(MC_CHUNK, exp.trials - chunk * MC_CHUNK)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(exp.seed, spawn_key=(chunk,))))
+    for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK):
+        size = min(MC_CHUNK, exp.trials - i * MC_CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(i,)))
         lean = 2 * rng.binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0, size=size) - exp.shots
         against = lean < 0 if exp.alpha_true >= 0 else lean > 0
         wrong += np.count_nonzero(against) + 0.5 * np.count_nonzero(lean == 0)
     return wrong / exp.trials
 
 
-#: negative alpha, alpha = +-1, even and odd shots, and trials that are not
-#: a multiple of MC_CHUNK or of a task's TASK_CHUNKS chunks
+#: negative alpha, alpha = +-1, even and odd shots, and trials that are a
+#: multiple of MC_CHUNK or not; 2+2+1+1+2+2 substreams
 BATCH = [
-    ShotExperiment(0.2, 25, 3 * MC_CHUNK * TASK_CHUNKS // 2 + 17, seed=3),
-    ShotExperiment(-0.3, 24, MC_CHUNK * TASK_CHUNKS + 1, seed=4),
+    ShotExperiment(0.2, 25, 3 * MC_CHUNK // 2 + 17, seed=3),
+    ShotExperiment(-0.3, 24, MC_CHUNK + 1, seed=4),
     ShotExperiment(1.0, 7, 5000, seed=5),
     ShotExperiment(-1.0, 8, 100, seed=6),
     ShotExperiment(0.0, 10, MC_CHUNK + 3, seed=7),
-    ShotExperiment(0.05, 101, 2 * MC_CHUNK * TASK_CHUNKS, seed=8),
+    ShotExperiment(0.05, 101, 2 * MC_CHUNK, seed=8),
 ]
 
 
@@ -295,8 +306,23 @@ class TestBatchedMonteCarlo:
     def test_empty(self):
         assert monte_carlo_sign_errors([], jobs=3) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_each_substream_drawn_once(self, monkeypatch, jobs):
+        drawn, substream = [], sampling._substream
+
+        def recorded(seed, index):
+            drawn.append((seed, index))
+            return substream(seed, index)
+
+        monkeypatch.setattr(sampling, "_substream", recorded)
+        monte_carlo_sign_errors(BATCH, jobs=jobs)
+        # the batch's seeds are distinct, so a key names its experiment
+        expected = [(exp.seed, i) for exp in BATCH
+                    for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK)]
+        assert sorted(drawn) == expected
+
     def test_many_threads_take_each_task_once(self):
-        # eight threads, more than the cores, take 400 one-chunk tasks from
+        # eight threads, more than the cores, take 400 one-substream tasks from
         # one shared generator with a switch forced every microsecond; a task
         # lost or taken twice moves a count
         batch = [ShotExperiment(0.1, 3, 100 + i, seed=i) for i in range(400)]
@@ -320,8 +346,8 @@ class TestBatchedMonteCarlo:
         for cpus in (1, 4, 10**6):
             monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
             assert monte_carlo_sign_errors(BATCH) == expected
-        # one thread runs inline; the batch's 2+2+1+1+1+2 tasks cap the pool
-        assert sizes == [4, 9]
+        # one thread runs inline; the batch's ten substreams cap the pool
+        assert sizes == [4, 10]
 
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9])
     def test_jobs_outside_range_start_no_thread(self, monkeypatch, jobs):
