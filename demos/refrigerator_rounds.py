@@ -16,8 +16,9 @@ Run:  python demos/refrigerator_rounds.py
 from coolsign import (
     RefrigeratorConfig,
     alpha_infinity,
-    build_round_matrix,
+    build_uqr,
     marginal_targets,
+    pairwise_sum,
     product_probs,
     steady_states,
 )
@@ -27,11 +28,12 @@ N, M, ALPHA = 5, 2, 0.5
 print(f"n={N}, m={M} reset qubits, reservoir polarization {ALPHA}")
 print(f"asymptotic limit: {alpha_infinity(N, M, ALPHA):.10f}\n")
 
-matrix = build_round_matrix(N, M, ALPHA)
+resets = product_probs(ALPHA, M)
 vec = product_probs(ALPHA, N - M)
 print("round-by-round target polarization (first cycle, fresh register):")
 for rnd in range(1, 13):
-    vec = matrix @ vec
+    # fresh resets attached, the staircase applied, the resets traced out
+    vec = pairwise_sum(build_uqr(N)((vec[:, None] * resets).ravel()).reshape(-1, 1 << M))
     print(f"  after round {rnd:2d}: {marginal_targets(vec):.8f}")
 
 print("\nsteady state per configured round count (recycled operation):")

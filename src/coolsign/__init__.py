@@ -12,7 +12,6 @@ from .refrigerator import (
     RefrigeratorConfig,
     SteadyStateResult,
     alpha_infinity,
-    build_round_matrix,
     build_uqr,
     optimal_bounds,
     steady_states,
@@ -56,7 +55,6 @@ __all__ = [
     "alpha_infinity",
     "alpha_infinity_3local",
     "asymptotic_population_vector",
-    "build_round_matrix",
     "build_uqr",
     "build_uqr_3local",
     "compress_products",

@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "one for --sample")
     parser.add_argument("--locality", choices=refrigerator.LOCALITIES, default=None,
                         help="staircase for --sample (default full); each figure fixes its own")
-    parser.add_argument("--alpha-grid", default=None, metavar="START:STOP:STEP")
+    parser.add_argument("--alpha-grid", default=None, metavar="START:STOP:STEP",
+                        help="polarization grid; a negative START needs the = form, "
+                        "as in --alpha-grid=-0.5:0.5:0.1")
     parser.add_argument("--budget", type=int,
                         help="total fresh-qubit budget for --sample (default 10000)")
     parser.add_argument("--trials", type=int,

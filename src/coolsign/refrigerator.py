@@ -14,9 +14,8 @@ staircase's index map, or by a full sort for the bound oracle) and traces
 the resets out.  The fixed point is solved directly on the carried chain, the
 chain on the qubits that the recycle carries into the next cycle, composed
 sparsely from the same index map, and checked by one kernel cycle
-(:func:`steady_states`).  A round is also a column-stochastic matrix on the
-non-reset vector (:func:`build_round_matrix`), which serves only as a
-verification oracle.
+(:func:`steady_states`).  Where a check needs a round as a dense matrix, it
+runs the same kernel on the identity.
 
 A grid of reservoir polarizations is solved as one batch.  Each distinct
 ``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
@@ -169,35 +168,6 @@ def _round(full: np.ndarray, compress: Compression, m: int) -> np.ndarray:
     ``m`` (reset) qubits out, leaving the non-reset rows."""
     compressed = compress(full)
     return pairwise_sum(compressed.reshape(compressed.shape[:-1] + (-1, 1 << m)))
-
-
-def build_round_matrix(
-    n: int, m: int, alpha, permutation: PermutationSpec | None = None
-) -> np.ndarray:
-    """Column-stochastic matrix of one round on the non-reset diagonal vector.
-
-    Column ``j`` is the image of the basis vector ``e_j`` under
-    permute-then-trace with fresh resets attached, assembled column-by-column
-    from the permutation's action on the product layout.  An array of
-    polarizations gives a stack of matrices, one per entry.
-
-    Each image is scattered into one ``d x d`` slice per reset pattern, and
-    the slices are folded in place in :func:`pairwise_sum`'s order, so the
-    build holds ``2^m + 1`` matrices at its peak.
-    """
-    if n - m < 1:
-        raise ValueError(f"need n - m >= 1, got n={n}, m={m}")
-    perm = (permutation if permutation is not None else build_uqr(n)).perm
-    dim, res_dim = 1 << (n - m), 1 << m
-    reset = product_probs(alpha, m)
-    scattered = np.zeros(reset.shape[:-1] + (res_dim, dim, dim))
-    src = np.arange(dim * res_dim)
-    scattered[..., perm % res_dim, perm // res_dim, src // res_dim] = reset[..., src % res_dim]
-    step = 1
-    while step < res_dim:
-        scattered[..., ::2 * step, :, :] += scattered[..., step::2 * step, :, :]
-        step *= 2
-    return scattered[..., 0, :, :].copy()
 
 
 #: one recycle cycle: ``step(a)`` returns ``(recycled, evolved)``, where

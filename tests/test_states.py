@@ -14,7 +14,6 @@ from coolsign import (
     alpha_infinity,
     alpha_infinity_3local,
     asymptotic_population_vector,
-    build_round_matrix,
     exact_sign_error,
     marginal_targets,
     optimal_bounds,
@@ -79,7 +78,6 @@ POLARIZATION_ENTRY_POINTS = {
     "alpha_infinity": lambda alpha: alpha_infinity(5, 2, alpha),
     "alpha_infinity_3local": lambda alpha: alpha_infinity_3local(5, alpha),
     "asymptotic_population_vector": lambda alpha: asymptotic_population_vector(5, alpha),
-    "build_round_matrix": lambda alpha: build_round_matrix(5, 2, alpha),
     "steady_states": lambda alpha: steady_states(RefrigeratorConfig(5, 2, 3), [0.3, alpha]),
     "optimal_bounds": lambda alpha: optimal_bounds(RefrigeratorConfig(5, 2, 3), [alpha]),
     "exact_sign_error": lambda alpha: exact_sign_error(alpha, 5),

@@ -1,6 +1,7 @@
 """The ``--suite`` checks run as row blocks; these per-point loops are the
 suites as they ran one state at a time, and serve as their oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from coolsign import refrigerator, single_shot, states, verify
 from coolsign.verify import _check
+from kernel_matrix import round_matrix
 
 
 def reference_theorem1():
@@ -37,32 +39,24 @@ def reference_theorem1():
 def reference_bqr_oracle():
     worst = 0.0
     for n in range(3, 8):
-        perm = refrigerator.build_uqr(n)
+        listed = verify._listed_staircase(n)
         for m in (1, 2, 3):
             if m > n - 1:
                 continue
-            for alpha in (0.1, -0.1, 0.5, -0.5, 0.9, -0.9):
-                matrix = refrigerator.build_round_matrix(n, m, alpha, perm)
-                reset = states.product_probs(alpha, m)
-                a = states.product_probs(alpha, n - m)
-                full = states.product_probs(alpha, n)
-                for _ in range(10):
-                    a = matrix @ a
-                    full = states._attach(refrigerator._round(full, perm, m), reset)
-                    traced = states.pairwise_sum(full.reshape(-1, 1 << m))
-                    worst = max(
-                        worst,
-                        float(np.abs(a - traced).max()),
-                        abs(states.marginal_targets(a) - states.marginal_targets(traced)),
-                    )
+            cfg = refrigerator.RefrigeratorConfig(n, m, 3)
+            for alpha in (0.1, 0.5, 0.9):
+                got = refrigerator.steady_states(cfg, [alpha])[0].a_fixed
+                cycle = refrigerator._recycle_step(cfg, alpha, listed)(np.eye(1 << (n - m)))[0]
+                want = refrigerator._stationary_gth(cycle)
+                worst = max(worst, float(np.abs(got - want).max()))
     col_worst = 0.0
     rng = np.random.default_rng(20240611)
     for _ in range(5):
         alpha = float(rng.uniform(-0.95, 0.95))
-        matrix = refrigerator.build_round_matrix(5, 2, alpha)
+        matrix = round_matrix(5, 2, alpha)
         col_worst = max(col_worst, float(np.abs(matrix.sum(axis=0) - 1.0).max()))
     return [
-        _check("bqr matrix path vs full simulation (n<=7)", worst, 1e-12),
+        _check("bqr steady state vs full recycle cycle (n<=7)", worst, 1e-12),
         _check("bqr round matrices column-stochastic", col_worst, 1e-12),
     ]
 
@@ -95,11 +89,22 @@ def test_theorem1_catches_an_identity_compression(monkeypatch):
 
 
 def test_bqr_oracle_catches_a_staircase_with_a_window_dropped(monkeypatch):
-    # the staircase without its first window, (0, 3); the full-register
-    # simulation lists its own staircase, so only the matrix path sees this
+    # the staircase without its first window, (0, 3); the full recycle cycle
+    # lists its own staircase, so only the steady state sees this
     monkeypatch.setattr(refrigerator, "build_uqr",
                         lambda n: states.window_swaps(n, [(0, j) for j in range(4, n + 1)]))
-    assert failed(verify.verify_bqr_oracle()) == ["bqr matrix path vs full simulation (n<=7)"]
+    assert failed(verify.verify_bqr_oracle()) == ["bqr steady state vs full recycle cycle (n<=7)"]
+
+
+def test_bqr_oracle_catches_a_carried_chain_one_round_short(monkeypatch):
+    compose = refrigerator._carried_cycle_rows
+    monkeypatch.setattr(
+        refrigerator, "_carried_cycle_rows",
+        lambda cfg, alphas, perm: compose(
+            dataclasses.replace(cfg, rounds=cfg.rounds - 1), alphas, perm))
+    results = verify.verify_bqr_oracle()
+    assert failed(results) == ["bqr steady state vs full recycle cycle (n<=7)"]
+    assert results[0].residual > 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
