@@ -15,10 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .single_shot import _power_ratio
-from .states import PermutationSpec, window_swaps
+from .states import PermutationSpec, _check_count, window_swaps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # n = 3.0 must not hit n = 3's entry
 def build_uqr_3local(n: int) -> PermutationSpec:
     """Sliding staircase of 3-qubit swaps, last window first.
 
@@ -27,15 +27,13 @@ def build_uqr_3local(n: int) -> PermutationSpec:
     Windows overlap, so unlike the full staircase the order matters and the
     composition is generally not an involution.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_count("n", n, least=3)
     return window_swaps(n, [(low, 3) for low in range(n - 2)])
 
 
 def fibonacci(j: int) -> int:
     """F(1) = F(2) = 1, F(j) = F(j-1) + F(j-2)."""
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+    _check_count("j", j)
     a, b = 1, 1
     for _ in range(j - 1):
         a, b = b, a + b
@@ -45,8 +43,7 @@ def fibonacci(j: int) -> int:
 def alpha_infinity_3local(n: int, alpha: float) -> float:
     """Cooling limit of the 3-local refrigerator: ``tanh(F_n artanh(alpha))``,
     evaluated as in :func:`coolsign.refrigerator.alpha_infinity`."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_count("n", n, least=3)
     return _power_ratio(alpha, fibonacci(n))
 
 
@@ -60,6 +57,5 @@ def asymptotic_population_vector(n: int, alpha: float) -> np.ndarray:
     = 1``; the steady state of the 3-local round map factorizes into exactly
     this product state.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_count("n", n, least=3)
     return np.array([(1.0 + _power_ratio(alpha, fibonacci(j))) / 2.0 for j in range(1, n + 1)])

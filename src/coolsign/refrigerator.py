@@ -47,6 +47,7 @@ from .single_shot import _power_ratio
 from .states import (
     PermutationSpec,
     _attach,
+    _check_count,
     ground_excited_pair,
     pairwise_sum,
     product_probs,
@@ -95,12 +96,11 @@ class RefrigeratorConfig:
     locality: str = "full"
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got n={self.n}")
-        if not 1 <= self.m <= self.n - 1:
+        _check_count("n", self.n, least=3)
+        _check_count("m", self.m)
+        if self.m > self.n - 1:
             raise ValueError(f"need 1 <= m <= n-1, got m={self.m}, n={self.n}")
-        if self.rounds < 1:
-            raise ValueError(f"need rounds >= 1, got {self.rounds}")
+        _check_count("rounds", self.rounds)
         if self.locality not in LOCALITIES:
             raise ValueError(f"locality must be one of {LOCALITIES}, got {self.locality!r}")
 
@@ -143,13 +143,12 @@ class SteadyStateResult:
         return (1.0 - alpha * alpha) / (alpha * alpha) / enhanced / cost
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # n = 3.0 must not hit n = 3's entry
 def build_uqr(n: int) -> PermutationSpec:
     """Full staircase: the compression swap ``|0 1...1>  <->  |1 0...0>`` on
     the last ``j`` qubits, applied for j = 3 up to n.  All the transpositions
     are disjoint, so the result is an involution."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_count("n", n, least=3)
     return window_swaps(n, [(0, j) for j in range(3, n + 1)])
 
 
@@ -404,6 +403,8 @@ def alpha_infinity(n: int, m: int, alpha: float) -> float:
     """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``, by the
     power ratio of :func:`coolsign.single_shot._power_ratio`: exact for small
     exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd."""
+    _check_count("n", n, least=3)
+    _check_count("m", m)
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
 
 

@@ -5,7 +5,10 @@ groups basis states by Hamming weight (ascending weight first, the all-ground
 state at index 0).  On a product state this sorts the populations descending
 when ``alpha > 0`` and ascending when ``alpha < 0``, so the same permutation
 amplifies the target's polarization toward whichever bias the input carries.
-:func:`compress_products` applies it to rows of product states.
+:func:`compress_products` applies it to rows of product states.  The target
+it leaves reads the sign exactly as well as a majority vote of ``n`` shots,
+so :func:`alpha_ac` is one minus twice that vote's wrong-sign probability,
+:func:`coolsign.sampling.exact_sign_error`.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .sampling import exact_sign_error
 from .states import (
     PermutationSpec,
+    _check_count,
     _check_polarization,
     marginal_targets,
     product_probs,
@@ -26,15 +31,14 @@ from .states import (
 PRODUCT_ATOL = 1e-10
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # n = 3.0 must not hit n = 3's entry
 def compression_permutation(n: int) -> PermutationSpec:
     """Fixed reordering permutation: group basis indices by Hamming weight.
 
     The ordering is structural (weight, then index), so it is well defined
     even when all populations are equal (``alpha = 0``).
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    _check_count("n", n)
     idx = np.arange(1 << n, dtype=np.uint64)
     weights = np.zeros(1 << n, dtype=np.intp)
     for b in range(n):
@@ -62,32 +66,16 @@ def compress_products(probs: np.ndarray, n: int) -> np.ndarray:
 def alpha_ac(n: int, alpha: float) -> float:
     """Target polarization after optimal compression of ``n`` identical qubits.
 
-    Evaluated as ``sum_i C(n,i) * (p^{n-i} q^i - q^{n-i} p^i)`` over
-    ``i <= floor((n-1)/2)`` with ``p = (1+alpha)/2``, ``q = (1-alpha)/2``.
-    Each term is antisymmetric under ``p <-> q``, so the result is exactly odd
-    in ``alpha``.  For even ``n`` this form already accounts for the split of
-    the ``C(n, n/2)`` middle-weight populations across the two halves of the
-    register (the plain truncated binomial sum does not, and would even
-    violate ``|alpha_ac| >= |alpha|`` at e.g. ``n=4``).
-
-    Where ``C(n, i)`` overflows a float (n >= 1030), the products are taken
-    in log space through ``lgamma``; the terms stay exactly antisymmetric.
+    The weight-ordered compression leaves the target in ground exactly when
+    most of the ``n`` qubits are ground, and splits a middle-weight tie
+    evenly, so the target reads the sign as well as a majority vote of ``n``
+    shots: ``alpha_ac = sign(alpha) (1 - 2 exact_sign_error(|alpha|, n))``.
+    That tail is accurate at any ``n`` and at most 1/2, so the result is
+    exactly odd, bounded by 1, and the same for an even ``n`` as for
+    ``n - 1``.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    _check_polarization(alpha)
-    p, q = (1.0 + alpha) / 2.0, (1.0 - alpha) / 2.0
-    half = range((n - 1) // 2 + 1)
-    try:
-        terms = [math.comb(n, i) * (p ** (n - i) * q**i - q ** (n - i) * p**i) for i in half]
-    except OverflowError:
-        if abs(alpha) == 1.0:
-            return math.copysign(1.0, alpha)
-        lp, lq = math.log(p), math.log(q)
-        logc = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in half]
-        terms = [math.exp(c + (n - i) * lp + i * lq) - math.exp(c + (n - i) * lq + i * lp)
-                 for i, c in zip(half, logc)]
-    return math.fsum(terms)
+    _check_count("n", n)
+    return math.copysign(1.0 - 2.0 * exact_sign_error(abs(alpha), n), alpha)
 
 
 def compression_xi(n: int, alpha: float) -> float:
@@ -98,8 +86,7 @@ def compression_xi(n: int, alpha: float) -> float:
 
 def alpha_ac_erf(n: int, alpha: float) -> float:
     """Gaussian (erf) approximation of :func:`alpha_ac`, good for large n."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    _check_count("n", n)
     if abs(alpha) == 1:
         return math.copysign(1.0, alpha)
     return math.erf(compression_xi(n, alpha))
@@ -139,8 +126,7 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     polarization is ``erf(xi)`` itself, not ``1 - erfc(xi)``, so the factor
     keeps its relative accuracy as ``alpha -> 0``.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    _check_count("n", n)
     if alpha == 0.0:
         raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
     if abs(alpha) == 1:

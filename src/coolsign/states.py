@@ -19,6 +19,7 @@ per polarization, and :func:`_attach` appends qubits to every row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ def _check_polarization(alpha) -> None:
     outside = ~(np.abs(alpha) <= 1)  # NaN fails this too
     if outside.any():
         raise ValueError(f"polarization must lie in [-1, 1], got {np.asarray(alpha)[outside][0]}")
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {value}")
 
 
 def ground_excited_pair(alpha) -> np.ndarray:
@@ -102,8 +109,7 @@ def product_probs(alpha, n: int) -> np.ndarray:
     """Probability vector of ``n`` identical qubits, each with polarization
     ``alpha``; an array of polarizations gives one vector per entry, along a
     new last axis."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+    _check_count("n", n)
     cell = ground_excited_pair(alpha)
     probs = np.ones(cell.shape[:-1] + (1,))
     for _ in range(n):

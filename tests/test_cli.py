@@ -22,6 +22,7 @@ from coolsign import (
     reduction_factor_ac,
     refrigerator,
     sampling,
+    single_shot,
     verify,
 )
 from coolsign.cli import (
@@ -470,6 +471,24 @@ class TestExitCodes:
         assert main(["--sample", "--n", "5", "--rounds", "3,9", "--out", str(out)]) == EXIT_USAGE
         err = self.one_line(capsys)
         assert "--rounds 3,9" in err and "--n" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["--figure", "single-shot-polarization", "--n", "5,3,05"], "--n", 5),
+        (["--figure", "bqr-polarization", "--n", "5", "--rounds", "3,4,3"], "--rounds", 3),
+        (["--figure", "klocal-reduction", "--n", "5", "--rounds", "3,3"], "--rounds", 3),
+    ])
+    def test_repeated_value_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag,
+                                           value):
+        # each value names a column; rejected before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work")
+
+        monkeypatch.setattr(refrigerator, "steady_states", no_work)
+        monkeypatch.setattr(single_shot, "alpha_ac", no_work)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--alpha-grid", "0.5:0.5:0.1", "--out", str(out)]) == EXIT_USAGE
+        assert f"{flag} lists {value} more than once\n" == self.one_line(capsys)
         assert not out.exists()
 
     def test_suite_reads_no_sweep_flag(self, tmp_path, capsys):

@@ -124,9 +124,18 @@ class TestAlphaAc:
                 assert alpha_ac(n, alpha) == pytest.approx(got, abs=1e-12)
 
     def test_beyond_float_binomials_matches_exact_rational(self):
-        # C(1101, 550) exceeds float range, so the log-space terms run here
+        # C(1101, 550) exceeds float range; the saddle-point tail never forms it
         exact = alpha_ac_fraction(1101, Fraction(1, 100))
         assert alpha_ac(1101, 0.01) == pytest.approx(float(exact), rel=1e-11, abs=0.0)
+
+    def test_bounded_and_exact_at_large_n(self):
+        grid = [round(0.01 * i, 2) for i in range(1, 100)]
+        for n in (50, 200, 1030, 2001, 20001):
+            assert all(-1.0 <= alpha_ac(n, sign * a) <= 1.0 for a in grid for sign in (1, -1))
+        for n in (200, 1031):
+            for alpha in (1 / 64, 1 / 16, 1 / 8, 3 / 16):  # dyadic, so the rationals stay small
+                exact = float(alpha_ac_fraction(n, Fraction(alpha)))
+                assert alpha_ac(n, alpha) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_exact_odd_symmetry(self):
         for n in [*range(1, 12), 1029, 1030, 2001]:

@@ -14,7 +14,11 @@ from coolsign import (
     alpha_infinity,
     alpha_infinity_3local,
     asymptotic_population_vector,
+    build_uqr,
+    build_uqr_3local,
+    compression_permutation,
     exact_sign_error,
+    fibonacci,
     marginal_targets,
     optimal_bounds,
     pairwise_sum,
@@ -91,6 +95,37 @@ POLARIZATION_ENTRY_POINTS = {
 def test_polarization_outside_unit_range_or_nan_is_rejected(entry, alpha):
     with pytest.raises(ValueError, match="polarization must lie in"):
         POLARIZATION_ENTRY_POINTS[entry](alpha)
+
+
+#: every function or config that takes a qubit, reset or round count, called
+#: with ``count`` in that place; 5 is valid in each
+COUNT_ENTRY_POINTS = {
+    "RefrigeratorConfig.n": lambda count: RefrigeratorConfig(count, 2, 3),
+    "RefrigeratorConfig.m": lambda count: RefrigeratorConfig(6, count, 3),
+    "RefrigeratorConfig.rounds": lambda count: RefrigeratorConfig(5, 2, count),
+    "alpha_infinity.n": lambda count: alpha_infinity(count, 2, 0.5),
+    "alpha_infinity.m": lambda count: alpha_infinity(6, count, 0.5),
+    "build_uqr": lambda count: build_uqr(count),
+    "build_uqr_3local": lambda count: build_uqr_3local(count),
+    "product_probs": lambda count: product_probs(0.5, count),
+    "compression_permutation": lambda count: compression_permutation(count),
+    "alpha_ac": lambda count: alpha_ac(count, 0.5),
+    "alpha_ac_erf": lambda count: alpha_ac_erf(count, 0.5),
+    "reduction_factor_ac": lambda count: reduction_factor_ac(count, 0.5),
+    "alpha_infinity_3local": lambda count: alpha_infinity_3local(count, 0.5),
+    "asymptotic_population_vector": lambda count: asymptotic_population_vector(count, 0.5),
+    "fibonacci": lambda count: fibonacci(count),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_count_that_is_not_an_integer_is_rejected(entry):
+    # 3.0 equals a valid count, and the cached builders must not return its entry
+    COUNT_ENTRY_POINTS[entry](3)
+    for count in (2.5, 3.0):
+        with pytest.raises(ValueError, match="need an integer"):
+            COUNT_ENTRY_POINTS[entry](count)
+    COUNT_ENTRY_POINTS[entry](np.int64(5))
 
 
 class TestMarginalTarget:
