@@ -17,6 +17,14 @@ single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
 the refrigerator figures also ``--m``, ``--rounds`` and ``--locality``, and
 ``--sample`` all of them.
 
+:func:`main` checks the one parsed argparse namespace and stores the parsed
+``--n``, ``--rounds`` and ``--alpha-grid`` tuples back on it.  A figure's
+staircase, looked up once in :data:`FIGURE_LOCALITY`, picks the flags it
+reads, its ``--n`` default, its one-register rule and its builder.  Each
+builder reads the namespace and returns a header and rows; :func:`main`
+makes the one :func:`write_rows` call and prints one
+``wrote PATH (N rows, M columns)`` line.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 sweep flag the mode does not read, parameters a config or grid rejects, a
 ``--locality`` that contradicts the figure, a list of ``--n`` values for a
@@ -40,7 +48,7 @@ import sys
 
 import numpy as np
 
-from . import klocal, refrigerator, sampling, single_shot, verify
+from . import refrigerator, sampling, single_shot, verify
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -83,23 +91,6 @@ MAX_GRID_POINTS = 1_000_000
 #: one no longer moves the sum, about ``3.4 sqrt(budget)`` of them at a tiny
 #: alpha: 3.4 million here, 0.6-0.7 s per point on one Xeon vCPU (Python 3.11)
 MAX_BUDGET = 10**12
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    """Parsed sweep parameters shared by the figure and sample commands."""
-
-    alpha_grid: tuple[float, ...]
-    n_list: tuple[int, ...]
-    m: int
-    rounds_list: tuple[int, ...]
-    locality: str | None  # None when --locality is not given
-    budget: int
-    trials: int
-    seed: int
-    out: str
-    fmt: str
-    jobs: int | None = None  # None: every CPU this process may use
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -156,28 +147,25 @@ def _json_value(v):
 # ---------------------------------------------------------------------------
 # figure sweeps
 
-def _figure_single_shot(spec: SweepSpec, reduction: bool) -> tuple[list[str], list[list]]:
-    header = ["alpha"] + [f"n{n}" for n in spec.n_list] + ["baseline"]
-    rows = []
-    for a in spec.alpha_grid:
-        if reduction:
-            row = [a] + [single_shot.reduction_factor_ac(n, a) for n in spec.n_list] + [1.0]
-        else:
-            row = [a] + [single_shot.alpha_ac(n, a) for n in spec.n_list] + [a]
-        rows.append(row)
-    return header, rows
+def _figure_single_shot(args: argparse.Namespace,
+                        reduction: bool) -> tuple[list[str], list[list]]:
+    header = ["alpha"] + [f"n{n}" for n in args.n] + ["baseline"]
+    curve = single_shot.reduction_factor_ac if reduction else single_shot.alpha_ac
+    return header, [[a, *(curve(n, a) for n in args.n), 1.0 if reduction else a]
+                    for a in args.alpha_grid]
 
 
-def _figure_bqr(spec: SweepSpec, reduction: bool, locality: str) -> tuple[list[str], list[list]]:
-    n = spec.n_list[0]
-    bound_rounds = max(spec.rounds_list)
-    header = ["alpha"] + [f"rounds{r}" for r in spec.rounds_list]
+def _figure_bqr(args: argparse.Namespace, reduction: bool,
+                locality: str) -> tuple[list[str], list[list]]:
+    n = args.n[0]
+    bound_rounds = max(args.rounds)
+    header = ["alpha"] + [f"rounds{r}" for r in args.rounds]
     if reduction:
         header += [f"single_shot_n{n}", f"optimal_bound_rounds{bound_rounds}", "baseline"]
     else:
         header += ["baseline", "asymptotic"]
 
-    grid = spec.alpha_grid
+    grid = args.alpha_grid
 
     def column(cfg: refrigerator.RefrigeratorConfig, results) -> list[float]:
         if reduction:
@@ -185,42 +173,17 @@ def _figure_bqr(spec: SweepSpec, reduction: bool, locality: str) -> tuple[list[s
         return [res.alpha_enhanced for res in results]
 
     columns = []
-    for r in spec.rounds_list:
-        cfg = refrigerator.RefrigeratorConfig(n, spec.m, r, locality=locality)
+    for r in args.rounds:
+        cfg = refrigerator.RefrigeratorConfig(n, args.m, r, locality=locality)
         columns.append(column(cfg, refrigerator.steady_states(cfg, grid)))
     if reduction:
-        bound_cfg = refrigerator.RefrigeratorConfig(n, spec.m, bound_rounds)
+        bound_cfg = refrigerator.RefrigeratorConfig(n, args.m, bound_rounds)
         bound = column(bound_cfg, refrigerator.optimal_bounds(bound_cfg, grid))
         columns += [[single_shot.reduction_factor_ac(n, a) for a in grid], bound,
                     [1.0] * len(grid)]
     else:
-        columns += [list(grid), [refrigerator.alpha_infinity(n, spec.m, a) for a in grid]]
+        columns += [list(grid), [refrigerator.alpha_infinity(n, args.m, a) for a in grid]]
     return header, [[a, *values] for a, values in zip(grid, zip(*columns))]
-
-
-def cmd_figure(name: str, spec: SweepSpec) -> int:
-    locality = FIGURE_LOCALITY.get(name)
-    if locality and spec.locality not in (None, locality):
-        others = " or ".join(f for f, loc in FIGURE_LOCALITY.items() if loc == spec.locality)
-        print(f"--figure {name} runs the {locality} staircase only; for --locality "
-              f"{spec.locality} use --figure {others} or --sample", file=sys.stderr)
-        return EXIT_USAGE
-    if "reduction" in name and any(a <= 0.0 for a in spec.alpha_grid):
-        print("reduction-factor sweeps need a grid within (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
-    if name == "single-shot-polarization":
-        header, rows = _figure_single_shot(spec, reduction=False)
-    elif name == "single-shot-reduction":
-        header, rows = _figure_single_shot(spec, reduction=True)
-    else:
-        header, rows = _figure_bqr(spec, reduction=name != "bqr-polarization", locality=locality)
-    try:
-        write_rows(spec.out, spec.fmt, header, rows)
-    except OSError as exc:
-        print(f"cannot write {spec.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {spec.out} ({len(rows)} rows, {len(header)} columns)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +211,16 @@ def cmd_verify(suite: str) -> int:
 SAMPLE_HEADER = [f.name for f in dataclasses.fields(sampling.ResourceComparison)]
 
 
-def cmd_sample(spec: SweepSpec) -> int:
-    cfg = refrigerator.RefrigeratorConfig(
-        spec.n_list[0], spec.m, spec.rounds_list[0], locality=spec.locality or "full"
-    )
-
-    try:
-        sampling.cooled_shots(spec.budget, cfg.cost)
-    except sampling.BudgetError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
-    cooled = refrigerator.steady_states(cfg, spec.alpha_grid)
+def _sample(args: argparse.Namespace) -> tuple[list[str], list[tuple]]:
+    cfg = refrigerator.RefrigeratorConfig(args.n[0], args.m, args.rounds[0],
+                                          locality=args.locality or "full")
+    # a budget too small for one cooled shot fails before any refrigerator work
+    sampling.cooled_shots(args.budget, cfg.cost)
+    cooled = refrigerator.steady_states(cfg, args.alpha_grid)
     comparisons = sampling.resource_matched_comparisons(
-        spec.alpha_grid, cooled, cfg.cost, spec.budget, spec.seed, trials=spec.trials,
-        jobs=spec.jobs)
-    rows = [dataclasses.astuple(comparison) for comparison in comparisons]
-    try:
-        write_rows(spec.out, spec.fmt, SAMPLE_HEADER, rows)
-    except OSError as exc:
-        print(f"cannot write {spec.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {spec.out} ({len(rows)} rows)")
-    return EXIT_OK
+        args.alpha_grid, cooled, cfg.cost, args.budget, args.seed, trials=args.trials,
+        jobs=args.jobs)
+    return SAMPLE_HEADER, [dataclasses.astuple(comparison) for comparison in comparisons]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.figure is not None and args.figure not in FIGURES:
         print(f"unknown figure {args.figure!r}; choose from {FIGURES}", file=sys.stderr)
         return EXIT_USAGE
+    # the staircase of a refrigerator figure; None for the other modes
+    locality = FIGURE_LOCALITY.get(args.figure)
 
     if args.suite is not None:
         mode, reads = "--suite", ()
@@ -333,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         mode, reads = "--sample", SWEEP_FLAGS
     else:
         mode = f"--figure {args.figure}"
-        reads = REFRIGERATOR_FLAGS if args.figure in FIGURE_LOCALITY else SINGLE_SHOT_FLAGS
+        reads = REFRIGERATOR_FLAGS if locality else SINGLE_SHOT_FLAGS
     unread = [flag for flag in SWEEP_FLAGS
               if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
@@ -346,10 +299,8 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, dest, value)
 
     try:
-        if args.figure in ("single-shot-polarization", "single-shot-reduction"):
-            n_list = _parse_int_list(args.n, DEFAULT_SINGLE_SHOT_N)
-        else:
-            n_list = _parse_int_list(args.n, (5,))
+        n_list = _parse_int_list(args.n, (5,) if locality or args.sample
+                                 else DEFAULT_SINGLE_SHOT_N)
         if args.sample:
             rounds_list = _parse_int_list(args.rounds, (5,))
             default_grid = "0.1:0.9:0.1"
@@ -384,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     # a refrigerator figure runs one register, and --sample one register and schedule
-    single = [("--n", args.n, n_list)] if args.sample or args.figure in FIGURE_LOCALITY else []
+    single = [("--n", args.n, n_list)] if locality or args.sample else []
     if args.sample:
         single.append(("--rounds", args.rounds, rounds_list))
     listed = [f"{flag} {text}" for flag, text, values in single if len(values) > 1]
@@ -397,25 +348,31 @@ def main(argv: list[str] | None = None) -> int:
         if repeated:
             print(f"{flag} lists {repeated[0]} more than once", file=sys.stderr)
             return EXIT_USAGE
-
-    spec = SweepSpec(
-        alpha_grid=alpha_grid,
-        n_list=n_list,
-        m=args.m,
-        rounds_list=rounds_list,
-        locality=args.locality,
-        budget=args.budget,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        jobs=args.jobs,
-    )
+    if locality and args.locality not in (None, locality):
+        others = " or ".join(f for f, loc in FIGURE_LOCALITY.items() if loc == args.locality)
+        print(f"{mode} runs the {locality} staircase only; for --locality "
+              f"{args.locality} use --figure {others} or --sample", file=sys.stderr)
+        return EXIT_USAGE
+    reduction = "reduction" in (args.figure or "")
+    if reduction and any(a <= 0.0 for a in alpha_grid):
+        print("reduction-factor sweeps need a grid within (0, 1]", file=sys.stderr)
+        return EXIT_USAGE
+    args.n, args.rounds, args.alpha_grid = n_list, rounds_list, alpha_grid
 
     try:
-        if args.figure:
-            return cmd_figure(args.figure, spec)
-        return cmd_sample(spec)
+        if args.sample:
+            header, rows = _sample(args)
+        elif locality:
+            header, rows = _figure_bqr(args, reduction, locality)
+        else:
+            header, rows = _figure_single_shot(args, reduction)
+        write_rows(args.out, args.format, header, rows)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except sampling.BudgetError as exc:  # a ValueError, but its own exit code
+        print(str(exc), file=sys.stderr)
+        return EXIT_BUDGET
     except refrigerator.ConvergenceError as exc:
         print(f"coolsign: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -427,9 +384,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"coolsign: {exc}; a grid polarization is too close to 0", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        print(f"coolsign: a register of n={spec.n_list[0]} qubits with m={spec.m} resets "
+        print(f"coolsign: a register of n={args.n[0]} qubits with m={args.m} resets "
               f"is too large to simulate in memory", file=sys.stderr)
         return EXIT_USAGE
+    print(f"wrote {args.out} ({len(rows)} rows, {len(header)} columns)")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

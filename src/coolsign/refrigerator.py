@@ -86,6 +86,15 @@ class ConvergenceError(RuntimeError):
         self.row = row
 
 
+def _check_register(n, m) -> None:
+    """Raise ValueError unless ``n >= 3`` and ``1 <= m <= n - 1`` are integer
+    qubit and reset counts, so the resets leave the target."""
+    _check_count("n", n, least=3)
+    _check_count("m", m)
+    if m > n - 1:
+        raise ValueError(f"need 1 <= m <= n-1, got m={m}, n={n}")
+
+
 @dataclass(frozen=True)
 class RefrigeratorConfig:
     """Register layout and schedule: ``n`` qubits, ``m`` resets, ``rounds``."""
@@ -96,10 +105,7 @@ class RefrigeratorConfig:
     locality: str = "full"
 
     def __post_init__(self) -> None:
-        _check_count("n", self.n, least=3)
-        _check_count("m", self.m)
-        if self.m > self.n - 1:
-            raise ValueError(f"need 1 <= m <= n-1, got m={self.m}, n={self.n}")
+        _check_register(self.n, self.m)
         _check_count("rounds", self.rounds)
         if self.locality not in LOCALITIES:
             raise ValueError(f"locality must be one of {LOCALITIES}, got {self.locality!r}")
@@ -403,8 +409,7 @@ def alpha_infinity(n: int, m: int, alpha: float) -> float:
     """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``, by the
     power ratio of :func:`coolsign.single_shot._power_ratio`: exact for small
     exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd."""
-    _check_count("n", n, least=3)
-    _check_count("m", m)
+    _check_register(n, m)
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
 
 

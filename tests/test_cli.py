@@ -47,6 +47,17 @@ def read_csv(path):
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
 
 
+def forbid_work(monkeypatch):
+    """Fail the test at any steady state, bound or single-shot reduction
+    factor: a check that should reject before any work reached it."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work")
+
+    monkeypatch.setattr(refrigerator, "steady_states", no_work)
+    monkeypatch.setattr(refrigerator, "optimal_bounds", no_work)
+    monkeypatch.setattr(single_shot, "reduction_factor_ac", no_work)
+
+
 class TestAlphaGridParsing:
     def test_inclusive_endpoints(self):
         assert parse_alpha_grid("0.1:0.5:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -86,13 +97,14 @@ class TestAlphaGridParsing:
 
 
 class TestFigureCommand:
-    def test_single_shot_polarization_columns(self, tmp_path):
+    def test_single_shot_polarization_columns(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"
         code = main(
             ["--figure", "single-shot-polarization", "--alpha-grid", "0.1:0.9:0.1",
              "--out", str(out)]
         )
         assert code == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out} (9 rows, 6 columns)\n"
         header, rows = read_csv(out)
         assert header == ["alpha", "n3", "n5", "n11", "n21", "baseline"]
         alphas = [row[0] for row in rows]
@@ -179,22 +191,28 @@ class TestFigureCommand:
         code = main(["--figure", "nonsense", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
 
-    def test_reduction_grid_with_zero_rejected(self, tmp_path):
-        code = main(
-            ["--figure", "single-shot-reduction", "--alpha-grid", "0.0:0.5:0.1",
-             "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == EXIT_USAGE
+    def test_reduction_grid_with_zero_rejected(self, tmp_path, capsys, monkeypatch):
+        forbid_work(monkeypatch)
+        out = tmp_path / "x.csv"
+        for argv in (["--figure", "single-shot-reduction", "--alpha-grid", "0.0:0.5:0.1"],
+                     ["--figure", "bqr-reduction", "--n", "5", "--rounds", "3",
+                      "--alpha-grid=-0.5:0.5:0.5"]):
+            assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "reduction-factor sweeps need a grid within (0, 1]\n"
+        assert not out.exists()
 
     def test_missing_out_is_usage_error(self):
         assert main(["--figure", "single-shot-polarization"]) == EXIT_USAGE
 
-    def test_unwritable_path(self):
-        code = main(
-            ["--figure", "single-shot-polarization", "--n", "3",
-             "--alpha-grid", "0.2:0.8:0.2", "--out", "/nonexistent-dir/x.csv"]
-        )
-        assert code == EXIT_IO
+    def test_unwritable_path(self, capsys):
+        # a figure and --sample reach the same writer
+        for argv in (["--figure", "single-shot-polarization", "--n", "3"],
+                     ["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10"]):
+            code = main(argv + ["--alpha-grid", "0.2:0.8:0.2", "--out", "/nonexistent-dir/x.csv"])
+            assert code == EXIT_IO
+            err = capsys.readouterr().err
+            assert err.startswith("cannot write /nonexistent-dir/x.csv: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -331,7 +349,7 @@ class TestVerifyCommand:
 
 
 class TestSampleCommand:
-    def test_rows_and_columns(self, tmp_path):
+    def test_rows_and_columns(self, tmp_path, capsys):
         out = tmp_path / "sample.csv"
         code = main(
             ["--sample", "--n", "3", "--m", "2", "--rounds", "1",
@@ -339,6 +357,7 @@ class TestSampleCommand:
              "--seed", "5", "--out", str(out)]
         )
         assert code == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out} (9 rows, 12 columns)\n"
         header, rows = read_csv(out)
         assert header[0] == "alpha" and "reduction_factor" in header
         assert len(rows) == 9
@@ -438,9 +457,10 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         self.one_line(capsys)
 
-    def test_locality_rejected_by_full_staircase_figures(self, tmp_path, capsys):
+    def test_locality_rejected_by_full_staircase_figures(self, tmp_path, capsys, monkeypatch):
         # their asymptotic column is the full-staircase limit; the 3-local
-        # figure likewise runs its own staircase only
+        # figure likewise runs its own staircase only; rejected before any work
+        forbid_work(monkeypatch)
         out = tmp_path / "x.csv"
         for figure, locality, other in (
             ("bqr-polarization", "3local", "klocal-reduction"),

@@ -754,6 +754,15 @@ class TestAlphaInfinity:
     def test_zero(self, n, m):
         assert alpha_infinity(n, m, 0.0) == 0.0
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_resets_that_leave_no_target_are_rejected(self, m):
+        # alpha_infinity once raised "negative shift count" here
+        message = rf"^need 1 <= m <= n-1, got m={m}, n=3$"
+        with pytest.raises(ValueError, match=message):
+            RefrigeratorConfig(3, m, 1)
+        with pytest.raises(ValueError, match=message):
+            alpha_infinity(3, m, 0.5)
+
     def test_unit_polarization(self):
         assert alpha_infinity(4, 2, 1.0) == 1.0
         assert alpha_infinity(4, 2, -1.0) == -1.0
