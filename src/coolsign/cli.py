@@ -19,7 +19,7 @@ the refrigerator figures also ``--m``, ``--rounds`` and ``--locality``, and
 
 :func:`main` checks the one parsed argparse namespace and stores the parsed
 ``--n``, ``--rounds`` and ``--alpha-grid`` tuples back on it.  A figure's
-staircase, looked up once in :data:`FIGURE_LOCALITY`, picks the flags it
+staircase, looked up once in :data:`FIGURES`, picks the flags it
 reads, its ``--n`` default, its one-register rule and its builder.  Each
 builder reads the namespace and returns a header and rows; :func:`main`
 makes the one :func:`write_rows` call and prints one
@@ -33,9 +33,11 @@ a value repeated in ``--n`` or ``--rounds``, a ``--jobs``, ``--seed`` or
 ``--trials`` below its least value, a ``--budget`` above :data:`MAX_BUDGET`
 or a ``--jobs`` above :data:`coolsign.sampling.MAX_JOBS`, and a register
 too large to simulate in memory), 3 output I/O error, 4 budget too small,
-5 a steady state that failed its one-cycle residual check or a sort-oracle
-bound that did not converge.  Errors are reported on stderr without a
-traceback.
+5 a fixed point whose residual is not within
+:data:`coolsign.refrigerator.RESIDUAL_TOL`: a steady state after its
+one-cycle check, or a sort-oracle bound after
+:data:`coolsign.refrigerator.MAX_CYCLES` cycles.  Errors are reported on
+stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -57,17 +59,9 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_CONVERGENCE = 5
 
-FIGURES = (
-    "single-shot-polarization",
-    "single-shot-reduction",
-    "bqr-polarization",
-    "bqr-reduction",
-    "klocal-reduction",
-)
-
-#: the staircase each refrigerator figure runs
-FIGURE_LOCALITY = {"bqr-polarization": "full", "bqr-reduction": "full",
-                   "klocal-reduction": "3local"}
+#: each figure and the staircase it runs; None for the single-shot figures
+FIGURES = {"single-shot-polarization": None, "single-shot-reduction": None,
+           "bqr-polarization": "full", "bqr-reduction": "full", "klocal-reduction": "3local"}
 
 DEFAULT_SINGLE_SHOT_N = (3, 5, 11, 21)
 DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
@@ -233,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         "resource-matched sampling experiments.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--figure", metavar="NAME", help=f"emit curve data; one of {FIGURES}")
+    mode.add_argument("--figure", metavar="NAME",
+                      help=f"emit curve data; one of {tuple(FIGURES)}")
     mode.add_argument("--suite", metavar="NAME", help="run a verification suite "
-                      "(theorem1, bqr-oracle, klocal-fixedpoint, sampling, all)")
+                      f"({', '.join([*verify.SUITES, 'all'])})")
     mode.add_argument("--sample", action="store_true",
                       help="sweep resource-matched raw-vs-cooled comparisons")
     parser.add_argument("--n", default=None, help="qubit count(s), comma separated; "
@@ -275,10 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.figure is not None and args.figure not in FIGURES:
-        print(f"unknown figure {args.figure!r}; choose from {FIGURES}", file=sys.stderr)
+        print(f"unknown figure {args.figure!r}; choose from {tuple(FIGURES)}", file=sys.stderr)
         return EXIT_USAGE
     # the staircase of a refrigerator figure; None for the other modes
-    locality = FIGURE_LOCALITY.get(args.figure)
+    locality = FIGURES.get(args.figure)
 
     if args.suite is not None:
         mode, reads = "--suite", ()
@@ -349,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{flag} lists {repeated[0]} more than once", file=sys.stderr)
             return EXIT_USAGE
     if locality and args.locality not in (None, locality):
-        others = " or ".join(f for f, loc in FIGURE_LOCALITY.items() if loc == args.locality)
+        others = " or ".join(f for f, loc in FIGURES.items() if loc == args.locality)
         print(f"{mode} runs the {locality} staircase only; for --locality "
               f"{args.locality} use --figure {others} or --sample", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,8 @@ the resets out.  The fixed point is solved directly on the carried chain, the
 chain on the qubits that the recycle carries into the next cycle, composed
 sparsely from the same index map, and checked by one kernel cycle
 (:func:`steady_states`).  Where a check needs a round as a dense matrix, it
-runs the same kernel on the identity.
+runs the same kernel on the identity.  Each solver returns its rows'
+residuals and whether each settled; :func:`_solve_grid` alone judges them.
 
 A grid of reservoir polarizations is solved as one batch.  Each distinct
 ``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
@@ -77,13 +78,12 @@ MAX_CYCLES = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """A steady state failed its check by one cycle, or the sort oracle did
-    not converge; carries the residual and the flat index of the batch row."""
+    """A fixed point that did not settle, raised by :func:`_solve_grid`
+    alone; carries the residual of the first grid alpha it names."""
 
-    def __init__(self, message: str, residual: float, row: int = 0):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.row = row
 
 
 def _check_register(n, m) -> None:
@@ -118,19 +118,24 @@ class RefrigeratorConfig:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Fixed point of the recycle cycle and the polarization it delivers.
+    """Fixed point of the recycle cycle and what a solve measured of it.
 
-    ``ground`` and ``excited`` are the target's masses after the rounds run
-    on ``a_fixed``, and ``alpha_enhanced`` is their difference over their
-    sum, so a drift of the total mass never carries it past +-1.  ``residual``
-    is the L1 distance between ``a_fixed`` and its recycled image.
+    ``residual`` is the L1 distance between ``a_fixed`` and its recycled
+    image; ``ground`` and ``excited`` are the target's masses after the
+    rounds run on ``a_fixed``.
     """
 
     a_fixed: np.ndarray
-    alpha_enhanced: float
     residual: float
     ground: float
     excited: float
+
+    @property
+    def alpha_enhanced(self) -> float:
+        """The target's mass difference over its mass sum: a drift of the
+        total mass never carries it past +-1, and it is exactly odd because
+        the two masses swap under the bit flip."""
+        return (self.ground - self.excited) / (self.ground + self.excited)
 
     def reduction_factor(self, alpha: float, cost: float) -> float:
         """``(alpha^-2 - 1) / (alpha_enhanced^-2 - 1) / cost`` at reservoir
@@ -196,75 +201,68 @@ def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression) -> Step
     return step
 
 
-def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(ground, excited, polarization)`` of the target qubit of each row.
-
-    The polarization is the mass difference over the mass sum: it stays
-    within [-1, 1] when the rounds drift the total mass off 1, and it is
-    exactly odd because the two masses swap under the bit flip.
-    """
+def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ground, excited)``, the masses of the target qubit of each row."""
     half = evolved.shape[-1] >> 1
-    ground = pairwise_sum(evolved[..., :half])
-    excited = pairwise_sum(evolved[..., half:])
-    return ground, excited, (ground - excited) / (ground + excited)
+    return pairwise_sum(evolved[..., :half]), pairwise_sum(evolved[..., half:])
 
 
-#: ``(a, evolved, residual)``, one row per polarization of a solve
-Solved = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(a, evolved, residual, settled)``, one row per polarization of a solve
+Solved = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def fixed_point(step: Step, start: np.ndarray, tol: float, max_cycles: int) -> Solved:
+def fixed_point(step: Step, start: np.ndarray) -> Solved:
     """Iterate the recycle ``step`` from ``start`` until one cycle moves each
-    row by at most ``tol`` in L1 distance.
+    row by at most :data:`RESIDUAL_TOL` in L1 distance, for at most
+    :data:`MAX_CYCLES` cycles.
 
     Vectors lie along the last axis and rows along any leading axes.  Each
-    row keeps what it had at the cycle where it converged: returns
-    ``(a, evolved, residual)``, the iterate, its evolved vector and the L1
-    distance from the iterate to its own image.  Rows that have converged
-    step on with the rest; rows never mix, so their records stay as they
-    were.  The cycle maps are L1 non-expansive, so a residual is at most
-    its row's last move.
+    row that settles keeps what it had at the cycle where it did: returns
+    ``(a, evolved, residual, settled)``, the iterate, its evolved vector,
+    the L1 distance from the iterate to its own image, and whether the row
+    settled.  A row that never settled reports its last move instead.  Rows
+    that have settled step on with the rest; rows never mix, so their
+    records stay as they were.  The cycle maps are L1 non-expansive, so a
+    residual is at most its row's last move.
     """
     image, evolved = step(start)
     moved = pairwise_sum(np.abs(image - start))
     done = np.zeros(moved.shape, dtype=bool)
     fixed, fixed_evolved, residual = start, evolved, moved
-    for _ in range(max_cycles):
+    for _ in range(MAX_CYCLES):
         a = image
         image, evolved = step(a)
         remaining = pairwise_sum(np.abs(image - a))
-        now = (moved <= tol) & ~done
+        now = (moved <= RESIDUAL_TOL) & ~done
         fixed = np.where(now[..., None], a, fixed)
         fixed_evolved = np.where(now[..., None], evolved, fixed_evolved)
         residual = np.where(now, remaining, residual)
         done |= now
         if done.all():
-            return fixed, fixed_evolved, residual
+            break
         moved = remaining
-    row = int(np.flatnonzero(~done)[0])
-    last = float(np.ravel(moved)[row])
-    raise ConvergenceError(
-        f"did not converge within {max_cycles} cycles (last residual {last:.3e})", last, row
-    )
+    return fixed, fixed_evolved, np.where(done, residual, moved), done
 
 
 def _mirror(result: SteadyStateResult) -> SteadyStateResult:
     """The result at ``-alpha``, given the result at ``alpha``."""
-    return SteadyStateResult(result.a_fixed[::-1], -result.alpha_enhanced, result.residual,
-                             result.excited, result.ground)
+    return SteadyStateResult(result.a_fixed[::-1], result.residual, result.excited,
+                             result.ground)
 
 
 def _solve_grid(
     cfg: RefrigeratorConfig, alphas, solve: Callable[[np.ndarray], Solved], what: str
 ) -> list[SteadyStateResult]:
     """One fixed point per entry of ``alphas``, in grid order: the one
-    solver driver, and the only code that reads the sign of ``alpha``.
+    solver driver, the only code that reads the sign of ``alpha``, and the
+    only code that judges a solve.
 
     Each distinct ``|alpha|`` is solved once, by ``solve(chunk)`` on chunks
     capped by :data:`CHUNK_BYTES`.  A negative alpha gets the mirror image of its
     ``|alpha|`` result, which is its own solve bit for bit: the kernel, the
-    staircases and the sort commute with the bit flip.  A failure names the
-    first grid alpha of the failing row.
+    staircases and the sort commute with the bit flip.  The first row of a
+    chunk that did not settle raises :class:`ConvergenceError`, naming
+    ``what``, the first grid alpha of that row, rounds and the residual.
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
@@ -273,16 +271,17 @@ def _solve_grid(
     solved: dict[float, SteadyStateResult] = {}
     for low in range(0, len(distinct), size):
         chunk = np.array(distinct[low:low + size])
-        try:
-            a, evolved, residual = solve(chunk)
-        except ConvergenceError as exc:
-            alpha = next(alpha for alpha in grid if abs(alpha) == chunk[exc.row])
-            where = f"{what} at alpha={alpha!r}, rounds={cfg.rounds}"
-            raise ConvergenceError(f"{where}: {exc}", exc.residual) from None
-        ground, excited, enhanced = _target(evolved)
+        a, evolved, residual, settled = solve(chunk)
+        if not settled.all():
+            row = int(np.flatnonzero(~settled)[0])
+            alpha = next(alpha for alpha in grid if abs(alpha) == chunk[row])
+            raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={cfg.rounds}: residual "
+                                   f"{residual[row]:.3e} is not within {RESIDUAL_TOL:g}",
+                                   float(residual[row]))
+        ground, excited = _target(evolved)
         for i, key in enumerate(distinct[low:low + size]):
-            solved[key] = SteadyStateResult(a[i], float(enhanced[i]), float(residual[i]),
-                                            float(ground[i]), float(excited[i]))
+            solved[key] = SteadyStateResult(a[i], float(residual[i]), float(ground[i]),
+                                            float(excited[i]))
     return [_mirror(solved[-alpha]) if alpha < 0 else solved[alpha] for alpha in grid]
 
 
@@ -380,9 +379,9 @@ def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     call from ``n = 10`` on.  The product state stands in at ``alpha = 0``,
     where it is the exact fixed point, and at ``|alpha| = 1``, where a pure
     reset leaves a chain with a closed subset.  One kernel recycle cycle
-    then checks the solve and reads its target masses; a row it moves by
-    more than :data:`RESIDUAL_TOL` in L1 distance raises
-    :class:`ConvergenceError`.
+    then measures each row's residual and target masses; a row settles if
+    that cycle moves it by at most :data:`RESIDUAL_TOL` in L1 distance, and
+    :func:`_solve_grid` judges the rows.
     """
     permutation = compression_permutation_for(cfg)
 
@@ -394,13 +393,7 @@ def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
         a[product] = product_probs(chunk[product], cfg.n - cfg.m)
         image, evolved = _recycle_step(cfg, chunk, permutation)(a)
         residual = pairwise_sum(np.abs(image - a))
-        failed = np.flatnonzero(~(residual <= RESIDUAL_TOL))  # a NaN fails too
-        if failed.size:
-            row = int(failed[0])
-            raise ConvergenceError(
-                f"residual {residual[row]:.3e} after one cycle is above {RESIDUAL_TOL:g}",
-                float(residual[row]), row)
-        return a, evolved, residual
+        return a, evolved, residual, residual <= RESIDUAL_TOL  # a NaN fails
 
     return _solve_grid(cfg, alphas, solve, "steady state")
 
@@ -424,14 +417,13 @@ def optimal_bounds(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     ascending sort's solve (:func:`_solve_grid`).  The sort is only piecewise
     linear, so :func:`fixed_point` iterates from the all-fresh state, rather
     than from a direct solve, to a residual of :data:`RESIDUAL_TOL` within
-    :data:`MAX_CYCLES` cycles.
+    :data:`MAX_CYCLES` cycles; :func:`_solve_grid` judges the rows.
     """
 
     def sort(full: np.ndarray) -> np.ndarray:
         return np.sort(full, axis=-1)[..., ::-1]
 
     def solve(chunk: np.ndarray) -> Solved:
-        return fixed_point(_recycle_step(cfg, chunk, sort), product_probs(chunk, cfg.n - cfg.m),
-                           RESIDUAL_TOL, MAX_CYCLES)
+        return fixed_point(_recycle_step(cfg, chunk, sort), product_probs(chunk, cfg.n - cfg.m))
 
     return _solve_grid(cfg, alphas, solve, "optimal bound")

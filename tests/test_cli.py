@@ -32,7 +32,7 @@ from coolsign.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    FIGURE_LOCALITY,
+    FIGURES,
     MAX_BUDGET,
     SAMPLE_HEADER,
     main,
@@ -226,7 +226,7 @@ class TestFigureCommand:
 def one_point_rows(figure, n, m, rounds_list, grid):
     """A refrigerator figure's header and rows, each cell from its own
     one-point solve."""
-    cfgs = [refrigerator.RefrigeratorConfig(n, m, r, locality=FIGURE_LOCALITY[figure])
+    cfgs = [refrigerator.RefrigeratorConfig(n, m, r, locality=FIGURES[figure])
             for r in rounds_list]
     header = ["alpha"] + [f"rounds{r}" for r in rounds_list]
     if figure == "bqr-polarization":
@@ -476,7 +476,7 @@ class TestExitCodes:
 
     def test_refrigerator_figures_take_one_register(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        for figure in FIGURE_LOCALITY:
+        for figure in [f for f, locality in FIGURES.items() if locality]:
             code = main(["--figure", figure, "--n", "5,8", "--rounds", "3",
                          "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
             assert code == EXIT_USAGE
@@ -531,7 +531,7 @@ class TestExitCodes:
         err = self.one_line(capsys)
         assert all(flag in err for flag in ("--m", "--rounds", "--seed", "--locality", "--trials",
                                             "--jobs"))
-        for figure in FIGURE_LOCALITY:
+        for figure in [f for f, locality in FIGURES.items() if locality]:
             for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4"),
                                 ("--jobs", "2")):
                 code = main(["--figure", figure, "--n", "4", "--rounds", "3",
@@ -634,17 +634,23 @@ class TestExitCodes:
             assert "n=20" in err and "m=2" in err
 
     def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
-        # a broken GTH hands the check the uniform vector, which no cycle keeps
+        # a broken GTH hands the check the uniform vector, which no cycle
+        # keeps; one sort cycle leaves the oracle short of its fixed point
         def uniform(rows):
             return np.full(rows.shape[:-1], 1.0 / rows.shape[-1])
 
-        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform)
-        for mode in (["--figure", "bqr-polarization"], ["--sample", "--trials", "10"]):
+        for mode, broken, value, solve in (
+                (["--figure", "bqr-polarization"], "_stationary_gth", uniform, "steady state"),
+                (["--sample", "--trials", "10"], "_stationary_gth", uniform, "steady state"),
+                (["--figure", "bqr-reduction"], "MAX_CYCLES", 1, "optimal bound")):
             out = tmp_path / "x.csv"
-            code = main(mode + ["--n", "4", "--rounds", "3", "--alpha-grid", "0.25:0.25:0.1",
-                                "--out", str(out)])
+            with monkeypatch.context() as patch:
+                patch.setattr(refrigerator, broken, value)
+                code = main(mode + ["--n", "4", "--rounds", "3", "--alpha-grid",
+                                    "0.25:0.25:0.1", "--out", str(out)])
             assert code == EXIT_CONVERGENCE
             err = self.one_line(capsys)
+            assert solve in err
             assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
             assert not out.exists()
 

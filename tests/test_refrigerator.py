@@ -47,7 +47,7 @@ def recycle(a, cfg, alpha):
     """One recycle cycle from the vector ``a``: ``(recycled, alpha_enhanced)``."""
     step = _recycle_step(cfg, alpha, compression_permutation_for(cfg))
     recycled, evolved = step(np.asarray(a, dtype=float))
-    return recycled, float(_target(evolved)[2])
+    return recycled, float(from_masses(*_target(evolved)).alpha_enhanced)
 
 
 def reduction_qr(cfg, alpha):
@@ -329,15 +329,20 @@ class TestSteadyState:
         ]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
-    def test_convergence_failure_carries_residual(self):
+    def test_convergence_failure_carries_residual(self, monkeypatch):
         # swapping [1, 0] moves the vector by exactly 2.0 every cycle
         def swap(a):
             return a[::-1].copy(), a
 
-        with pytest.raises(ConvergenceError) as excinfo:
-            fixed_point(swap, np.array([1.0, 0.0]), tol=1e-300, max_cycles=5)
-        assert excinfo.value.residual >= 0.0
-        assert excinfo.value.residual == 2.0
+        monkeypatch.setattr(refrigerator, "MAX_CYCLES", 5)
+        residual, settled = fixed_point(swap, np.array([1.0, 0.0]))[2:]
+        assert not settled
+        assert residual == 2.0
+        # a step that returns its input is fixed from the start
+        start = np.array([0.75, 0.25])
+        a, evolved, residual, settled = fixed_point(lambda a: (a, a), start)
+        assert settled and residual == 0.0
+        assert np.array_equal(a, start) and np.array_equal(evolved, start)
 
     def test_failure_message_names_alpha_rounds_and_residual(self, monkeypatch):
         monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
@@ -475,8 +480,10 @@ def test_recycle_step_commutes_with_the_bit_flip(n, m, rounds, locality, alpha, 
         flipped = _recycle_step(cfg, -alpha, down)(x[::-1])
         assert np.array_equal(flipped[0], recycled[::-1])
         assert np.array_equal(flipped[1], evolved[::-1])
-        ground, excited, polarization = _target(evolved)
-        assert _target(evolved[::-1]) == (excited, ground, -polarization)
+        ground, excited = _target(evolved)
+        assert _target(evolved[::-1]) == (excited, ground)
+        up, down = from_masses(ground, excited), from_masses(excited, ground)
+        assert down.alpha_enhanced == -up.alpha_enhanced
 
 
 def test_grid_solves_each_magnitude_once(monkeypatch):
@@ -812,8 +819,7 @@ class TestReductionFactorQr:
 
 def from_masses(ground, excited):
     """A steady state that carries only its target's two masses."""
-    return SteadyStateResult(np.zeros(0), (ground - excited) / (ground + excited), 0.0,
-                             ground, excited)
+    return SteadyStateResult(np.zeros(0), 0.0, ground, excited)
 
 
 class TestReductionFromMasses:
