@@ -3,8 +3,9 @@
 A 5-qubit register with 2 reset qubits is driven toward its steady state.
 The first few rounds buy most of the polarization.  The recycle fixed point
 is solved directly from the chain on the carried qubits and checked by one
-recycle cycle; the "residual" column is how far that cycle moves it.  The
-asymptotic line is tanh(m 2^(n-m-1) artanh(alpha)).
+recycle cycle; the "residual" column is the largest relative move that
+cycle gives an entry.  The asymptotic line is
+tanh(m 2^(n-m-1) artanh(alpha)).
 
 Too few rounds for the register can cool the target *below* the raw
 polarization: at n=9, m=2, 5 rounds and alpha=0.1 the steady state reads

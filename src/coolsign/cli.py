@@ -33,8 +33,9 @@ a value repeated in ``--n`` or ``--rounds``, a ``--jobs``, ``--seed`` or
 ``--trials`` below its least value, a ``--budget`` above :data:`MAX_BUDGET`
 or a ``--jobs`` above :data:`coolsign.sampling.MAX_JOBS`, and a register
 too large to simulate in memory), 3 output I/O error, 4 budget too small,
-5 a fixed point whose residual is not within
-:data:`coolsign.refrigerator.RESIDUAL_TOL`: a steady state after its
+5 a fixed point whose relative residual is not within
+:data:`coolsign.refrigerator.RESIDUAL_TOL`, as judged by the one cycle loop
+:func:`coolsign.refrigerator._solve_grid`: a steady state after its
 one-cycle check, or a sort-oracle bound after
 :data:`coolsign.refrigerator.MAX_CYCLES` cycles.  Errors are reported on
 stderr without a traceback.

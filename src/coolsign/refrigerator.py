@@ -15,8 +15,10 @@ the resets out.  The fixed point is solved directly on the carried chain, the
 chain on the qubits that the recycle carries into the next cycle, composed
 sparsely from the same index map, and checked by one kernel cycle
 (:func:`steady_states`).  Where a check needs a round as a dense matrix, it
-runs the same kernel on the identity.  Each solver returns its rows'
-residuals and whether each settled; :func:`_solve_grid` alone judges them.
+runs the same kernel on the identity.  Each solver hands
+:func:`_solve_grid` a compression, a start and a cycle budget;
+:func:`_solve_grid` runs every solve's cycles and judges them all by one
+relative residual.
 
 A grid of reservoir polarizations is solved as one batch.  Each distinct
 ``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
@@ -70,7 +72,9 @@ CHUNK_BYTES = 512 << 10
 #: ``d = 1024``; 32 keeps every matrix of ``d <= 32`` in one panel
 GTH_PANEL = 32
 
-#: largest L1 distance between a fixed point and its own recycled image
+#: largest relative move, ``|image - a| / max(image, a)``, of any entry of
+#: a fixed point under its own recycle cycle.  It resolves tiny masses, such
+#: as a target's excited mass of 1e-50 near saturation, as well as large ones
 RESIDUAL_TOL = 1e-12
 
 #: recycle cycles the sort oracle may iterate toward :data:`RESIDUAL_TOL`
@@ -120,9 +124,9 @@ class RefrigeratorConfig:
 class SteadyStateResult:
     """Fixed point of the recycle cycle and what a solve measured of it.
 
-    ``residual`` is the L1 distance between ``a_fixed`` and its recycled
-    image; ``ground`` and ``excited`` are the target's masses after the
-    rounds run on ``a_fixed``.
+    ``residual`` is the largest relative move of an entry of ``a_fixed``
+    under its recycle cycle; ``ground`` and ``excited`` are the target's
+    masses after the rounds run on ``a_fixed``.
     """
 
     a_fixed: np.ndarray
@@ -207,43 +211,6 @@ def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pairwise_sum(evolved[..., :half]), pairwise_sum(evolved[..., half:])
 
 
-#: ``(a, evolved, residual, settled)``, one row per polarization of a solve
-Solved = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def fixed_point(step: Step, start: np.ndarray) -> Solved:
-    """Iterate the recycle ``step`` from ``start`` until one cycle moves each
-    row by at most :data:`RESIDUAL_TOL` in L1 distance, for at most
-    :data:`MAX_CYCLES` cycles.
-
-    Vectors lie along the last axis and rows along any leading axes.  Each
-    row that settles keeps what it had at the cycle where it did: returns
-    ``(a, evolved, residual, settled)``, the iterate, its evolved vector,
-    the L1 distance from the iterate to its own image, and whether the row
-    settled.  A row that never settled reports its last move instead.  Rows
-    that have settled step on with the rest; rows never mix, so their
-    records stay as they were.  The cycle maps are L1 non-expansive, so a
-    residual is at most its row's last move.
-    """
-    image, evolved = step(start)
-    moved = pairwise_sum(np.abs(image - start))
-    done = np.zeros(moved.shape, dtype=bool)
-    fixed, fixed_evolved, residual = start, evolved, moved
-    for _ in range(MAX_CYCLES):
-        a = image
-        image, evolved = step(a)
-        remaining = pairwise_sum(np.abs(image - a))
-        now = (moved <= RESIDUAL_TOL) & ~done
-        fixed = np.where(now[..., None], a, fixed)
-        fixed_evolved = np.where(now[..., None], evolved, fixed_evolved)
-        residual = np.where(now, remaining, residual)
-        done |= now
-        if done.all():
-            break
-        moved = remaining
-    return fixed, fixed_evolved, np.where(done, residual, moved), done
-
-
 def _mirror(result: SteadyStateResult) -> SteadyStateResult:
     """The result at ``-alpha``, given the result at ``alpha``."""
     return SteadyStateResult(result.a_fixed[::-1], result.residual, result.excited,
@@ -251,18 +218,30 @@ def _mirror(result: SteadyStateResult) -> SteadyStateResult:
 
 
 def _solve_grid(
-    cfg: RefrigeratorConfig, alphas, solve: Callable[[np.ndarray], Solved], what: str
+    cfg: RefrigeratorConfig,
+    alphas,
+    compress: Compression,
+    start: Callable[[np.ndarray], np.ndarray],
+    cycles: int,
+    what: str,
 ) -> list[SteadyStateResult]:
-    """One fixed point per entry of ``alphas``, in grid order: the one
-    solver driver, the only code that reads the sign of ``alpha``, and the
-    only code that judges a solve.
+    """One fixed point per entry of ``alphas``, in grid order: the one cycle
+    loop, the only code that reads the sign of ``alpha``, and the only code
+    that judges a solve.
 
-    Each distinct ``|alpha|`` is solved once, by ``solve(chunk)`` on chunks
-    capped by :data:`CHUNK_BYTES`.  A negative alpha gets the mirror image of its
-    ``|alpha|`` result, which is its own solve bit for bit: the kernel, the
-    staircases and the sort commute with the bit flip.  The first row of a
-    chunk that did not settle raises :class:`ConvergenceError`, naming
-    ``what``, the first grid alpha of that row, rounds and the residual.
+    Each distinct ``|alpha|`` is solved once, on chunks capped by
+    :data:`CHUNK_BYTES`: the recycle step with ``compress`` runs from
+    ``start(chunk)`` for at most ``cycles`` cycles.  A row settles at the
+    first iterate whose own cycle moves every entry by at most
+    :data:`RESIDUAL_TOL` relative, ``|image - a| <= tol max(image, a)``,
+    where an entry that is 0 on both sides moves 0 and a NaN never settles.
+    It keeps that iterate, its evolved vector and that move as its residual;
+    settled rows step on with the rest, but rows never mix.  A negative alpha
+    gets the mirror image of its ``|alpha|`` result, which is its own solve
+    bit for bit: the kernel, the staircases and the sort commute with the
+    bit flip.  The first row of a chunk that did not settle raises
+    :class:`ConvergenceError`, naming ``what``, the first grid alpha of that
+    row, rounds and the row's last move (``inf`` if no cycle ran).
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
@@ -271,16 +250,32 @@ def _solve_grid(
     solved: dict[float, SteadyStateResult] = {}
     for low in range(0, len(distinct), size):
         chunk = np.array(distinct[low:low + size])
-        a, evolved, residual, settled = solve(chunk)
-        if not settled.all():
-            row = int(np.flatnonzero(~settled)[0])
+        step, a = _recycle_step(cfg, chunk, compress), start(chunk)
+        fixed, fixed_evolved = np.empty_like(a), np.empty_like(a)
+        residual = np.full(chunk.shape, np.inf)
+        unsettled = np.ones(chunk.shape, dtype=bool)
+        for _ in range(cycles):
+            image, evolved = step(a)
+            move = np.abs(image - a)
+            np.divide(move, np.maximum(image, a), out=move, where=move > 0.0)
+            move = move.max(axis=-1)
+            np.copyto(residual, move, where=unsettled)
+            now = unsettled & (move <= RESIDUAL_TOL)
+            if now.any():
+                fixed[now], fixed_evolved[now] = a[now], evolved[now]
+                unsettled &= ~now
+                if not unsettled.any():
+                    break
+            a = image
+        if unsettled.any():
+            row = int(np.flatnonzero(unsettled)[0])
             alpha = next(alpha for alpha in grid if abs(alpha) == chunk[row])
-            raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={cfg.rounds}: residual "
-                                   f"{residual[row]:.3e} is not within {RESIDUAL_TOL:g}",
-                                   float(residual[row]))
-        ground, excited = _target(evolved)
+            raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={cfg.rounds}: relative "
+                                   f"residual {residual[row]:.3e} is not within "
+                                   f"{RESIDUAL_TOL:g}", float(residual[row]))
+        ground, excited = _target(fixed_evolved)
         for i, key in enumerate(distinct[low:low + size]):
-            solved[key] = SteadyStateResult(a[i], float(residual[i]), float(ground[i]),
+            solved[key] = SteadyStateResult(fixed[i], float(residual[i]), float(ground[i]),
                                             float(excited[i]))
     return [_mirror(solved[-alpha]) if alpha < 0 else solved[alpha] for alpha in grid]
 
@@ -378,24 +373,21 @@ def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     it one matmul per panel of :data:`GTH_PANEL` states, and dominates the
     call from ``n = 10`` on.  The product state stands in at ``alpha = 0``,
     where it is the exact fixed point, and at ``|alpha| = 1``, where a pure
-    reset leaves a chain with a closed subset.  One kernel recycle cycle
-    then measures each row's residual and target masses; a row settles if
-    that cycle moves it by at most :data:`RESIDUAL_TOL` in L1 distance, and
-    :func:`_solve_grid` judges the rows.
+    reset leaves a chain with a closed subset.  :func:`_solve_grid` runs one
+    kernel recycle cycle from that seed, which measures each row's relative
+    residual and target masses, and judges the rows.
     """
     permutation = compression_permutation_for(cfg)
 
-    def solve(chunk: np.ndarray) -> Solved:
+    def seed(chunk: np.ndarray) -> np.ndarray:
         carried = _stationary_gth(_carried_cycle_rows(cfg, chunk, permutation))
         a = _attach(carried, ground_excited_pair(chunk))
         a /= a.sum(axis=-1, keepdims=True)
         product = (chunk == 0.0) | np.isnan(a).any(axis=-1)
         a[product] = product_probs(chunk[product], cfg.n - cfg.m)
-        image, evolved = _recycle_step(cfg, chunk, permutation)(a)
-        residual = pairwise_sum(np.abs(image - a))
-        return a, evolved, residual, residual <= RESIDUAL_TOL  # a NaN fails
+        return a
 
-    return _solve_grid(cfg, alphas, solve, "steady state")
+    return _solve_grid(cfg, alphas, permutation, seed, 1, "steady state")
 
 
 def alpha_infinity(n: int, m: int, alpha: float) -> float:
@@ -415,15 +407,15 @@ def optimal_bounds(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     The sort runs descending at ``|alpha|``, the best any compression can do
     for a positive bias; a negative alpha gets the exact mirror, which is the
     ascending sort's solve (:func:`_solve_grid`).  The sort is only piecewise
-    linear, so :func:`fixed_point` iterates from the all-fresh state, rather
-    than from a direct solve, to a residual of :data:`RESIDUAL_TOL` within
-    :data:`MAX_CYCLES` cycles; :func:`_solve_grid` judges the rows.
+    linear, so :func:`_solve_grid` iterates from the all-fresh state, rather
+    than from a direct solve, to a relative residual of :data:`RESIDUAL_TOL`
+    within :data:`MAX_CYCLES` cycles, and judges the rows.
     """
 
     def sort(full: np.ndarray) -> np.ndarray:
         return np.sort(full, axis=-1)[..., ::-1]
 
-    def solve(chunk: np.ndarray) -> Solved:
-        return fixed_point(_recycle_step(cfg, chunk, sort), product_probs(chunk, cfg.n - cfg.m))
+    def fresh(chunk: np.ndarray) -> np.ndarray:
+        return product_probs(chunk, cfg.n - cfg.m)
 
-    return _solve_grid(cfg, alphas, solve, "optimal bound")
+    return _solve_grid(cfg, alphas, sort, fresh, MAX_CYCLES, "optimal bound")

@@ -22,18 +22,19 @@ from coolsign import (
     window_swaps,
 )
 from coolsign import refrigerator
+from coolsign.cli import parse_alpha_grid
 from coolsign.refrigerator import (
     GTH_PANEL,
     LOCALITIES,
     _carried_cycle_rows,
     _mirror,
     _recycle_step,
+    _solve_grid,
     _stationary_gth,
     _target,
     compression_permutation_for,
-    fixed_point,
 )
-from coolsign.states import ground_excited_pair, product_probs
+from coolsign.states import PermutationSpec, ground_excited_pair, product_probs
 from kernel_matrix import round_matrix
 from oracles import attach, full_cycle, full_round, qubits, sum_last
 
@@ -330,19 +331,31 @@ class TestSteadyState:
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
     def test_convergence_failure_carries_residual(self, monkeypatch):
-        # swapping [1, 0] moves the vector by exactly 2.0 every cycle
-        def swap(a):
-            return a[::-1].copy(), a
+        def use_step(step):
+            monkeypatch.setattr(refrigerator, "_recycle_step", lambda cfg, chunk, compress: step)
 
-        monkeypatch.setattr(refrigerator, "MAX_CYCLES", 5)
-        residual, settled = fixed_point(swap, np.array([1.0, 0.0]))[2:]
-        assert not settled
-        assert residual == 2.0
+        def solve(start, cycles=5):
+            return _solve_grid(cfg, [0.5], None, lambda chunk: np.array([start]), cycles, "test")
+
+        cfg = RefrigeratorConfig(3, 1, 2)
+        # counting up moves entry 0 by 1/2, 1/3, ..., 1/6 and entry 1 (0 on
+        # both sides) by nothing
+        use_step(lambda a: (a + [1.0, 0.0], a))
+        message = r"^test at alpha=0\.5, rounds=2: relative residual 1\.667e-01 is not within 1e-12"
+        with pytest.raises(ConvergenceError, match=message) as excinfo:
+            solve([1.0, 0.0])
+        assert excinfo.value.residual == 1 / 6
+        # a NaN never settles
+        use_step(lambda a: (np.full_like(a, np.nan), a))
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve([0.75, 0.25])
+        assert math.isnan(excinfo.value.residual)
         # a step that returns its input is fixed from the start
-        start = np.array([0.75, 0.25])
-        a, evolved, residual, settled = fixed_point(lambda a: (a, a), start)
-        assert settled and residual == 0.0
-        assert np.array_equal(a, start) and np.array_equal(evolved, start)
+        use_step(lambda a: (a, a))
+        result = solve([0.75, 0.25], cycles=1)[0]
+        assert result.residual == 0.0
+        assert np.array_equal(result.a_fixed, [0.75, 0.25])
+        assert (result.ground, result.excited) == (0.75, 0.25)
 
     def test_failure_message_names_alpha_rounds_and_residual(self, monkeypatch):
         monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
@@ -520,9 +533,11 @@ class TestBatchedNonConvergence:
         assert excinfo.value.residual > 1e-12
 
     def test_zero_cycle_budget(self, monkeypatch):
+        # no cycle runs, so no move was measured
         monkeypatch.setattr(refrigerator, "MAX_CYCLES", 0)
-        with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual"):
+        with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual") as exc:
             optimal_bounds(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5])
+        assert exc.value.residual == math.inf
 
     def test_failed_check_names_the_first_grid_alpha(self, monkeypatch):
         # the product state stands in at alpha = 0, so the check fails on row 1
@@ -648,9 +663,6 @@ def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality):
 
 
 def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
-    def no_fixed_point(*args):
-        raise AssertionError("steady_states iterated a fixed point")
-
     steps = []
 
     def counted(cfg, alphas, compress):
@@ -662,7 +674,6 @@ def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(refrigerator, "fixed_point", no_fixed_point)
     monkeypatch.setattr(refrigerator, "_recycle_step", counted)
     monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 8 * 8)  # two points per chunk
     steady_states(RefrigeratorConfig(6, 2, 3), [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6])
@@ -863,14 +874,60 @@ class TestOptimalBound:
     def test_zero_polarization(self):
         assert optimal_bounds(RefrigeratorConfig(5, 2, 3), [0.0])[0].alpha_enhanced == 0.0
 
-    def test_dominates_protocol(self):
-        cfg = RefrigeratorConfig(5, 2, 9)
-        for alpha in np.arange(0.3, 0.901, 0.1):
-            alpha = float(alpha)
-            r_bound = optimal_bounds(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
-            assert r_bound >= reduction_qr(cfg, alpha) * (1 - 1e-9)
-
     def test_negative_bias_sorts_ascending(self):
         cfg = RefrigeratorConfig(4, 2, 2)
         up, down = optimal_bounds(cfg, [0.6])[0], optimal_bounds(cfg, [-0.6])[0]
         assert down.alpha_enhanced == pytest.approx(-up.alpha_enhanced, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "cfg,grid",
+        [
+            # README fig4, whose bound column fig6 prints too
+            (RefrigeratorConfig(5, 2, 9), parse_alpha_grid("0.01:0.99:0.01")),
+            # an excited mass near 1e-50, which an absolute stop cannot see
+            (RefrigeratorConfig(7, 2, 20), (0.96, 0.99)),
+        ],
+        ids=["fig4", "n7-r20"],
+    )
+    def test_dominates_the_top_staircase_at_rounding_level(self, cfg, grid):
+        pairs = zip(grid, steady_states(cfg, grid), optimal_bounds(cfg, grid))
+        for alpha, staircase, bound in pairs:
+            got = bound.reduction_factor(alpha, cfg.cost)
+            assert got >= staircase.reduction_factor(alpha, cfg.cost) * (1 - 1e-11), alpha
+
+    def test_matches_a_long_plain_sort_iteration(self):
+        # n = 8, r = 3 near saturation: the bound's excited mass is 1.2e-24
+        n, m, rounds, alpha = 8, 2, 3, 0.98
+        carried = qubits(alpha, n - m)
+        for _ in range(5000):
+            evolved = carried
+            for _ in range(rounds):
+                evolved = sum_last(np.sort(attach(evolved, qubits(alpha, m)))[::-1], m)
+            carried = attach(evolved.reshape(2, -1).sum(0), qubits(alpha, 1))
+        want = evolved[evolved.size // 2:].sum()
+        got = optimal_bounds(RefrigeratorConfig(n, m, rounds), [alpha])[0].excited
+        assert abs(got - want) <= 1e-9 * want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    m=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    alpha=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_compression_beats_the_sort(n, m, rounds, alpha, seed):
+    # any relabeling of the register, run as the protocol's compression,
+    # leaves at least the sort oracle's excited mass on the target
+    cfg = RefrigeratorConfig(n, m, rounds)
+    rng = np.random.default_rng(seed)
+    bound = optimal_bounds(cfg, [alpha])[0].excited
+    for _ in range(5):
+        permutation = PermutationSpec(n, rng.permutation(1 << n))
+        carried = _stationary_gth(_carried_cycle_rows(cfg, np.array(alpha), permutation))
+        if np.isnan(carried).any():  # a closed set of states avoids state 0
+            continue
+        a = attach(carried, qubits(alpha, 1))
+        _, excited = _target(_recycle_step(cfg, alpha, permutation)(a)[1])
+        assert excited >= bound * (1 - 1e-12)
