@@ -17,28 +17,29 @@ single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
 the refrigerator figures also ``--m``, ``--rounds`` and ``--locality``, and
 ``--sample`` all of them.
 
-:func:`main` checks the one parsed argparse namespace and stores the parsed
-``--n``, ``--rounds`` and ``--alpha-grid`` tuples back on it.  A figure's
-staircase, looked up once in :data:`FIGURES`, picks the flags it
-reads, its ``--n`` default, its one-register rule and its builder.  Each
-builder reads the namespace and returns a header and rows; :func:`main`
-makes the one :func:`write_rows` call and prints one
-``wrote PATH (N rows, M columns)`` line.
+:func:`main` parses the command line; :func:`_sweep` checks a sweep's
+namespace, stores the parsed ``--n``, ``--rounds`` and ``--alpha-grid``
+tuples back on it and runs its builder.  A figure's staircase, looked up
+once in :data:`FIGURES`, picks the flags it reads, its ``--n`` default, its
+one-register rule and its builder.  Each builder reads the namespace and
+returns a header and rows; :func:`main` makes the one :func:`write_rows`
+call and prints one ``wrote PATH (N rows, M columns)`` line.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-sweep flag the mode does not read, parameters a config or grid rejects, a
-``--locality`` that contradicts the figure, a list of ``--n`` values for a
-refrigerator figure or of ``--n`` or ``--rounds`` values for ``--sample``,
-a value repeated in ``--n`` or ``--rounds``, a ``--jobs``, ``--seed`` or
-``--trials`` below its least value, a ``--budget`` above :data:`MAX_BUDGET`
-or a ``--jobs`` above :data:`coolsign.sampling.MAX_JOBS`, and a register
-too large to simulate in memory), 3 output I/O error, 4 budget too small,
-5 a fixed point whose relative residual is not within
-:data:`coolsign.refrigerator.RESIDUAL_TOL`, as judged by the one cycle loop
-:func:`coolsign.refrigerator._solve_grid`: a steady state after its
-one-cycle check, or a sort-oracle bound after
-:data:`coolsign.refrigerator.MAX_CYCLES` cycles.  Errors are reported on
-stderr without a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
+error, an unknown figure or suite, a sweep flag the mode does not read,
+parameters a config or grid rejects, a ``--locality`` that contradicts the
+figure, a list of ``--n`` values for a refrigerator figure or of ``--n`` or
+``--rounds`` values for ``--sample``, a value repeated in ``--n`` or
+``--rounds``, a ``--jobs``, ``--seed`` or ``--trials`` below its least
+value, a ``--budget`` above :data:`MAX_BUDGET` or a ``--jobs`` above
+:data:`coolsign.sampling.MAX_JOBS`, and a register too large to simulate in
+memory), 3 output I/O error, 4 budget too small, 5 a fixed point whose
+relative residual is not within :data:`coolsign.refrigerator.RESIDUAL_TOL`,
+as judged by the one cycle loop :func:`coolsign.refrigerator._solve_grid`:
+a steady state after its one-cycle check, or a sort-oracle bound after
+:data:`coolsign.refrigerator.MAX_CYCLES` cycles.  Each exit 2 to 5,
+argparse's own errors included, prints one stderr line,
+``coolsign: <message>``, and no traceback.
 """
 
 from __future__ import annotations
@@ -185,11 +186,7 @@ def _figure_bqr(args: argparse.Namespace, reduction: bool,
 # verification suites
 
 def cmd_verify(suite: str) -> int:
-    try:
-        results = verify.run_suite(suite)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+    results = verify.run_suite(suite)
     for result in results:
         print(result.line())
     if all(r.passed for r in results):
@@ -221,8 +218,13 @@ def _sample(args: argparse.Namespace) -> tuple[list[str], list[tuple]]:
 # ---------------------------------------------------------------------------
 # argument handling
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own errors take main's one error path
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coolsign",
         description="Bidirectional-cooling sweeps, verification suites, and "
         "resource-matched sampling experiments.",
@@ -258,24 +260,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
+def _parse_int_list(flag: str, text: str | None,
+                    default: tuple[int, ...]) -> tuple[int, ...]:
     if text is None:
         return default
-    values = tuple(int(p) for p in text.split(",") if p)
+    try:
+        values = tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        values = ()
     if not values:
-        raise ValueError(f"empty integer list {text!r}")
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
     return values
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _mode(args: argparse.Namespace) -> tuple[str, str | None]:
+    """The mode's name and a refrigerator figure's staircase, None for the other
+    modes; rejects an unknown figure and a sweep flag the mode does not read."""
     if args.figure is not None and args.figure not in FIGURES:
-        print(f"unknown figure {args.figure!r}; choose from {tuple(FIGURES)}", file=sys.stderr)
-        return EXIT_USAGE
-    # the staircase of a refrigerator figure; None for the other modes
+        raise ValueError(f"unknown figure {args.figure!r}; choose from {tuple(FIGURES)}")
     locality = FIGURES.get(args.figure)
-
     if args.suite is not None:
         mode, reads = "--suite", ()
     elif args.sample:
@@ -286,49 +289,35 @@ def main(argv: list[str] | None = None) -> int:
     unread = [flag for flag in SWEEP_FLAGS
               if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None]
     if unread:
-        print(f"{mode} does not read {', '.join(unread)}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite is not None:
-        return cmd_verify(args.suite)
+        raise ValueError(f"{mode} does not read {', '.join(unread)}")
+    return mode, locality
+
+
+def _sweep(args: argparse.Namespace, mode: str,
+           locality: str | None) -> tuple[list[str], list]:
+    """Check a ``--figure`` or ``--sample`` namespace, each failed check
+    raising ``ValueError`` before any refrigerator work, then run its builder."""
     for dest, value in SWEEP_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
-
-    try:
-        n_list = _parse_int_list(args.n, (5,) if locality or args.sample
-                                 else DEFAULT_SINGLE_SHOT_N)
-        if args.sample:
-            rounds_list = _parse_int_list(args.rounds, (5,))
-            default_grid = "0.1:0.9:0.1"
-        else:
-            rounds_list = _parse_int_list(args.rounds, DEFAULT_BQR_ROUNDS)
-            default_grid = "0.01:0.99:0.01"
-        alpha_grid = parse_alpha_grid(args.alpha_grid or default_grid)
-    except ValueError as exc:
-        parser.print_usage(sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-
+    n_list = _parse_int_list("--n", args.n, (5,) if locality or args.sample
+                             else DEFAULT_SINGLE_SHOT_N)
+    rounds_list = _parse_int_list("--rounds", args.rounds,
+                                  (5,) if args.sample else DEFAULT_BQR_ROUNDS)
+    alpha_grid = parse_alpha_grid(args.alpha_grid
+                                  or ("0.1:0.9:0.1" if args.sample else "0.01:0.99:0.01"))
     if args.jobs is not None and args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs is not None and args.jobs > sampling.MAX_JOBS:
-        print(f"--jobs {args.jobs} is more than {sampling.MAX_JOBS}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--jobs {args.jobs} is more than {sampling.MAX_JOBS}")
     if args.seed < 0:
-        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.trials < 1:
-        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.budget > MAX_BUDGET:
-        print(f"--budget {args.budget} is more than {MAX_BUDGET}", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise ValueError(f"--budget {args.budget} is more than {MAX_BUDGET}")
     if not args.out:
-        parser.print_usage(sys.stderr)
-        print("--out PATH is required for --figure/--sample", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--out PATH is required for --figure/--sample")
 
     # a refrigerator figure runs one register, and --sample one register and schedule
     single = [("--n", args.n, n_list)] if locality or args.sample else []
@@ -336,38 +325,41 @@ def main(argv: list[str] | None = None) -> int:
         single.append(("--rounds", args.rounds, rounds_list))
     listed = [f"{flag} {text}" for flag, text, values in single if len(values) > 1]
     if listed:
-        print(f"{mode} takes one value per flag, got {' '.join(listed)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{mode} takes one value per flag, got {' '.join(listed)}")
     # each value names a column, so a repeated one would name two
     for flag, values in (("--n", n_list), ("--rounds", rounds_list)):
         repeated = [value for value in values if values.count(value) > 1]
         if repeated:
-            print(f"{flag} lists {repeated[0]} more than once", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{flag} lists {repeated[0]} more than once")
     if locality and args.locality not in (None, locality):
         others = " or ".join(f for f, loc in FIGURES.items() if loc == args.locality)
-        print(f"{mode} runs the {locality} staircase only; for --locality "
-              f"{args.locality} use --figure {others} or --sample", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{mode} runs the {locality} staircase only; for --locality "
+                         f"{args.locality} use --figure {others} or --sample")
     reduction = "reduction" in (args.figure or "")
     if reduction and any(a <= 0.0 for a in alpha_grid):
-        print("reduction-factor sweeps need a grid within (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("reduction-factor sweeps need a grid within (0, 1]")
     args.n, args.rounds, args.alpha_grid = n_list, rounds_list, alpha_grid
 
+    if args.sample:
+        return _sample(args)
+    if locality:
+        return _figure_bqr(args, reduction, locality)
+    return _figure_single_shot(args, reduction)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        if args.sample:
-            header, rows = _sample(args)
-        elif locality:
-            header, rows = _figure_bqr(args, reduction, locality)
-        else:
-            header, rows = _figure_single_shot(args, reduction)
+        args = build_parser().parse_args(argv)
+        mode, locality = _mode(args)
+        if args.suite is not None:
+            return cmd_verify(args.suite)
+        header, rows = _sweep(args, mode, locality)
         write_rows(args.out, args.format, header, rows)
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"coolsign: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     except sampling.BudgetError as exc:  # a ValueError, but its own exit code
-        print(str(exc), file=sys.stderr)
+        print(f"coolsign: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except refrigerator.ConvergenceError as exc:
         print(f"coolsign: {exc}", file=sys.stderr)

@@ -234,12 +234,9 @@ def monte_carlo_sign_errors(
             wrong[index] += task_wrong
             ties[index] += task_ties
 
-    workers = min(jobs, sum(substreams))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
-    else:
-        parts = [work()]
+    workers = max(1, min(jobs, sum(substreams)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
     wrong = [sum(counts) for counts in zip(*(part[0] for part in parts))]
     ties = [sum(counts) for counts in zip(*(part[1] for part in parts))]
     return [(w + 0.5 * t) / exp.trials for exp, w, t in zip(experiments, wrong, ties)]

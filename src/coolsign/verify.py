@@ -192,5 +192,5 @@ def run_suite(name: str) -> list[CheckResult]:
             results.extend(suite())
         return results
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name]()

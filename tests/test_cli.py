@@ -91,8 +91,9 @@ class TestAlphaGridParsing:
 
     def test_help_names_the_equals_form_for_a_negative_start(self, capsys):
         # with a space, argparse reads "-0.5:0.5:0.1" as a flag
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
+        assert excinfo.value.code == EXIT_OK
         assert "--alpha-grid=-0.5:0.5:0.1" in capsys.readouterr().out
 
 
@@ -198,7 +199,8 @@ class TestFigureCommand:
                      ["--figure", "bqr-reduction", "--n", "5", "--rounds", "3",
                       "--alpha-grid=-0.5:0.5:0.5"]):
             assert main(argv + ["--out", str(out)]) == EXIT_USAGE
-            assert capsys.readouterr().err == "reduction-factor sweeps need a grid within (0, 1]\n"
+            assert capsys.readouterr().err == ("coolsign: reduction-factor sweeps need a grid "
+                                               "within (0, 1]\n")
         assert not out.exists()
 
     def test_missing_out_is_usage_error(self):
@@ -211,7 +213,7 @@ class TestFigureCommand:
             code = main(argv + ["--alpha-grid", "0.2:0.8:0.2", "--out", "/nonexistent-dir/x.csv"])
             assert code == EXIT_IO
             err = capsys.readouterr().err
-            assert err.startswith("cannot write /nonexistent-dir/x.csv: ")
+            assert err.startswith("coolsign: cannot write /nonexistent-dir/x.csv: ")
             assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_lf_line_endings(self, tmp_path):
@@ -319,7 +321,7 @@ def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
                  "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_OK
-    assert sizes == ([] if limit == 1 else [limit])
+    assert sizes == [limit]
     assert 1 <= len(threads) <= limit
 
 
@@ -412,7 +414,8 @@ class TestSampleCommand:
              "--out", str(out)]
         )
         assert code == EXIT_BUDGET
-        assert capsys.readouterr().err == "budget 10 cannot afford one cooled shot (cost 11)\n"
+        assert capsys.readouterr().err == (
+            "coolsign: budget 10 cannot afford one cooled shot (cost 11)\n")
         assert not out.exists()
 
 
@@ -424,6 +427,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         return err
+
+    @pytest.mark.parametrize("flag, text", [("--n", "5,x"), ("--n", ","), ("--rounds", ""),
+                                            ("--rounds", "3,4.5")])
+    def test_list_error_names_the_flag(self, tmp_path, capsys, flag, text):
+        code = main(["--figure", "bqr-polarization", flag, text, "--alpha-grid", "0.5:0.5:0.1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_USAGE
+        assert (f"coolsign: {flag} expects comma-separated integers, got {text!r}\n"
+                == self.one_line(capsys))
 
     def test_verification_failure(self, capsys, monkeypatch):
         failing = verify.CheckResult("always fails", False, 1.0, 0.0)
@@ -508,7 +520,7 @@ class TestExitCodes:
         monkeypatch.setattr(single_shot, "alpha_ac", no_work)
         out = tmp_path / "x.csv"
         assert main(argv + ["--alpha-grid", "0.5:0.5:0.1", "--out", str(out)]) == EXIT_USAGE
-        assert f"{flag} lists {value} more than once\n" == self.one_line(capsys)
+        assert f"coolsign: {flag} lists {value} more than once\n" == self.one_line(capsys)
         assert not out.exists()
 
     def test_suite_reads_no_sweep_flag(self, tmp_path, capsys):
@@ -537,7 +549,8 @@ class TestExitCodes:
                 code = main(["--figure", figure, "--n", "4", "--rounds", "3",
                              "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), flag, value])
                 assert code == EXIT_USAGE
-                assert f"--figure {figure} does not read {flag}\n" == self.one_line(capsys)
+                assert (f"coolsign: --figure {figure} does not read {flag}\n"
+                        == self.one_line(capsys))
         assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["single-shot-reduction", "bqr-polarization"])
@@ -552,7 +565,7 @@ class TestExitCodes:
         code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
                      "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
         assert code == EXIT_USAGE
-        assert f"--jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
+        assert f"coolsign: --jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", [str(sampling.MAX_JOBS + 1), str(10**9)])
@@ -567,7 +580,8 @@ class TestExitCodes:
         code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "1000000",
                      "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
         assert code == EXIT_USAGE
-        assert f"--jobs {jobs} is more than {sampling.MAX_JOBS}\n" == self.one_line(capsys)
+        assert (f"coolsign: --jobs {jobs} is more than {sampling.MAX_JOBS}\n"
+                == self.one_line(capsys))
         assert not out.exists()
 
     def test_seed_below_zero_is_usage_error(self, tmp_path, capsys):
@@ -575,7 +589,7 @@ class TestExitCodes:
         code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
                      "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--seed", "-1"])
         assert code == EXIT_USAGE
-        assert "--seed must be at least 0, got -1\n" == self.one_line(capsys)
+        assert "coolsign: --seed must be at least 0, got -1\n" == self.one_line(capsys)
         assert not out.exists()
 
     def test_trials_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -589,7 +603,7 @@ class TestExitCodes:
             code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", trials,
                          "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
             assert code == EXIT_USAGE
-            assert f"--trials must be at least 1, got {trials}\n" == self.one_line(capsys)
+            assert f"coolsign: --trials must be at least 1, got {trials}\n" == self.one_line(capsys)
             assert not out.exists()
 
     @pytest.mark.parametrize("budget", [str(10**20), str(2**63 - 1), str(10**12 + 1)])
@@ -603,7 +617,7 @@ class TestExitCodes:
         code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", "1",
                      "--alpha-grid", "0.5:0.5:1", "--out", str(out), "--budget", budget])
         assert code == EXIT_USAGE
-        assert f"--budget {budget} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
+        assert f"coolsign: --budget {budget} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
         assert not out.exists()
 
     def test_polarization_typed_near_zero(self, tmp_path, capsys):
@@ -673,10 +687,7 @@ def run_quietly(argv):
     """Exit code and standard error of one in-process run."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a malformed flag this way
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 
@@ -713,23 +724,58 @@ REFRIGERATOR_ARGV = st.builds(
 @given(argv=st.one_of(SINGLE_SHOT_ARGV, REFRIGERATOR_ARGV))
 @example(argv=["--figure", "single-shot-polarization", "--n", "3,2001",
                "--alpha-grid", "0.1:0.1:0.1"])
+@example(argv=["--figure", "single-shot-reduction", "--n", "3", "--alpha-grid=a:b:c"])
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("argv") / "x.csv"
     code, err = run_quietly(argv + ["--out", str(out)])
     assert code in (EXIT_OK, EXIT_USAGE), (argv, err)
     assert "Traceback" not in err
+    if code != EXIT_OK:
+        assert err.startswith("coolsign: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_mutually_exclusive_modes():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--figure", "bqr-reduction", "--suite", "theorem1"])
-    assert excinfo.value.code == EXIT_USAGE
+    assert main(["--figure", "bqr-reduction", "--suite", "theorem1"]) == EXIT_USAGE
 
 
 def test_mode_required():
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == EXIT_USAGE
+    assert main([]) == EXIT_USAGE
+
+
+UNWRITABLE = "/nonexistent-dir/x.csv"
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["--figure", "single-shot-polarization", "--alpha-grid", "a:b:c", "--out"],
+                 EXIT_USAGE, id="grid"),
+    pytest.param(["--figure", "single-shot-polarization", "--n", "5,x", "--out"], EXIT_USAGE,
+                 id="n-list"),
+    pytest.param(["--figure", "single-shot-polarization"], EXIT_USAGE, id="no-out"),
+    pytest.param(["--sample", "--m", "abc", "--out"], EXIT_USAGE, id="argparse-type"),
+    pytest.param(["--figure", "bqr-reduction", "--suite", "theorem1", "--out"], EXIT_USAGE,
+                 id="two-modes"),
+    pytest.param(["--figure", "nonsense", "--out"], EXIT_USAGE, id="unknown-figure"),
+    pytest.param(["--suite", "bogus"], EXIT_USAGE, id="unknown-suite"),
+    pytest.param(["--figure", "single-shot-polarization", "--m", "3", "--out"], EXIT_USAGE,
+                 id="unread-flag"),
+    pytest.param(["--figure", "single-shot-polarization", "--n", "3", "--out", UNWRITABLE],
+                 EXIT_IO, id="unwritable"),
+    pytest.param(["--sample", "--budget", "10", "--trials", "10", "--alpha-grid",
+                  "0.5:0.5:0.1", "--out"], EXIT_BUDGET, id="budget"),
+    pytest.param(["--figure", "bqr-polarization", "--n", "4", "--rounds", "3",
+                  "--alpha-grid", "0.25:0.25:0.1", "--out"], EXIT_CONVERGENCE,
+                 id="convergence"),
+])
+def test_every_exit_path_prints_one_coolsign_line(tmp_path, capsys, monkeypatch, argv, code):
+    if code == EXIT_CONVERGENCE:  # a broken GTH hands the check a vector no cycle keeps
+        monkeypatch.setattr(refrigerator, "_stationary_gth",
+                            lambda rows: np.full(rows.shape[:-1], 1.0 / rows.shape[-1]))
+    out = tmp_path / "x.csv"
+    assert main(argv + [str(out)] if argv[-1] == "--out" else argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("coolsign: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists() and not os.path.exists(UNWRITABLE)
 
 
 def test_no_mode_imports_scipy(tmp_path):

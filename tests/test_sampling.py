@@ -346,8 +346,8 @@ class TestBatchedMonteCarlo:
         for cpus in (1, 4, 10**6):
             monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
             assert monte_carlo_sign_errors(BATCH) == expected
-        # one thread runs inline; the batch's ten substreams cap the pool
-        assert sizes == [4, 10]
+        # the batch's ten substreams cap the pool
+        assert sizes == [1, 4, 10]
 
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9])
     def test_jobs_outside_range_start_no_thread(self, monkeypatch, jobs):
