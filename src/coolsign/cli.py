@@ -14,8 +14,8 @@ any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
 single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
-the refrigerator figures also ``--m``, ``--rounds`` and ``--locality``, and
-``--sample`` all of them.
+the refrigerator figures also ``--m`` and ``--rounds``, and ``--sample``
+all of them, the one mode that reads ``--locality``.
 
 :func:`main` parses the command line; :func:`_sweep` checks a sweep's
 namespace, stores the parsed ``--n``, ``--rounds`` and ``--alpha-grid``
@@ -26,12 +26,12 @@ returns a header and rows; :func:`main` makes the one :func:`write_rows`
 call and prints one ``wrote PATH (N rows, M columns)`` line.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an argparse
-error, an unknown figure or suite, a sweep flag the mode does not read,
-parameters a config or grid rejects, a ``--locality`` that contradicts the
-figure, a list of ``--n`` values for a refrigerator figure or of ``--n`` or
-``--rounds`` values for ``--sample``, a value repeated in ``--n`` or
-``--rounds``, a ``--jobs``, ``--seed`` or ``--trials`` below its least
-value, a ``--budget`` above :data:`MAX_BUDGET` or a ``--jobs`` above
+error, an unknown figure or suite among them, a sweep flag the mode does
+not read, parameters a config or grid rejects, a list of ``--n`` values for
+a refrigerator figure or of ``--n`` or ``--rounds`` values for
+``--sample``, a value repeated in ``--n`` or ``--rounds``, a ``--jobs``,
+``--seed`` or ``--trials`` below its least value, a ``--budget`` or
+``--n`` above :data:`MAX_BUDGET` or a ``--jobs`` above
 :data:`coolsign.sampling.MAX_JOBS`, and a register too large to simulate in
 memory), 3 output I/O error, 4 budget too small, 5 a fixed point whose
 relative residual is not within :data:`coolsign.refrigerator.RESIDUAL_TOL`,
@@ -72,41 +72,44 @@ DEFAULT_BQR_ROUNDS = (3, 4, 5, 6, 7, 8, 9)
 SWEEP_FLAGS = ("--n", "--m", "--rounds", "--locality", "--alpha-grid", "--budget", "--trials",
                "--seed", "--out", "--format", "--jobs")
 SINGLE_SHOT_FLAGS = ("--n", "--alpha-grid", "--out", "--format")
-REFRIGERATOR_FLAGS = SINGLE_SHOT_FLAGS + ("--m", "--rounds", "--locality")
+REFRIGERATOR_FLAGS = SINGLE_SHOT_FLAGS + ("--m", "--rounds")
 
 #: values of the sweep flags a command line leaves out, by argparse dest; the
 #: parser's own defaults are None, so a given flag is told from an absent one.
 #: ``--jobs`` stays None, which the sampling reads as every usable CPU
-SWEEP_DEFAULTS = {"m": 2, "budget": 10_000, "trials": 100_000, "seed": 0, "format": "csv"}
+SWEEP_DEFAULTS = {"m": 2, "locality": "full", "budget": 10_000, "trials": 100_000, "seed": 0,
+                  "format": "csv"}
 
 
 #: most points an ``--alpha-grid`` may hold
 MAX_GRID_POINTS = 1_000_000
 
-#: largest ``--budget``: the exact binomial tail of a point sums terms until
-#: one no longer moves the sum, about ``3.4 sqrt(budget)`` of them at a tiny
-#: alpha: 3.4 million here, 0.6-0.7 s per point on one Xeon vCPU (Python 3.11)
+#: largest ``--budget`` and ``--n``, the shot count ``k`` of an exact binomial
+#: tail for ``--sample`` and a single-shot figure: the tail sums terms until one
+#: no longer moves the sum, about ``3.4 sqrt(k)`` of them at a tiny alpha: 3.4
+#: million here, 0.6-0.7 s per point on one Xeon vCPU (Python 3.11)
 MAX_BUDGET = 10**12
 
 
 def parse_alpha_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` into an inclusive, strictly increasing grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:  # not three parts, or a part that is not a number
+        raise ValueError(f"--alpha-grid expects start:stop:step, got {text!r}") from None
     if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
-        raise ValueError(f"need finite bounds, step > 0 and stop >= start, got {text!r}")
+        raise ValueError(f"--alpha-grid needs finite bounds, step > 0 and stop >= start, "
+                         f"got {text!r}")
     span = (stop - start) / step
     if span >= MAX_GRID_POINTS - 0.5:  # counted before any point is built; inf too
-        raise ValueError(f"grid from {text!r} has {span + 1:.7g} points, "
+        raise ValueError(f"--alpha-grid {text!r} has {span + 1:.7g} points, "
                          f"more than {MAX_GRID_POINTS}")
     count = int(round(span))
     # float noise in start + k * step snaps at the step's scale; start stays as typed
     digits = 12 - math.floor(math.log10(step))
     grid = (start,) + tuple(round(start + k * step, digits) for k in range(1, count + 1))
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid from {text!r} is not strictly increasing")
+        raise ValueError(f"--alpha-grid {text!r} is not strictly increasing")
     return grid
 
 
@@ -204,8 +207,7 @@ SAMPLE_HEADER = [f.name for f in dataclasses.fields(sampling.ResourceComparison)
 
 
 def _sample(args: argparse.Namespace) -> tuple[list[str], list[tuple]]:
-    cfg = refrigerator.RefrigeratorConfig(args.n[0], args.m, args.rounds[0],
-                                          locality=args.locality or "full")
+    cfg = refrigerator.RefrigeratorConfig(args.n[0], args.m, args.rounds[0], args.locality)
     # a budget too small for one cooled shot fails before any refrigerator work
     sampling.cooled_shots(args.budget, cfg.cost)
     cooled = refrigerator.steady_states(cfg, args.alpha_grid)
@@ -230,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "resource-matched sampling experiments.",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--figure", metavar="NAME",
+    mode.add_argument("--figure", choices=FIGURES, metavar="NAME",
                       help=f"emit curve data; one of {tuple(FIGURES)}")
-    mode.add_argument("--suite", metavar="NAME", help="run a verification suite "
-                      f"({', '.join([*verify.SUITES, 'all'])})")
+    mode.add_argument("--suite", choices=[*verify.SUITES, "all"], metavar="NAME",
+                      help=f"run a verification suite ({', '.join([*verify.SUITES, 'all'])})")
     mode.add_argument("--sample", action="store_true",
                       help="sweep resource-matched raw-vs-cooled comparisons")
     parser.add_argument("--n", default=None, help="qubit count(s), comma separated; "
@@ -275,9 +277,7 @@ def _parse_int_list(flag: str, text: str | None,
 
 def _mode(args: argparse.Namespace) -> tuple[str, str | None]:
     """The mode's name and a refrigerator figure's staircase, None for the other
-    modes; rejects an unknown figure and a sweep flag the mode does not read."""
-    if args.figure is not None and args.figure not in FIGURES:
-        raise ValueError(f"unknown figure {args.figure!r}; choose from {tuple(FIGURES)}")
+    modes; rejects a sweep flag the mode does not read, as ``--locality`` on a figure."""
     locality = FIGURES.get(args.figure)
     if args.suite is not None:
         mode, reads = "--suite", ()
@@ -314,8 +314,9 @@ def _sweep(args: argparse.Namespace, mode: str,
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.budget > MAX_BUDGET:
-        raise ValueError(f"--budget {args.budget} is more than {MAX_BUDGET}")
+    for flag, value in (("--budget", args.budget), ("--n", max(n_list))):
+        if value > MAX_BUDGET:
+            raise ValueError(f"{flag} {value} is more than {MAX_BUDGET}")
     if not args.out:
         raise ValueError("--out PATH is required for --figure/--sample")
 
@@ -331,10 +332,6 @@ def _sweep(args: argparse.Namespace, mode: str,
         repeated = [value for value in values if values.count(value) > 1]
         if repeated:
             raise ValueError(f"{flag} lists {repeated[0]} more than once")
-    if locality and args.locality not in (None, locality):
-        others = " or ".join(f for f, loc in FIGURES.items() if loc == args.locality)
-        raise ValueError(f"{mode} runs the {locality} staircase only; for --locality "
-                         f"{args.locality} use --figure {others} or --sample")
     reduction = "reduction" in (args.figure or "")
     if reduction and any(a <= 0.0 for a in alpha_grid):
         raise ValueError("reduction-factor sweeps need a grid within (0, 1]")

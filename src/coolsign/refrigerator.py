@@ -168,9 +168,7 @@ def build_uqr(n: int) -> PermutationSpec:
 
 
 def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
-    if cfg.locality == "full":
-        return build_uqr(cfg.n)
-    return build_uqr_3local(cfg.n)
+    return {"full": build_uqr, "3local": build_uqr_3local}[cfg.locality](cfg.n)
 
 
 #: relabels full-register population rows, as a staircase's PermutationSpec does

@@ -19,9 +19,9 @@ index, so the substreams may run in any order on any number of threads and
 give the same counts.  One substream is one task: the threads of one pool
 per :func:`monte_carlo_sign_errors` call take the substreams of every
 experiment of the call in turn; the pool is by default as large as the CPUs
-this process may use, and numpy releases the GIL while it draws.  The
-integer counts are added back per experiment, so the result is
-byte-identical for any thread count.
+this process may use, and numpy releases the GIL while it draws.  Each
+substream's count, a tie counting half, is a half-integer, which floats add
+exactly in any order, so the result is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_substream(exp: ShotExperiment, index: int) -> tuple[int, int]:
-    """Wrong-sign and tied trials of substream ``index``."""
+def _count_substream(exp: ShotExperiment, index: int) -> float:
+    """Wrong-sign trials of substream ``index``, a tied one counting half."""
     size = min(MC_CHUNK, exp.trials - index * MC_CHUNK)
     successes = _substream(exp.seed, index).binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0,
                                                      size=size)
@@ -196,7 +196,7 @@ def _count_substream(exp: ShotExperiment, index: int) -> tuple[int, int]:
     else:
         wrong = int(np.count_nonzero(successes > exp.shots // 2))
     ties = int(np.count_nonzero(successes == exp.shots // 2)) if exp.shots % 2 == 0 else 0
-    return wrong, ties
+    return wrong + 0.5 * ties
 
 
 def monte_carlo_sign_errors(
@@ -208,7 +208,7 @@ def monte_carlo_sign_errors(
     substream ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
     ``min(jobs, substreams)`` threads take the substreams of every
     experiment in turn; ``jobs`` defaults to the CPUs this process may use,
-    at most :data:`MAX_JOBS`.  Each thread adds up integer counts per
+    at most :data:`MAX_JOBS`.  Each thread adds up half-integer counts per
     experiment, which are exact in any order, so each fraction is the same
     for any ``jobs`` and equals a lone call's.  Memory does not grow with
     the trial count.
@@ -222,24 +222,20 @@ def monte_carlo_sign_errors(
              for substream in range(count))
     taking = threading.Lock()
 
-    def work() -> tuple[list[int], list[int]]:
-        wrong, ties = [0] * len(experiments), [0] * len(experiments)
+    def work() -> list[float]:
+        wrong = [0.0] * len(experiments)
         while True:
             with taking:
                 task = next(tasks, None)
             if task is None:
-                return wrong, ties
+                return wrong
             index, substream = task
-            task_wrong, task_ties = _count_substream(experiments[index], substream)
-            wrong[index] += task_wrong
-            ties[index] += task_ties
+            wrong[index] += _count_substream(experiments[index], substream)
 
     workers = max(1, min(jobs, sum(substreams)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
-    wrong = [sum(counts) for counts in zip(*(part[0] for part in parts))]
-    ties = [sum(counts) for counts in zip(*(part[1] for part in parts))]
-    return [(w + 0.5 * t) / exp.trials for exp, w, t in zip(experiments, wrong, ties)]
+    return [sum(counts) / exp.trials for exp, counts in zip(experiments, zip(*parts))]
 
 
 @dataclass(frozen=True)

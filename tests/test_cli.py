@@ -48,14 +48,15 @@ def read_csv(path):
 
 
 def forbid_work(monkeypatch):
-    """Fail the test at any steady state, bound or single-shot reduction
-    factor: a check that should reject before any work reached it."""
+    """Fail the test at any steady state, bound or single-shot curve: a
+    check that should reject before any work reached it."""
     def no_work(*args, **kwargs):
         raise AssertionError("started work")
 
     monkeypatch.setattr(refrigerator, "steady_states", no_work)
     monkeypatch.setattr(refrigerator, "optimal_bounds", no_work)
     monkeypatch.setattr(single_shot, "reduction_factor_ac", no_work)
+    monkeypatch.setattr(single_shot, "alpha_ac", no_work)
 
 
 class TestAlphaGridParsing:
@@ -71,11 +72,13 @@ class TestAlphaGridParsing:
         grid = parse_alpha_grid("0.05:0.95:0.05")
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
-    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "1:2", "a:b:c", "0:inf:1",
-                                     "0:1:1e-8", "0:1:1e-300"])
+    @pytest.mark.parametrize("bad", ["0.5:0.1:0.1", "0.1:0.9:0", "0:1:0", "1:2", "a:b:c",
+                                     "0:inf:1", "0:1:1e-8", "0:1:1e-300"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the flag and the text as typed
+        with pytest.raises(ValueError, match="--alpha-grid") as excinfo:
             parse_alpha_grid(bad)
+        assert repr(bad) in str(excinfo.value)
 
     @pytest.mark.parametrize("text", ["0.01:0.99:0.01", "0.1:0.9:0.1", "0.0005:0.01:0.0005",
                                       "-0.5:0.5:1.0", "0.2:0.8:0.6", "-0.3:0.3:0.1"])
@@ -188,9 +191,12 @@ class TestFigureCommand:
         assert payload["columns"] == ["alpha", "n3", "baseline"]
         assert payload["rows"][0][1] == alpha_ac(3, payload["rows"][0][0])
 
-    def test_unknown_figure_usage_error(self, tmp_path):
+    def test_unknown_figure_usage_error(self, tmp_path, capsys):
         code = main(["--figure", "nonsense", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("coolsign: ") and err.count("\n") == 1
+        assert "--figure" in err and "nonsense" in err
 
     def test_reduction_grid_with_zero_rejected(self, tmp_path, capsys, monkeypatch):
         forbid_work(monkeypatch)
@@ -346,8 +352,11 @@ class TestVerifyCommand:
         assert "[PASS]" in output and "[FAIL]" not in output
         assert output.endswith(f"suite {suite}: all {checks} checks passed\n")
 
-    def test_unknown_suite(self):
+    def test_unknown_suite(self, capsys):
         assert main(["--suite", "bogus"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("coolsign: ") and err.count("\n") == 1
+        assert "--suite" in err and "bogus" in err
 
 
 class TestSampleCommand:
@@ -469,21 +478,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         self.one_line(capsys)
 
-    def test_locality_rejected_by_full_staircase_figures(self, tmp_path, capsys, monkeypatch):
-        # their asymptotic column is the full-staircase limit; the 3-local
-        # figure likewise runs its own staircase only; rejected before any work
+    def test_refrigerator_figures_do_not_read_locality(self, tmp_path, capsys, monkeypatch):
+        # each figure fixes its own staircase, so even the matching value is
+        # rejected, before any work
         forbid_work(monkeypatch)
         out = tmp_path / "x.csv"
-        for figure, locality, other in (
-            ("bqr-polarization", "3local", "klocal-reduction"),
-            ("bqr-reduction", "3local", "klocal-reduction"),
-            ("klocal-reduction", "full", "bqr-reduction"),
-        ):
-            code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality", locality,
-                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
-            assert code == EXIT_USAGE
-            err = self.one_line(capsys)
-            assert other in err and "--sample" in err
+        for figure in [f for f, staircase in FIGURES.items() if staircase]:
+            for locality in refrigerator.LOCALITIES:
+                code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality",
+                             locality, "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
+                assert code == EXIT_USAGE
+                assert (f"coolsign: --figure {figure} does not read --locality\n"
+                        == self.one_line(capsys))
         assert not out.exists()
 
     def test_refrigerator_figures_take_one_register(self, tmp_path, capsys):
@@ -618,6 +624,19 @@ class TestExitCodes:
                      "--alpha-grid", "0.5:0.5:1", "--out", str(out), "--budget", budget])
         assert code == EXIT_USAGE
         assert f"coolsign: --budget {budget} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [str(10**12 + 1), "3," + str(10**16)])
+    def test_single_shot_n_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, n):
+        # a single-shot --n is the shot count of an exact binomial tail, as
+        # --budget is; rejected before any work
+        forbid_work(monkeypatch)
+        out = tmp_path / "x.csv"
+        code = main(["--figure", "single-shot-polarization", "--n", n,
+                     "--alpha-grid", "1e-8:1e-8:1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        largest = max(int(v) for v in n.split(","))
+        assert f"coolsign: --n {largest} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
         assert not out.exists()
 
     def test_polarization_typed_near_zero(self, tmp_path, capsys):
