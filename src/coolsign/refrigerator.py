@@ -51,6 +51,7 @@ from .states import (
     PermutationSpec,
     _attach,
     _check_count,
+    _target,
     ground_excited_pair,
     pairwise_sum,
     product_probs,
@@ -201,12 +202,6 @@ def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression) -> Step
         return _attach(a[..., :half] + a[..., half:], fresh), a
 
     return step
-
-
-def _target(evolved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(ground, excited)``, the masses of the target qubit of each row."""
-    half = evolved.shape[-1] >> 1
-    return pairwise_sum(evolved[..., :half]), pairwise_sum(evolved[..., half:])
 
 
 def _mirror(result: SteadyStateResult) -> SteadyStateResult:

@@ -16,8 +16,10 @@ samples it with one :func:`resource_matched_comparisons` call.
 The Monte Carlo draws each substream of :data:`MC_CHUNK` trials from its
 own PCG64 generator, seeded by the experiment's seed and the substream's
 index, so the substreams may run in any order on any number of threads and
-give the same counts.  One substream is one task: the threads of one pool
-per :func:`monte_carlo_sign_errors` call take the substreams of every
+give the same counts.  It draws the shots at ``|alpha|``, so its fractions
+are exactly even in ``alpha`` for a given seed, as the exact ones are.  One
+substream is one task: the threads of one pool per
+:func:`monte_carlo_sign_errors` call take the substreams of every
 experiment of the call in turn; the pool is by default as large as the CPUs
 this process may use, and numpy releases the GIL while it draws.  Each
 substream's count, a tie counting half, is a half-integer, which floats add
@@ -185,16 +187,13 @@ def _usable_cpus() -> int:
 
 
 def _count_substream(exp: ShotExperiment, index: int) -> float:
-    """Wrong-sign trials of substream ``index``, a tied one counting half."""
+    """Wrong-sign trials of substream ``index``: those where fewer than
+    ``(k+1)//2`` of ``k`` shots drawn at ``|alpha|`` side with the sign, a
+    tie at ``k/2`` counting half.  Only ``|alpha|`` enters, so it is even."""
     size = min(MC_CHUNK, exp.trials - index * MC_CHUNK)
-    successes = _substream(exp.seed, index).binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0,
+    successes = _substream(exp.seed, index).binomial(exp.shots, (1.0 + abs(exp.alpha_true)) / 2.0,
                                                      size=size)
-    # the shot mean leans the wrong way below (k+1)//2 ground outcomes for
-    # alpha >= 0 and above k//2 for alpha < 0, and ties at k/2
-    if exp.alpha_true >= 0:
-        wrong = int(np.count_nonzero(successes < (exp.shots + 1) // 2))
-    else:
-        wrong = int(np.count_nonzero(successes > exp.shots // 2))
+    wrong = int(np.count_nonzero(successes < (exp.shots + 1) // 2))
     ties = int(np.count_nonzero(successes == exp.shots // 2)) if exp.shots % 2 == 0 else 0
     return wrong + 0.5 * ties
 

@@ -35,17 +35,14 @@ PRODUCT_ATOL = 1e-10
 def compression_permutation(n: int) -> PermutationSpec:
     """Fixed reordering permutation: group basis indices by Hamming weight.
 
-    The ordering is structural (weight, then index), so it is well defined
-    even when all populations are equal (``alpha = 0``).
+    The ordering is structural (weight, then index: the sort is stable), so
+    it is well defined even when all populations are equal (``alpha = 0``).
     """
     _check_count("n", n)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    weights = np.zeros(1 << n, dtype=np.intp)
-    for b in range(n):
-        weights += ((idx >> np.uint64(b)) & np.uint64(1)).astype(np.intp)
-    order = np.lexsort((np.arange(1 << n), weights))
+    idx = np.arange(1 << n)
+    weights = sum((idx >> b) & 1 for b in range(n))
     perm = np.empty(1 << n, dtype=np.intp)
-    perm[order] = np.arange(1 << n)
+    perm[np.argsort(weights, kind="stable")] = idx
     return PermutationSpec(n, perm)
 
 
@@ -124,7 +121,9 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     erf complement is evaluated with ``erfc`` so the result stays finite for
     grid polarizations up to 0.99 at any ``n``, and the enhanced
     polarization is ``erf(xi)`` itself, not ``1 - erfc(xi)``, so the factor
-    keeps its relative accuracy as ``alpha -> 0``.
+    keeps its relative accuracy as ``alpha -> 0``, down to where ``erf(xi)^2``
+    underflows (``|alpha|`` below about 5e-155), which raises
+    ZeroDivisionError as ``alpha = 0`` does.
     """
     _check_count("n", n)
     if alpha == 0.0:
@@ -136,4 +135,6 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     den = c * (2.0 - c) / math.erf(xi) ** 2
     if den == 0.0:
         return math.inf
+    if den == math.inf:
+        raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
     return (1.0 - alpha * alpha) / (alpha * alpha) / den / n

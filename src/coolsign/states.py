@@ -14,7 +14,8 @@ commutative, folding a bit-reversed vector yields the bit-reversed fold.  This
 makes the simulators exactly symmetric under a global polarization flip
 ``alpha -> -alpha`` without ever branching on the sign, which downstream
 modules rely on.  A batch of states is a stack of such vectors, one row
-per polarization, and :func:`_attach` appends qubits to every row.
+per polarization, :func:`_attach` appends qubits to every row, and
+:func:`_target` splits off the masses of each row's target.
 """
 
 from __future__ import annotations
@@ -125,9 +126,15 @@ def _attach(a: np.ndarray, qubits: np.ndarray) -> np.ndarray:
         a.shape[:-1] + (a.shape[-1] * qubits.shape[-1],))
 
 
+def _target(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ground, excited)``, the two masses of the most significant qubit of
+    each probability vector along the last axis."""
+    half = probs.shape[-1] >> 1
+    return pairwise_sum(probs[..., :half]), pairwise_sum(probs[..., half:])
+
+
 def marginal_targets(probs: np.ndarray) -> np.ndarray:
     """Polarization ``Tr(Z rho_target)`` of the most significant qubit of
     each probability vector along the last axis."""
-    probs = np.asarray(probs, dtype=float)
-    half = probs.shape[-1] >> 1
-    return pairwise_sum(probs[..., :half]) - pairwise_sum(probs[..., half:])
+    ground, excited = _target(np.asarray(probs, dtype=float))
+    return ground - excited

@@ -183,14 +183,3 @@ SUITES = {
     "klocal-fixedpoint": verify_klocal_fixedpoint,
     "sampling": verify_sampling,
 }
-
-
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()

@@ -560,7 +560,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["single-shot-reduction", "bqr-polarization"])
-    def test_figures_accept_jobs_and_format(self, tmp_path, figure):
+    def test_figures_accept_format(self, tmp_path, figure):
         code = main(["--figure", figure, "--n", "4", "--alpha-grid", "0.5:0.5:0.1",
                      "--out", str(tmp_path / "x.json"), "--format", "json"])
         assert code == EXIT_OK
@@ -652,6 +652,16 @@ class TestExitCodes:
             code = main(argv + ["--alpha-grid", "1e-300:1e-300:1", "--out", str(out)])
             assert code == EXIT_USAGE
             assert "too close to 0" in self.one_line(capsys)
+
+    @pytest.mark.parametrize("alpha", ["1e-155", "1e-158", "1e-160"])
+    def test_single_shot_reduction_underflow_is_usage_error(self, tmp_path, capsys, alpha):
+        # erf(xi)^2 and alpha^2 are both subnormal here: inf / inf once wrote nan
+        out = tmp_path / "x.csv"
+        code = main(["--figure", "single-shot-reduction", "--alpha-grid",
+                     f"{alpha}:{alpha}:1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert self.one_line(capsys).endswith("; a grid polarization is too close to 0\n")
+        assert not out.exists()
 
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # stands in for the 128 GiB carried chain of n = 20 without allocating it

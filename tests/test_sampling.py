@@ -223,6 +223,18 @@ class TestMonteCarlo:
         value = monte_carlo_sign_errors([exp])[0]
         assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("k", [24, 25])
+    def test_exactly_even_in_alpha(self, k):
+        # at 40 of these 99 alphas 1 - (1 + a)/2 != (1 - a)/2 in floats, so a
+        # draw at the signed polarization would mirror only through how numpy
+        # draws a binomial above 1/2
+        alphas = np.round(np.arange(0.01, 0.9901, 0.01), 10).tolist()
+        assert sum(1 - (1 + a) / 2 != (1 - a) / 2 for a in alphas) == 40
+        trials = MC_CHUNK + 17
+        plus = monte_carlo_sign_errors([ShotExperiment(a, k, trials, seed=13) for a in alphas])
+        minus = monte_carlo_sign_errors([ShotExperiment(-a, k, trials, seed=13) for a in alphas])
+        assert minus == plus
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ShotExperiment(0.2, 0, 10, seed=1)
@@ -445,6 +457,16 @@ class TestResourceMatchedComparison:
         cfg = RefrigeratorConfig(4, 2, 2)
         rec = compare(0.6, cfg, 50, seed=2, trials=500)
         assert rec.reduction_factor == steady_states(cfg, [0.6])[0].reduction_factor(0.6, cfg.cost)
+
+    def test_exactly_odd_in_alpha(self):
+        # every cell at -a is the cell at a, with the two polarizations
+        # negated; 1 - (1 + a)/2 != (1 - a)/2 in floats at a = 0.37
+        cfg = RefrigeratorConfig(5, 2, 5)
+        plus = compare(0.37, cfg, 55, seed=9, trials=MC_CHUNK + 17)
+        minus = compare(-0.37, cfg, 55, seed=9, trials=MC_CHUNK + 17)
+        assert minus == dataclasses.replace(plus, alpha=-plus.alpha,
+                                            alpha_cooled=-plus.alpha_cooled)
+        assert 0 < plus.mc_error_raw < 1 and 0 < plus.mc_error_cooled < 1
 
     def test_seed_determinism(self):
         cfg = RefrigeratorConfig(4, 2, 1)

@@ -218,6 +218,13 @@ class TestReductionFactorAc:
         with pytest.raises(ZeroDivisionError):
             reduction_factor_ac(3, 0.0)
 
+    @pytest.mark.parametrize("n", [3, 5, 11, 21])
+    def test_raises_where_erf_squared_underflows(self, n):
+        # c (2 - c) / erf(xi)^2 overflows to inf, and so does alpha^-2: no NaN
+        with pytest.raises(ZeroDivisionError, match="underflows"):
+            reduction_factor_ac(n, 1e-158)
+        assert reduction_factor_ac(n, 1e-154) == pytest.approx(2 / math.pi, rel=1e-14)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_empty_register(self, n):
         with pytest.raises(ValueError):
