@@ -7,10 +7,11 @@ endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed.  Every refrigerator command
 solves each curve's whole grid as one batched fixed point, ``--sample``
 included.  ``--sample`` then runs the Monte Carlo of every point in one
-:func:`coolsign.sampling.resource_matched_comparisons` call, whose
-``--jobs`` threads split the Monte Carlo's seeded substreams; ``--jobs``
-defaults to the CPUs this process may use, and the bytes are the same for
-any count.
+:func:`coolsign.sampling.resource_matched_comparisons` call.  Each side,
+raw and cooled, draws one set of seeded substreams that all its points
+read, so a row equals a one-point grid's row.  The ``--jobs`` threads split
+those substreams; ``--jobs`` defaults to the CPUs this process may use, and
+the bytes are the same for any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
 single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
@@ -257,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
                         help="worker threads that split the --sample Monte Carlo's seeded "
-                        f"substreams, 1 to {sampling.MAX_JOBS} (default: the CPUs this process "
-                        "may use; output is byte-identical for any value)")
+                        "substreams, each drawn once for every grid point of its side, "
+                        f"1 to {sampling.MAX_JOBS} (default: the CPUs this process may use; "
+                        "output is byte-identical for any value)")
     return parser
 
 

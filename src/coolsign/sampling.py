@@ -13,17 +13,24 @@ module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
 with one batched :func:`coolsign.refrigerator.steady_states` call and
 samples it with one :func:`resource_matched_comparisons` call.
 
-The Monte Carlo draws each substream of :data:`MC_CHUNK` trials from its
-own PCG64 generator, seeded by the experiment's seed and the substream's
-index, so the substreams may run in any order on any number of threads and
-give the same counts.  It draws the shots at ``|alpha|``, so its fractions
-are exactly even in ``alpha`` for a given seed, as the exact ones are.  One
-substream is one task: the threads of one pool per
-:func:`monte_carlo_sign_errors` call take the substreams of every
-experiment of the call in turn; the pool is by default as large as the CPUs
-this process may use, and numpy releases the GIL while it draws.  Each
-substream's count, a tie counting half, is a half-integer, which floats add
-exactly in any order, so the result is byte-identical for any thread count.
+The Monte Carlo stands for a trial's ``k`` uniform shots, a shot ground when
+it falls below ``p = (1 + |alpha|) / 2``, by their ``t``-th smallest,
+``t = (k + 1) // 2``: the trial errs exactly when that number is at least
+``p``, and for an even ``k`` ties when ``p`` falls between it and the next
+one.  Neither depends on ``p``, so the experiments of a call that share
+shots, trials and seed form one group whose trials are drawn once, in
+substreams of :data:`MC_CHUNK`, sorted, and counted at each experiment's
+``p`` by binary search.  Each substream comes from its own PCG64 generator,
+seeded by the group's seed and the substream's index, so the substreams may
+run in any order on any number of threads and give the same counts.  Only
+``|alpha|`` enters, so the fractions are exactly even in ``alpha`` for a
+given seed, as the exact ones are, and within a group they never grow with
+``|alpha|``.  One substream of one group is one task: the threads of one
+pool per :func:`monte_carlo_sign_errors` call take the tasks in turn; the
+pool is by default as large as the CPUs this process may use, and numpy
+releases the GIL while it draws.  Each task's count, a tie counting half, is
+a half-integer per experiment, which floats add exactly in any order, so the
+result is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -186,15 +193,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_substream(exp: ShotExperiment, index: int) -> float:
-    """Wrong-sign trials of substream ``index``: those where fewer than
-    ``(k+1)//2`` of ``k`` shots drawn at ``|alpha|`` side with the sign, a
-    tie at ``k/2`` counting half.  Only ``|alpha|`` enters, so it is even."""
-    size = min(MC_CHUNK, exp.trials - index * MC_CHUNK)
-    successes = _substream(exp.seed, index).binomial(exp.shots, (1.0 + abs(exp.alpha_true)) / 2.0,
-                                                     size=size)
-    wrong = int(np.count_nonzero(successes < (exp.shots + 1) // 2))
-    ties = int(np.count_nonzero(successes == exp.shots // 2)) if exp.shots % 2 == 0 else 0
+def _order_statistics(shots: int, size: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """For ``size`` trials of ``shots`` uniform shots each, the ``t``-th and
+    ``(t+1)``-th smallest shot, ``t = (shots + 1) // 2``, each array sorted.
+
+    At ground probability ``p`` a trial errs when its ``U_(t) >= p`` and, for
+    an even count, ties when ``U_(t) < p <= U_(t+1)``.  An odd count has no
+    tie, so both arrays are its ``U_(t)``, of law Beta(t, t).  For an even
+    count ``U_(t+1)`` has the law Beta(t + 1, t), and the ``t`` shots below
+    it are uniform under it, so their largest is ``U_(t+1) exp(-E / t)`` with
+    ``E`` exponential (David & Nagaraja, *Order Statistics*, section 2.2).
+    """
+    t = (shots + 1) // 2
+    if shots % 2:
+        lower = upper = rng.beta(t, t, size)
+    else:
+        upper = rng.beta(t + 1, t, size)
+        lower = rng.standard_exponential(size)
+        lower /= -t
+        np.exp(lower, out=lower)
+        lower *= upper
+        upper.sort()
+    lower.sort()
+    return lower, upper
+
+
+def _count_substream(shots: int, trials: int, seed: int, grounds: np.ndarray,
+                     index: int) -> np.ndarray:
+    """Wrong-sign trials of substream ``index`` at each ground probability of
+    ``grounds``, a tie counting half: one draw serves them all."""
+    size = min(MC_CHUNK, trials - index * MC_CHUNK)
+    lower, upper = _order_statistics(shots, size, _substream(seed, index))
+    below_lower = np.searchsorted(lower, grounds)  # trials whose U_(t) < p
+    wrong = size - below_lower
+    ties = below_lower - np.searchsorted(upper, grounds)
     return wrong + 0.5 * ties
 
 
@@ -203,38 +236,43 @@ def monte_carlo_sign_errors(
 ) -> list[float]:
     """Empirical wrong-sign fraction of each experiment, a tie counting half.
 
-    Each experiment's trials are drawn in substreams of :data:`MC_CHUNK`,
-    substream ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
-    ``min(jobs, substreams)`` threads take the substreams of every
-    experiment in turn; ``jobs`` defaults to the CPUs this process may use,
-    at most :data:`MAX_JOBS`.  Each thread adds up half-integer counts per
-    experiment, which are exact in any order, so each fraction is the same
-    for any ``jobs`` and equals a lone call's.  Memory does not grow with
-    the trial count.
+    The experiments that share ``(shots, trials, seed)`` form a group, whose
+    trials are drawn once, in substreams of :data:`MC_CHUNK`, substream
+    ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, and read
+    at every ``|alpha|`` of the group.  ``min(jobs, tasks)`` threads take the
+    ``(group, substream)`` tasks in turn; ``jobs`` defaults to the CPUs this
+    process may use, at most :data:`MAX_JOBS`.  Each thread adds up
+    half-integer counts per experiment, which are exact in any order, so each
+    fraction is the same for any ``jobs`` and equals a lone call's.  Memory
+    does not grow with the trial count.
     """
     if jobs is None:
         jobs = min(_usable_cpus(), MAX_JOBS)
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
-    substreams = [(exp.trials + MC_CHUNK - 1) // MC_CHUNK for exp in experiments]
-    tasks = ((index, substream) for index, count in enumerate(substreams)
-             for substream in range(count))
+    grounds = (1.0 + np.abs([exp.alpha_true for exp in experiments])) / 2.0
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for index, exp in enumerate(experiments):
+        groups.setdefault((int(exp.shots), int(exp.trials), int(exp.seed)), []).append(index)
+    substreams = {key: (key[1] + MC_CHUNK - 1) // MC_CHUNK for key in groups}
+    tasks = ((key, np.array(members), substream) for key, members in groups.items()
+             for substream in range(substreams[key]))
     taking = threading.Lock()
 
-    def work() -> list[float]:
-        wrong = [0.0] * len(experiments)
+    def work() -> np.ndarray:
+        wrong = np.zeros(len(experiments))
         while True:
             with taking:
                 task = next(tasks, None)
             if task is None:
                 return wrong
-            index, substream = task
-            wrong[index] += _count_substream(experiments[index], substream)
+            key, members, substream = task
+            wrong[members] += _count_substream(*key, grounds[members], substream)
 
-    workers = max(1, min(jobs, sum(substreams)))
+    workers = max(1, min(jobs, sum(substreams.values())))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
-    return [sum(counts) / exp.trials for exp, counts in zip(experiments, zip(*parts))]
+    return [float(wrong / exp.trials) for exp, wrong in zip(experiments, sum(parts))]
 
 
 @dataclass(frozen=True)
@@ -278,22 +316,26 @@ def resource_matched_comparisons(
 ) -> list[ResourceComparison]:
     """At each ``alphas[i]``, spend ``total_budget`` fresh qubits on raw
     shots or on ``total_budget // cost`` shots at the ``alpha_enhanced`` of
-    the steady state ``cooled[i]``, and compare wrong-sign error rates.  One
-    :func:`monte_carlo_sign_errors` call on ``jobs`` threads samples every
-    point, point ``i`` from the seed ``_derived_seed(seed, i)``."""
-    seeds = [_derived_seed(seed, index) for index in range(len(alphas))]
-    return _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs)
+    the steady state ``cooled[i]``, and compare wrong-sign error rates.
 
-
-def _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs) -> list[ResourceComparison]:
+    Every point is checked before any draw.  One
+    :func:`monte_carlo_sign_errors` call on ``jobs`` threads then samples
+    every point, the raw side from the seed ``_derived_seed(seed, 0)`` and
+    the cooled side from ``_derived_seed(seed, 1)``.  So one side's points
+    share their draws: their Monte Carlo cells are correlated across rows
+    and never grow with ``|alpha|``, and each row equals a one-point grid's
+    row."""
     k_raw = int(total_budget)
     k_cooled = cooled_shots(total_budget, cost)
+    raw_seed, cooled_seed = _derived_seed(seed, 0), _derived_seed(seed, 1)
     points, experiments = [], []
-    for alpha, steady, seed in zip(alphas, cooled, seeds):
+    for alpha, steady in zip(alphas, cooled):
         alpha_cooled = steady.alpha_enhanced
         if alpha == 0.0:
             bound_raw = bound_cooled = 1.0
             reduction = math.nan
+        elif alpha_cooled == 0.0:
+            raise ZeroDivisionError(f"the cooled polarization at alpha = {alpha} rounds to 0")
         else:
             bound_raw = predict_error_bound(alpha, k_raw)
             bound_cooled = predict_error_bound(alpha_cooled, k_cooled)
@@ -309,8 +351,8 @@ def _compare(alphas, cooled, cost, total_budget, seeds, trials, jobs) -> list[Re
             bound_cooled=bound_cooled,
             reduction_factor=reduction,
         ))
-        experiments += [ShotExperiment(alpha, k_raw, trials, _derived_seed(seed, 0)),
-                        ShotExperiment(alpha_cooled, k_cooled, trials, _derived_seed(seed, 1))]
+        experiments += [ShotExperiment(alpha, k_raw, trials, raw_seed),
+                        ShotExperiment(alpha_cooled, k_cooled, trials, cooled_seed)]
     errors = monte_carlo_sign_errors(experiments, jobs)
     rows = []
     for point, mc_raw, mc_cooled in zip(points, errors[::2], errors[1::2]):

@@ -279,10 +279,10 @@ def test_batched_sample_matches_one_point_solves(tmp_path, locality):
             "--alpha-grid=" + grid, "--out", str(out)]
     assert main(argv) == EXIT_OK
     cfg = refrigerator.RefrigeratorConfig(6, 2, 3, locality=locality)
-    rows = [dataclasses.astuple(sampling._compare(
-                [alpha], [refrigerator.steady_states(cfg, [alpha])[0]], cfg.cost, budget,
-                [sampling._derived_seed(seed, index)], trials, None)[0])
-            for index, alpha in enumerate(parse_alpha_grid(grid))]
+    rows = [dataclasses.astuple(sampling.resource_matched_comparisons(
+                [alpha], refrigerator.steady_states(cfg, [alpha]), cfg.cost, budget, seed,
+                trials=trials)[0])
+            for alpha in parse_alpha_grid(grid)]
     assert 0.0 in [row[0] for row in rows]
     write_rows(str(expect), "csv", SAMPLE_HEADER, rows)
     assert out.read_bytes() == expect.read_bytes()
@@ -321,7 +321,7 @@ def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
     monkeypatch.setattr(sampling, "_count_substream", counted)
-    # 20 tasks: 5 points, 2 experiments each, 2 substreams each
+    # 4 tasks: each side's 5 points share one group of 2 substreams
     trials = str(sampling.MC_CHUNK + 1)
     code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", trials,
                  "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
@@ -652,6 +652,23 @@ class TestExitCodes:
             code = main(argv + ["--alpha-grid", "1e-300:1e-300:1", "--out", str(out)])
             assert code == EXIT_USAGE
             assert "too close to 0" in self.one_line(capsys)
+
+    def test_cooled_polarization_rounding_to_zero_names_the_grid_alpha(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # the steady state rounds the cooled polarization at 1e-150 to 0; the
+        # message once named alpha = 0, a value never typed.  Every point is
+        # checked before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(sampling, "monte_carlo_sign_errors", no_draw)
+        out = tmp_path / "x.csv"
+        code = main(["--sample", "--trials", "10", "--alpha-grid", "1e-150:1e-150:1",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("coolsign: ") and "alpha = 1e-150" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1e-155", "1e-158", "1e-160"])
     def test_single_shot_reduction_underflow_is_usage_error(self, tmp_path, capsys, alpha):

@@ -225,15 +225,38 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("k", [24, 25])
     def test_exactly_even_in_alpha(self, k):
-        # at 40 of these 99 alphas 1 - (1 + a)/2 != (1 - a)/2 in floats, so a
-        # draw at the signed polarization would mirror only through how numpy
-        # draws a binomial above 1/2
+        # the 99 experiments share (shots, trials, seed), so one draw serves
+        # them all and each reads it at p = (1 + |a|) / 2 alone: -a reads the
+        # p of a, and a larger |a| a p no smaller.  A ground probability
+        # formed from the signed polarization, as 1 - (1 + a)/2, would not
+        # equal (1 - a)/2 at 40 of these alphas
         alphas = np.round(np.arange(0.01, 0.9901, 0.01), 10).tolist()
         assert sum(1 - (1 + a) / 2 != (1 - a) / 2 for a in alphas) == 40
         trials = MC_CHUNK + 17
         plus = monte_carlo_sign_errors([ShotExperiment(a, k, trials, seed=13) for a in alphas])
         minus = monte_carlo_sign_errors([ShotExperiment(-a, k, trials, seed=13) for a in alphas])
         assert minus == plus
+        assert all(smaller >= larger for smaller, larger in zip(plus, plus[1:]))
+        assert plus[0] > plus[-1]
+
+    @pytest.mark.parametrize("k", [2, 10, 24, 100])
+    def test_even_tie_fraction_is_the_middle_binomial_term(self, k):
+        # a trial ties where U_(k/2) < p <= U_(k/2 + 1), which k shots do
+        # with probability C(k, k/2) (pq)^(k/2)
+        trials = 200_000
+        lower, upper = sampling._order_statistics(k, trials, np.random.default_rng(k))
+        for alpha in (0.0, 0.2, 0.5):
+            p, q = (1 + alpha) / 2, (1 - alpha) / 2
+            ties = (np.searchsorted(lower, p) - np.searchsorted(upper, p)) / trials
+            want = math.comb(k, k // 2) * (p * q) ** (k // 2)
+            assert abs(ties - want) <= 4 * math.sqrt(want * (1 - want) / trials), alpha
+
+    def test_ten_trials_at_a_trillion_shots(self):
+        # one Beta draw per trial stands for its 10^12 shots; at alpha = 0.01
+        # the majority is 10^4 standard deviations from a wrong sign
+        errors = monte_carlo_sign_errors(
+            [ShotExperiment(a, 10**12, 10, seed=1) for a in (0.0, 1e-6, 0.01)])
+        assert errors[0] >= errors[1] >= errors[2] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -277,15 +300,25 @@ class TestMonteCarlo:
 def chunk_by_chunk(exp: ShotExperiment) -> float:
     """The Monte Carlo as one loop over its substreams, a tie counting half:
     substream ``i`` holds trials ``i * MC_CHUNK`` on and is drawn from
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  This per-substream
-    float sum is what the batched counts must reproduce bit for bit."""
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  With ``t = (k + 1)
+    // 2``, an odd ``k`` draws each trial's ``U_(t)`` from Beta(t, t); an even
+    ``k`` draws ``U_(t+1)`` from Beta(t + 1, t) and then ``U_(t) = U_(t+1)
+    exp(-E / t)``, ``E`` exponential.  A trial errs where ``U_(t) >= p`` and
+    ties where ``U_(t) < p <= U_(t+1)``, compared trial by trial here with no
+    sort.  This per-substream float sum is what the batched counts must
+    reproduce bit for bit."""
+    p = (1.0 + abs(exp.alpha_true)) / 2.0
+    t = (exp.shots + 1) // 2
     wrong = 0.0
     for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK):
         size = min(MC_CHUNK, exp.trials - i * MC_CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(i,)))
-        lean = 2 * rng.binomial(exp.shots, (1.0 + exp.alpha_true) / 2.0, size=size) - exp.shots
-        against = lean < 0 if exp.alpha_true >= 0 else lean > 0
-        wrong += np.count_nonzero(against) + 0.5 * np.count_nonzero(lean == 0)
+        if exp.shots % 2:
+            lower = upper = rng.beta(t, t, size)
+        else:
+            upper = rng.beta(t + 1, t, size)
+            lower = upper * np.exp(-rng.standard_exponential(size) / t)
+        wrong += np.count_nonzero(lower >= p) + 0.5 * np.count_nonzero((lower < p) & (upper >= p))
     return wrong / exp.trials
 
 
@@ -300,13 +333,17 @@ BATCH = [
     ShotExperiment(0.05, 101, 2 * MC_CHUNK, seed=8),
 ]
 
+#: one group, the experiments sharing (shots, trials, seed): a negative
+#: alpha, alpha = 0 and 1, and one experiment twice; 2 substreams
+SHARED = [ShotExperiment(a, 24, MC_CHUNK + 5, seed=11) for a in (0.3, -0.1, 0.0, 0.3, 1.0, 0.05)]
+
 
 class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_equals_lone_calls_and_chunk_loop(self, jobs):
-        lone = [monte_carlo_sign_errors([exp])[0] for exp in BATCH]
-        assert monte_carlo_sign_errors(BATCH, jobs=jobs) == lone
-        assert lone == [chunk_by_chunk(exp) for exp in BATCH]
+        lone = [monte_carlo_sign_errors([exp])[0] for exp in BATCH + SHARED]
+        assert monte_carlo_sign_errors(BATCH + SHARED, jobs=jobs) == lone
+        assert lone == [chunk_by_chunk(exp) for exp in BATCH + SHARED]
 
     def test_pure_states(self):
         assert monte_carlo_sign_errors(BATCH[2:4], jobs=2) == [0.0, 0.0]
@@ -327,9 +364,10 @@ class TestBatchedMonteCarlo:
             return substream(seed, index)
 
         monkeypatch.setattr(sampling, "_substream", recorded)
-        monte_carlo_sign_errors(BATCH, jobs=jobs)
-        # the batch's seeds are distinct, so a key names its experiment
-        expected = [(exp.seed, i) for exp in BATCH
+        monte_carlo_sign_errors(BATCH + SHARED, jobs=jobs)
+        # the groups' seeds are distinct, so a key names its group; SHARED's
+        # six experiments draw each of their substreams once between them
+        expected = [(exp.seed, i) for exp in BATCH + SHARED[:1]
                     for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK)]
         assert sorted(drawn) == expected
 
@@ -374,9 +412,8 @@ class TestBatchedMonteCarlo:
         cfg = RefrigeratorConfig(4, 2, 2)
         grid = [-0.6, 0.0, 0.3, 1.0]
         cooled = steady_states(cfg, grid)
-        lone = [sampling._compare([a], [c], cfg.cost, 40, [sampling._derived_seed(9, i)], 5000,
-                                  None)[0]
-                for i, (a, c) in enumerate(zip(grid, cooled))]
+        lone = [resource_matched_comparisons([a], [c], cfg.cost, 40, 9, trials=5000)[0]
+                for a, c in zip(grid, cooled)]
         for jobs in (1, 3):
             rows = resource_matched_comparisons(grid, cooled, cfg.cost, 40, 9, trials=5000,
                                                 jobs=jobs)
@@ -481,6 +518,29 @@ def test_steady_state_feeds_cooled_polarization():
     cfg = RefrigeratorConfig(5, 2, 5)
     rec = compare(0.6, cfg, 22, seed=5, trials=100)
     assert rec.alpha_cooled == steady_states(cfg, [0.6])[0].alpha_enhanced
+
+
+def test_monte_carlo_shares_no_code_with_the_exact_law():
+    # the Monte Carlo checks exact_sign_error empirically, so no function or
+    # constant of the module that it reaches may be one the exact law reaches
+    tree = ast.parse(Path(sampling.__file__).read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined.update((target.id, node) for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets if isinstance(target, ast.Name))
+
+    def reached(name: str) -> set[str]:
+        seen, todo = {name}, [name]
+        while todo:
+            for node in ast.walk(defined[todo.pop()]):
+                if isinstance(node, ast.Name) and node.id in defined and node.id not in seen:
+                    seen.add(node.id)
+                    todo.append(node.id)
+        return seen
+
+    monte_carlo, exact = reached("monte_carlo_sign_errors"), reached("exact_sign_error")
+    assert {"_order_statistics", "MC_CHUNK"} <= monte_carlo
+    assert {"_binomial_pmf", "_STIRLERR_TABLE"} <= exact
+    assert monte_carlo.isdisjoint(exact)
 
 
 def test_sampling_runs_no_refrigerator():
