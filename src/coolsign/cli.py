@@ -5,7 +5,7 @@ Figures are emitted as data files (CSV or JSON), one row per grid
 polarization and one column per curve; CSV uses a header row, LF line
 endings, and 17-significant-digit numbers so files round-trip and are
 byte-identical for identical flags and seed.  Every refrigerator command
-solves each curve's whole grid as one batched fixed point, ``--sample``
+solves each figure's whole grid as one batched fixed point, ``--sample``
 included.  ``--sample`` then runs the Monte Carlo of every point in one
 :func:`coolsign.sampling.resource_matched_comparisons` call.  Each side,
 raw and cooled, draws one set of seeded substreams that all its points
@@ -172,10 +172,9 @@ def _figure_bqr(args: argparse.Namespace, reduction: bool,
             return [res.reduction_factor(a, cfg.cost) for a, res in zip(grid, results)]
         return [res.alpha_enhanced for res in results]
 
-    columns = []
-    for r in args.rounds:
-        cfg = refrigerator.RefrigeratorConfig(n, args.m, r, locality=locality)
-        columns.append(column(cfg, refrigerator.steady_states(cfg, grid)))
+    cfgs = [refrigerator.RefrigeratorConfig(n, args.m, r, locality=locality) for r in args.rounds]
+    columns = [column(cfg, results)
+               for cfg, results in zip(cfgs, refrigerator.steady_states(cfgs, grid))]
     if reduction:
         bound_cfg = refrigerator.RefrigeratorConfig(n, args.m, bound_rounds)
         bound = column(bound_cfg, refrigerator.optimal_bounds(bound_cfg, grid))

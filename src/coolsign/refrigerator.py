@@ -20,14 +20,17 @@ runs the same kernel on the identity.  Each solver hands
 :func:`_solve_grid` runs every solve's cycles and judges them all by one
 relative residual.
 
-A grid of reservoir polarizations is solved as one batch.  Each distinct
-``|alpha|`` owns a row along a leading batch axis: ``(G, 2^n)`` full
-registers, ``(G, d)`` non-reset vectors and ``(G, d/2, d/2)`` carried chains
-with ``d = 2^(n-m)``.  Every operation acts on each row alone with the
-arithmetic of a lone solve, so a row's result is bit for bit that of a
-one-point grid: ``steady_states(cfg, [alpha])[0]`` is the steady state and
-``optimal_bounds(cfg, [alpha])[0]`` the bound at one polarization.  Chunks
-of the grid are capped by :data:`CHUNK_BYTES`.
+A grid of reservoir polarizations, at one or more round counts, is solved
+as one batch.  Each distinct ``(round count, |alpha|)`` pair owns a row
+along a leading batch axis: ``(G, 2^n)`` full registers, ``(G, d)``
+non-reset vectors and ``(G, d/2, d/2)`` carried chains with ``d =
+2^(n-m)``.  Every operation acts on each row alone with the arithmetic of a
+lone solve, and a row's rounds stop at its own count, so a row's result is
+bit for bit that of a one-config, one-point grid: ``steady_states(cfg,
+[alpha])[0]`` is the steady state and ``optimal_bounds(cfg, [alpha])[0]``
+the bound at one polarization.  A figure hands :func:`steady_states` one
+config per round count; the bound oracle solves one.  Chunks of the rows
+are capped by :data:`CHUNK_BYTES`.
 
 The kernel and the staircases never read the sign of ``alpha``: the same
 staircase amplifies whichever bias the sample carries, and the fixed point at
@@ -188,16 +191,21 @@ def _round(full: np.ndarray, compress: Compression, m: int) -> np.ndarray:
 Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression) -> Step:
+def _recycle_step(cfg: RefrigeratorConfig, alpha, compress: Compression, rounds=None) -> Step:
     """``cfg.rounds`` kernel rounds with fresh resets, then the recycling:
     the target traced out and a fresh qubit appended.  An array of
-    polarizations steps one row per entry."""
+    polarizations steps one row per entry.  ``rounds``, an array of round
+    counts beside ``alpha``, gives each row its own: the kernel runs up to
+    the largest, and a row past its own count stays as it is."""
     reset = product_probs(alpha, cfg.m)
     fresh = ground_excited_pair(alpha)
+    counts = np.asarray(cfg.rounds if rounds is None else rounds)[..., None]
+    least, top = int(counts.min()), int(counts.max())
 
     def step(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        for _ in range(cfg.rounds):
-            a = _round(_attach(a, reset), compress, cfg.m)
+        for k in range(1, top + 1):
+            stepped = _round(_attach(a, reset), compress, cfg.m)
+            a = stepped if k <= least else np.where(counts < k, a, stepped)
         half = a.shape[-1] >> 1
         return _attach(a[..., :half] + a[..., half:], fresh), a
 
@@ -211,39 +219,45 @@ def _mirror(result: SteadyStateResult) -> SteadyStateResult:
 
 
 def _solve_grid(
-    cfg: RefrigeratorConfig,
+    cfgs: list[RefrigeratorConfig],
     alphas,
     compress: Compression,
-    start: Callable[[np.ndarray], np.ndarray],
+    start: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cycles: int,
     what: str,
-) -> list[SteadyStateResult]:
-    """One fixed point per entry of ``alphas``, in grid order: the one cycle
-    loop, the only code that reads the sign of ``alpha``, and the only code
-    that judges a solve.
+) -> list[list[SteadyStateResult]]:
+    """One fixed point per config of ``cfgs`` (which differ in ``rounds``
+    alone) and entry of ``alphas``, one list per config in grid order: the
+    one cycle loop, the only code that reads the sign of ``alpha``, and the
+    only code that judges a solve.
 
-    Each distinct ``|alpha|`` is solved once, on chunks capped by
-    :data:`CHUNK_BYTES`: the recycle step with ``compress`` runs from
-    ``start(chunk)`` for at most ``cycles`` cycles.  A row settles at the
-    first iterate whose own cycle moves every entry by at most
-    :data:`RESIDUAL_TOL` relative, ``|image - a| <= tol max(image, a)``,
-    where an entry that is 0 on both sides moves 0 and a NaN never settles.
-    It keeps that iterate, its evolved vector and that move as its residual;
-    settled rows step on with the rest, but rows never mix.  A negative alpha
-    gets the mirror image of its ``|alpha|`` result, which is its own solve
-    bit for bit: the kernel, the staircases and the sort commute with the
-    bit flip.  The first row of a chunk that did not settle raises
-    :class:`ConvergenceError`, naming ``what``, the first grid alpha of that
-    row, rounds and the row's last move (``inf`` if no cycle ran).
+    Each distinct ``(rounds, |alpha|)`` pair is a row, solved once, rounds
+    in the order of ``cfgs`` and magnitudes in grid order, on chunks capped
+    by :data:`CHUNK_BYTES`: the recycle step with ``compress`` runs each
+    row's own round count from ``start(rounds, chunk)`` for at most
+    ``cycles`` cycles.  A row settles at the first iterate whose own cycle
+    moves every entry by at most :data:`RESIDUAL_TOL` relative, ``|image -
+    a| <= tol max(image, a)``, where an entry that is 0 on both sides moves
+    0 and a NaN never settles.  It keeps that iterate, its evolved vector
+    and that move as its residual; settled rows step on with the rest, but
+    rows never mix.  A negative alpha gets the mirror image of its
+    ``|alpha|`` result, which is its own solve bit for bit: the kernel, the
+    staircases and the sort commute with the bit flip.  The first row of a
+    chunk that did not settle raises :class:`ConvergenceError`, naming
+    ``what``, the first grid alpha of that row, its rounds and its last move
+    (``inf`` if no cycle ran).
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
+    pairs = [(rounds, alpha) for rounds in dict.fromkeys(cfg.rounds for cfg in cfgs)
+             for alpha in distinct]
+    cfg = cfgs[0]
     half = 1 << (cfg.n - cfg.m - 1)
     size = max(1, CHUNK_BYTES // (8 * half * half))
-    solved: dict[float, SteadyStateResult] = {}
-    for low in range(0, len(distinct), size):
-        chunk = np.array(distinct[low:low + size])
-        step, a = _recycle_step(cfg, chunk, compress), start(chunk)
+    solved: dict[tuple[int, float], SteadyStateResult] = {}
+    for low in range(0, len(pairs), size):
+        rounds, chunk = (np.array(column) for column in zip(*pairs[low:low + size]))
+        step, a = _recycle_step(cfg, chunk, compress, rounds), start(rounds, chunk)
         fixed, fixed_evolved = np.empty_like(a), np.empty_like(a)
         residual = np.full(chunk.shape, np.inf)
         unsettled = np.ones(chunk.shape, dtype=bool)
@@ -263,14 +277,15 @@ def _solve_grid(
         if unsettled.any():
             row = int(np.flatnonzero(unsettled)[0])
             alpha = next(alpha for alpha in grid if abs(alpha) == chunk[row])
-            raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={cfg.rounds}: relative "
+            raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={rounds[row]}: relative "
                                    f"residual {residual[row]:.3e} is not within "
                                    f"{RESIDUAL_TOL:g}", float(residual[row]))
         ground, excited = _target(fixed_evolved)
-        for i, key in enumerate(distinct[low:low + size]):
+        for i, key in enumerate(pairs[low:low + size]):
             solved[key] = SteadyStateResult(fixed[i], float(residual[i]), float(ground[i]),
                                             float(excited[i]))
-    return [_mirror(solved[-alpha]) if alpha < 0 else solved[alpha] for alpha in grid]
+    return [[_mirror(solved[cfg.rounds, -alpha]) if alpha < 0 else solved[cfg.rounds, alpha]
+             for alpha in grid] for cfg in cfgs]
 
 
 def _stationary_gth(rows: np.ndarray) -> np.ndarray:
@@ -321,66 +336,90 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _carried_cycle_rows(
-    cfg: RefrigeratorConfig, alphas: np.ndarray, permutation: PermutationSpec
+    cfg: RefrigeratorConfig, alphas: np.ndarray, permutation: PermutationSpec, rounds=None
 ) -> np.ndarray:
     """The carried chains of the recycle cycle at each of ``alphas``, as
-    stacked row-stochastic ``d/2 x d/2`` matrices with ``d = 2^(n-m)``.
+    stacked row-stochastic ``d/2 x d/2`` matrices with ``d = 2^(n-m)``;
+    ``rounds``, an array of round counts beside ``alphas``, gives each
+    matrix its own count, ``cfg.rounds`` by default.
 
     Row ``i`` is the carried part (the target traced out) of the register
     after the rounds, when the input is ``e_i`` with a fresh qubit appended.
     The rows are composed sparsely from the staircase's index map, one round
     at a time: entry ``j`` of the non-reset vector moves to ``perm[j 2^m +
     s] // 2^m`` with the weight of reset pattern ``s``.  Each entry is keyed
-    by its row and column; the keys do not depend on alpha, so the batch
-    rows share them and each row sums its weights as a lone one would.
+    by its row and column; the keys do not depend on alpha, so the distinct
+    alphas share them and each sums its weights as a lone one would.  One
+    pass runs up to the largest count and folds the target out at each
+    count listed, so a matrix is bit for bit the one a pass of its own count
+    composes.
     """
     half = 1 << (cfg.n - cfg.m - 1)
     dim, res_dim = 2 * half, 1 << cfg.m
-    reset = product_probs(alphas, cfg.m)
+    alphas = np.asarray(alphas)
+    counts = np.broadcast_to(cfg.rounds if rounds is None else rounds, alphas.shape).ravel()
+    values, inverse = np.unique(alphas.ravel(), return_inverse=True)
+    reset = product_probs(values, cfg.m)
     images = (permutation.perm // res_dim).reshape(dim, res_dim)
     # key = row * d + column; row i starts at columns 2i and 2i + 1
     keys = (np.arange(dim) >> 1) * dim + np.arange(dim)
-    weights = np.tile(ground_excited_pair(alphas), half)
-    for _ in range(cfg.rounds):
+    weights = np.tile(ground_excited_pair(values), half)
+    carried = np.zeros(counts.shape + (half * half,))
+    for k in range(1, int(counts.max()) + 1):
         cols = keys % dim
         keys, weights = _merge(((keys - cols)[:, None] + images[cols]).ravel(),
                                _attach(weights, reset))
-    keys, weights = _merge(keys // dim * half + keys % half, weights)
-    carried = np.zeros(alphas.shape + (half * half,))
-    carried[..., keys] = weights
+        rows = np.flatnonzero(counts == k)
+        if rows.size:
+            folded, sums = _merge(keys // dim * half + keys % half, weights)
+            carried[rows[:, None], folded] = sums[inverse[rows]]
     return carried.reshape(alphas.shape + (half, half))
 
 
-def steady_states(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
+def steady_states(cfg, alphas) -> list:
     """Fixed points of the recycle cycle at each polarization of a grid, as
     one batched solve checked by one cycle.
+
+    ``cfg`` is one :class:`RefrigeratorConfig`, which gives one result per
+    grid alpha, or a sequence of configs that differ in ``rounds`` alone,
+    which gives one such list per config: every ``(rounds, |alpha|)`` pair
+    is a row of the one solve (:func:`_solve_grid`), and each row's result
+    is bit for bit the one-config, one-point solve's.
 
     Every recycled input ends in a fresh qubit, so the cycle's stationary
     vector is ``v (x) fresh``, where ``v`` is the stationary vector of the
     carried chain on the ``d/2`` states the recycle carries over
-    (:func:`_carried_cycle_rows`, ``d = 2^(n-m)``).  ``v`` is solved at
-    ``|alpha|`` by the blocked GTH elimination of :func:`_stationary_gth`,
-    one call per chunk, and ``v (x) fresh`` is renormalized, because the
-    fresh masses need not sum to exactly 1; a negative alpha gets its exact
-    mirror (:func:`_solve_grid`).  That solve costs ``O((d/2)^3)``, most of
-    it one matmul per panel of :data:`GTH_PANEL` states, and dominates the
-    call from ``n = 10`` on.  The product state stands in at ``alpha = 0``,
+    (:func:`_carried_cycle_rows`, ``d = 2^(n-m)``, one pass per chunk up to
+    its largest round count).  ``v`` is solved at ``|alpha|`` by the
+    blocked GTH elimination of :func:`_stationary_gth`, one call per chunk,
+    and ``v (x) fresh`` is renormalized, because the fresh masses need not
+    sum to exactly 1; a negative alpha gets its exact mirror
+    (:func:`_solve_grid`).  That solve costs ``O((d/2)^3)``, most of it one
+    matmul per panel of :data:`GTH_PANEL` states, and dominates the call
+    from ``n = 10`` on.  The product state stands in at ``alpha = 0``,
     where it is the exact fixed point, and at ``|alpha| = 1``, where a pure
     reset leaves a chain with a closed subset.  :func:`_solve_grid` runs one
-    kernel recycle cycle from that seed, which measures each row's relative
-    residual and target masses, and judges the rows.
+    kernel recycle cycle from that seed, up to the chunk's largest round
+    count, which measures each row's relative residual and target masses at
+    its own count, and judges the rows.
     """
-    permutation = compression_permutation_for(cfg)
+    single = isinstance(cfg, RefrigeratorConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if len({(c.n, c.m, c.locality) for c in cfgs}) != 1:
+        raise ValueError("steady_states needs one or more configs that differ in rounds alone")
+    base = cfgs[0]
+    permutation = compression_permutation_for(base)
 
-    def seed(chunk: np.ndarray) -> np.ndarray:
-        carried = _stationary_gth(_carried_cycle_rows(cfg, chunk, permutation))
+    def seed(rounds: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        carried = _stationary_gth(_carried_cycle_rows(base, chunk, permutation, rounds))
         a = _attach(carried, ground_excited_pair(chunk))
         a /= a.sum(axis=-1, keepdims=True)
         product = (chunk == 0.0) | np.isnan(a).any(axis=-1)
-        a[product] = product_probs(chunk[product], cfg.n - cfg.m)
+        a[product] = product_probs(chunk[product], base.n - base.m)
         return a
 
-    return _solve_grid(cfg, alphas, permutation, seed, 1, "steady state")
+    solved = _solve_grid(cfgs, alphas, permutation, seed, 1, "steady state")
+    return solved[0] if single else solved
 
 
 def alpha_infinity(n: int, m: int, alpha: float) -> float:
@@ -408,7 +447,7 @@ def optimal_bounds(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     def sort(full: np.ndarray) -> np.ndarray:
         return np.sort(full, axis=-1)[..., ::-1]
 
-    def fresh(chunk: np.ndarray) -> np.ndarray:
+    def fresh(rounds: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         return product_probs(chunk, cfg.n - cfg.m)
 
-    return _solve_grid(cfg, alphas, sort, fresh, MAX_CYCLES, "optimal bound")
+    return _solve_grid([cfg], alphas, sort, fresh, MAX_CYCLES, "optimal bound")[0]

@@ -77,12 +77,17 @@ class ShotExperiment:
 
 def predict_error_bound(alpha: float, k: int) -> float:
     """Wrong-sign probability bound ``min(1, (1 - alpha^2) / (k alpha^2))``,
-    Chebyshev's for a k-shot mean of variance ``1 - alpha^2``."""
+    Chebyshev's for a k-shot mean of variance ``1 - alpha^2``.  It raises
+    ZeroDivisionError at ``alpha = 0`` and where ``k alpha^2`` underflows
+    to 0, naming the alpha."""
     if alpha == 0.0:
         raise ZeroDivisionError("prediction bound is undefined at alpha = 0")
     _check_polarization(alpha)
     _check_count("k", k)
-    return min(1.0, (1.0 - alpha * alpha) / (k * abs(alpha) * abs(alpha)))
+    spread = k * abs(alpha) * abs(alpha)
+    if spread == 0.0:
+        raise ZeroDivisionError(f"prediction bound underflows at alpha = {alpha!r}")
+    return min(1.0, (1.0 - alpha * alpha) / spread)
 
 
 def exact_sign_error(alpha: float, k: int) -> float:

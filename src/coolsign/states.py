@@ -42,6 +42,8 @@ def pairwise_sum(x: np.ndarray) -> np.ndarray:
 
 def _check_polarization(alpha) -> None:
     """Raise ValueError unless every entry of ``alpha`` lies in [-1, 1]."""
+    if type(alpha) is float and -1.0 <= alpha <= 1.0:  # a plain float skips numpy
+        return
     outside = ~(np.abs(alpha) <= 1)  # NaN fails this too
     if outside.any():
         raise ValueError(f"polarization must lie in [-1, 1], got {np.asarray(alpha)[outside][0]}")
@@ -49,6 +51,8 @@ def _check_polarization(alpha) -> None:
 
 def _check_count(name: str, value, least: int = 1) -> None:
     """Raise ValueError unless ``value`` is an integer (numpy's too) >= ``least``."""
+    if type(value) is int and value >= least:  # a plain int skips the ABC check
+        return
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"need an integer {name} >= {least}, got {value}")
 

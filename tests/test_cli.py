@@ -260,13 +260,15 @@ def one_point_rows(figure, n, m, rounds_list, grid):
      ("bqr-reduction", "0.05:0.95:0.15"), ("klocal-reduction", "0.05:0.95:0.15")],
 )
 def test_batched_figure_matches_one_point_solves(tmp_path, figure, grid):
+    # every round count is a batch row of the figure's one solve, listed in any order
     out, expect = tmp_path / "fig.csv", tmp_path / "expect.csv"
-    argv = ["--figure", figure, "--n", "5", "--m", "2", "--rounds", "3,4,9",
-            "--alpha-grid=" + grid, "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    write_rows(str(expect), "csv", *one_point_rows(figure, 5, 2, (3, 4, 9),
-                                                   parse_alpha_grid(grid)))
-    assert out.read_bytes() == expect.read_bytes()
+    for rounds in ((3, 4, 9), (9, 3, 4)):
+        argv = ["--figure", figure, "--n", "5", "--m", "2",
+                "--rounds", ",".join(map(str, rounds)), "--alpha-grid=" + grid, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        write_rows(str(expect), "csv", *one_point_rows(figure, 5, 2, rounds,
+                                                       parse_alpha_grid(grid)))
+        assert out.read_bytes() == expect.read_bytes()
 
 
 @pytest.mark.parametrize("locality", ["full", "3local"])
@@ -302,6 +304,20 @@ def test_sample_solves_its_grid_in_one_call(tmp_path, monkeypatch, jobs):
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_OK
     assert calls == [parse_alpha_grid("-0.4:0.8:0.2")]
+
+
+def test_figure_solves_every_round_count_in_one_call(tmp_path, monkeypatch):
+    calls, solve = [], refrigerator.steady_states
+
+    def counted(cfg, alphas, **kwargs):
+        calls.append([c.rounds for c in cfg])
+        return solve(cfg, alphas, **kwargs)
+
+    monkeypatch.setattr(refrigerator, "steady_states", counted)
+    code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "5,2,3",
+                 "--alpha-grid=-0.4:0.8:0.2", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_OK
+    assert calls == [[5, 2, 3]]
 
 
 @pytest.mark.parametrize("jobs", [["--jobs", "1"], ["--jobs", "3"], []])

@@ -332,10 +332,12 @@ class TestSteadyState:
 
     def test_convergence_failure_carries_residual(self, monkeypatch):
         def use_step(step):
-            monkeypatch.setattr(refrigerator, "_recycle_step", lambda cfg, chunk, compress: step)
+            monkeypatch.setattr(refrigerator, "_recycle_step",
+                                lambda cfg, chunk, compress, rounds: step)
 
         def solve(start, cycles=5):
-            return _solve_grid(cfg, [0.5], None, lambda chunk: np.array([start]), cycles, "test")
+            return _solve_grid([cfg], [0.5], None, lambda rounds, chunk: np.array([start]),
+                               cycles, "test")[0]
 
         cfg = RefrigeratorConfig(3, 1, 2)
         # counting up moves entry 0 by 1/2, 1/3, ..., 1/6 and entry 1 (0 on
@@ -444,14 +446,15 @@ def assert_same_result(got, want):
 @given(
     n=st.integers(3, 7),
     m=st.integers(1, 3),
-    rounds=st.integers(1, 4),
+    rounds=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
     locality=st.sampled_from(["full", "3local"]),
     alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     data=st.data(),
 )
 def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, data):
     assume(m <= n - 1)
-    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
+    cfgs = [RefrigeratorConfig(n, m, r, locality=locality) for r in rounds]
+    cfg = cfgs[0]
     grid = data.draw(st.permutations([0.0, 1.0, -1.0] + alphas + [-a for a in alphas]))
     shuffled = data.draw(st.permutations(grid))
     for batched, one_point in ((steady_states, lambda cfg, a: steady_states(cfg, [a])[0]),
@@ -462,6 +465,10 @@ def test_batched_grid_equals_one_point_solves(n, m, rounds, locality, alphas, da
         by_alpha = dict(zip(grid, results))
         for alpha, got in zip(shuffled, batched(cfg, shuffled)):
             assert_same_result(got, by_alpha[alpha])
+    # each (rounds, alpha) row of a many-config solve is its one-config, one-point solve
+    for cfg, results in zip(cfgs, steady_states(cfgs, grid)):
+        for alpha, got in zip(grid, results):
+            assert_same_result(got, steady_states(cfg, [alpha])[0])
 
 
 def descending(full):
@@ -510,6 +517,25 @@ def test_grid_solves_each_magnitude_once(monkeypatch):
     down, up = steady_states(RefrigeratorConfig(5, 2, 3), [-0.5, 0.5])
     assert calls == ["_stationary_gth"]
     assert_same_result(down, _mirror(up))
+    # a three-count figure is one batch: one call per chunk of (rounds, |alpha|) rows
+    figure = [RefrigeratorConfig(5, 2, r) for r in (9, 3, 4)]
+    grid = [0.1, -0.1, 0.5, 0.9]
+    calls.clear()
+    steady_states(figure, grid)
+    assert calls == ["_stationary_gth"]
+    monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 4 * 4)  # two rows per chunk
+    calls.clear()
+    steady_states(figure, grid)
+    assert len(calls) == 5  # 3 round counts x 3 magnitudes = 9 rows, two per chunk
+
+
+@pytest.mark.parametrize("layouts", [[], [(5, 2, "full"), (6, 2, "full")],
+                                     [(5, 2, "full"), (5, 1, "full")],
+                                     [(5, 2, "3local"), (5, 2, "full")]])
+def test_one_solve_takes_configs_that_differ_in_rounds_alone(layouts):
+    cfgs = [RefrigeratorConfig(n, m, 3 + i, locality) for i, (n, m, locality) in enumerate(layouts)]
+    with pytest.raises(ValueError, match="differ in rounds alone"):
+        steady_states(cfgs, [0.5])
 
 
 def test_chunks_do_not_change_results(monkeypatch):
@@ -538,6 +564,14 @@ class TestBatchedNonConvergence:
         with pytest.raises(ConvergenceError, match=r"alpha=-0\.5, rounds=2: .*residual") as exc:
             optimal_bounds(RefrigeratorConfig(4, 2, 2, locality="3local"), [-0.5, 0.5])
         assert exc.value.residual == math.inf
+
+    @pytest.mark.parametrize("rounds", [(4, 2), (2, 4)])
+    def test_names_the_first_round_count_listed(self, monkeypatch, rounds):
+        # both round counts stall; so do both magnitudes of each
+        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
+        cfgs = [RefrigeratorConfig(4, 2, r) for r in rounds]
+        with pytest.raises(ConvergenceError, match=rf"alpha=-0\.5, rounds={rounds[0]}: "):
+            steady_states(cfgs, [0.0, -0.5, 0.5, 0.7])
 
     def test_failed_check_names_the_first_grid_alpha(self, monkeypatch):
         # the product state stands in at alpha = 0, so the check fails on row 1
@@ -634,16 +668,24 @@ def dense_carried_rows(cfg, alphas, permutation):
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 10) for m in (1, 2, 3) if m < n])
 def test_carried_cycle_rows_match_the_dense_power(n, m, locality):
     alphas = np.array([0.0, 1e-9, 0.1, 0.37, 0.5, 0.9, 0.999, 1.0])
-    for rounds in (1, 2, 3, 5, 9):
+    counts = (1, 2, 3, 5, 9)
+    one_count = {}
+    for rounds in counts:
         cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
         permutation = compression_permutation_for(cfg)
-        got = _carried_cycle_rows(cfg, alphas, permutation)
+        got = one_count[rounds] = _carried_cycle_rows(cfg, alphas, permutation)
         want = dense_carried_rows(cfg, alphas, permutation)
         assert np.array_equal(got != 0.0, want != 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         for row in range(len(alphas)):
             assert np.array_equal(_carried_cycle_rows(cfg, alphas[row:row + 1], permutation)[0],
                                   got[row])
+    # one pass, its rows' counts unsorted: each snapshot is the one-count compose
+    rng = np.random.default_rng(n * 8 + m)
+    rows = rng.permutation([(r, i) for r in counts for i in range(len(alphas))])
+    snapshots = _carried_cycle_rows(cfg, alphas[rows[:, 1]], permutation, rows[:, 0])
+    for (rounds, i), got in zip(rows, snapshots):
+        assert np.array_equal(got, one_count[rounds][i])
 
 
 @pytest.mark.parametrize("locality", LOCALITIES)
@@ -665,8 +707,8 @@ def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality):
 def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
     steps = []
 
-    def counted(cfg, alphas, compress):
-        step = _recycle_step(cfg, alphas, compress)
+    def counted(cfg, alphas, compress, rounds):
+        step = _recycle_step(cfg, alphas, compress, rounds)
 
         def recorded(a):
             steps.append(len(alphas))

@@ -97,6 +97,14 @@ class TestPredictErrorBound:
         with pytest.raises(ZeroDivisionError):
             predict_error_bound(0.0, 10)
 
+    @pytest.mark.parametrize("alpha", [1e-200, -1e-200, 5e-324])
+    def test_underflow_names_the_alpha(self, alpha):
+        # k alpha^2 rounds to 0 here, as it does at alpha = 0
+        with pytest.raises(ZeroDivisionError, match=rf"^prediction bound underflows at alpha = "
+                                                    rf"{alpha!r}$"):
+            predict_error_bound(alpha, 10000)
+        assert predict_error_bound(1e-150, 10000) == 1.0
+
 
 class TestExactSignError:
     def test_binomial_cdf_oracle(self):

@@ -28,7 +28,7 @@ from coolsign import (
     steady_states,
     window_swaps,
 )
-from coolsign.states import _attach, ground_excited_pair
+from coolsign.states import _attach, _check_count, _check_polarization, ground_excited_pair
 
 
 def dyadic_probs(n, rng):
@@ -95,6 +95,27 @@ POLARIZATION_ENTRY_POINTS = {
 def test_polarization_outside_unit_range_or_nan_is_rejected(entry, alpha):
     with pytest.raises(ValueError, match="polarization must lie in"):
         POLARIZATION_ENTRY_POINTS[entry](alpha)
+
+
+@pytest.mark.parametrize("value", [1.5, -math.inf, math.nan])
+def test_scalar_and_array_polarizations_fail_alike(value):
+    # a plain float takes its own check; numpy scalars and arrays take numpy's
+    for alpha in (value, np.float64(value), np.array([value])):
+        with pytest.raises(ValueError) as excinfo:
+            _check_polarization(alpha)
+        assert str(excinfo.value) == f"polarization must lie in [-1, 1], got {value}"
+    for alpha in (1.0, -1.0, 0.0, -0.0, np.float64(-1.0), np.array([1.0, -1.0])):
+        _check_polarization(alpha)
+
+
+def test_counts_keep_their_types():
+    # a plain int takes its own check; bool and numpy integers stay counts, a float never is
+    for value in (True, np.int64(3), 3, np.uint8(1)):
+        _check_count("n", value)
+    for value, least in ((False, 1), (np.int64(3), 4), (3, 4), (3.0, 1), (0, 1), (-2, -1)):
+        with pytest.raises(ValueError) as excinfo:
+            _check_count("n", value, least)
+        assert str(excinfo.value) == f"need an integer n >= {least}, got {value}"
 
 
 #: every function or config that takes a qubit, reset or round count, called

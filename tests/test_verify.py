@@ -1,7 +1,6 @@
 """The ``--suite`` checks run as row blocks; these per-point loops are the
 suites as they ran one state at a time, and serve as their oracle."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -100,8 +99,7 @@ def test_bqr_oracle_catches_a_carried_chain_one_round_short(monkeypatch):
     compose = refrigerator._carried_cycle_rows
     monkeypatch.setattr(
         refrigerator, "_carried_cycle_rows",
-        lambda cfg, alphas, perm: compose(
-            dataclasses.replace(cfg, rounds=cfg.rounds - 1), alphas, perm))
+        lambda cfg, alphas, perm, rounds: compose(cfg, alphas, perm, rounds - 1))
     results = verify.verify_bqr_oracle()
     assert failed(results) == ["bqr steady state vs full recycle cycle (n<=7)"]
     assert results[0].residual > 1e-6
