@@ -19,7 +19,6 @@ from .refrigerator import (
 from .sampling import (
     BudgetError,
     ResourceComparison,
-    ShotExperiment,
     exact_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
@@ -48,7 +47,6 @@ __all__ = [
     "PermutationSpec",
     "RefrigeratorConfig",
     "ResourceComparison",
-    "ShotExperiment",
     "SteadyStateResult",
     "alpha_ac",
     "alpha_ac_erf",

@@ -4,9 +4,10 @@ A classifier's decision is the sign of a single-qubit polarization ``alpha``
 estimated from ``k`` projective shots.  This module provides the Chebyshev
 prediction bound (:func:`predict_error_bound`), the exact wrong-sign
 probability from the binomial law, a reproducible Monte Carlo counterpart
-(:func:`monte_carlo_sign_errors`, one call for a list of experiments), and
-resource-matched comparisons of raw versus cooled estimation at a fixed
-qubit budget over a grid (:func:`resource_matched_comparisons`).
+(:func:`monte_carlo_sign_errors`, one set of draws read at a list of
+polarizations), and resource-matched comparisons of raw versus cooled
+estimation at a fixed qubit budget over a grid
+(:func:`resource_matched_comparisons`).
 
 The comparisons read cooled polarizations that are already solved: the
 module runs no refrigerator.  ``coolsign --sample`` solves its whole grid
@@ -17,25 +18,26 @@ The Monte Carlo stands for a trial's ``k`` uniform shots, a shot ground when
 it falls below ``p = (1 + |alpha|) / 2``, by their ``t``-th smallest,
 ``t = (k + 1) // 2``: the trial errs exactly when that number is at least
 ``p``, and for an even ``k`` ties when ``p`` falls between it and the next
-one.  Neither depends on ``p``, so the experiments of a call that share
-shots, trials and seed form one group whose trials are drawn once, in
-substreams of :data:`MC_CHUNK`, sorted, and counted at each experiment's
-``p`` by binary search.  Each substream comes from its own PCG64 generator,
-seeded by the group's seed and the substream's index, so the substreams may
-run in any order on any number of threads and give the same counts.  Only
-``|alpha|`` enters, so the fractions are exactly even in ``alpha`` for a
-given seed, as the exact ones are, and within a group they never grow with
-``|alpha|``.  One substream of one group is one task: the threads of one
-pool per :func:`monte_carlo_sign_errors` call take the tasks in turn; the
-pool is by default as large as the CPUs this process may use, and numpy
-releases the GIL while it draws.  Each task's count, a tie counting half, is
-a half-integer per experiment, which floats add exactly in any order, so the
-result is byte-identical for any thread count.
+one.  Neither depends on ``p``, so one call's trials, all of the same
+shots, trials and seed, are drawn once, in substreams of :data:`MC_CHUNK`,
+sorted, and counted at each polarization's ``p`` by binary search.  Each
+substream comes from its own PCG64 generator, seeded by the call's seed and
+the substream's index, so the substreams may run in any order on any
+number of threads and give the same counts.  Only ``|alpha|`` enters, so
+the fractions are exactly even in ``alpha`` for a given seed, as the exact
+ones are, and within a call they never grow with ``|alpha|``.  One
+substream is one task: the threads of one pool per
+:func:`monte_carlo_sign_errors` call take the tasks in turn; the pool is by
+default as large as the CPUs this process may use, and numpy releases the
+GIL while it draws.  Each task's count, a tie counting half, is a
+half-integer per polarization, which floats add exactly in any order, so
+the result is byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,22 +59,6 @@ MAX_JOBS = 256
 
 class BudgetError(ValueError):
     """Total shot budget too small to afford a single cooled shot."""
-
-
-@dataclass(frozen=True)
-class ShotExperiment:
-    """A seeded wrong-sign estimation experiment: ``trials`` runs of ``k`` shots."""
-
-    alpha_true: float
-    shots: int
-    trials: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        _check_polarization(self.alpha_true)
-        _check_count("shots", self.shots)
-        _check_count("trials", self.trials)
-        _check_count("seed", self.seed, least=0)
 
 
 def predict_error_bound(alpha: float, k: int) -> float:
@@ -236,48 +222,49 @@ def _count_substream(shots: int, trials: int, seed: int, grounds: np.ndarray,
     return wrong + 0.5 * ties
 
 
-def monte_carlo_sign_errors(
-    experiments: Sequence[ShotExperiment], jobs: int | None = None
-) -> list[float]:
-    """Empirical wrong-sign fraction of each experiment, a tie counting half.
+def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, seed: int,
+                            jobs: int | None = None) -> list[float]:
+    """Empirical wrong-sign fraction of ``trials`` runs of ``shots`` shots at
+    each of ``alphas``, a tie counting half.
 
-    The experiments that share ``(shots, trials, seed)`` form a group, whose
-    trials are drawn once, in substreams of :data:`MC_CHUNK`, substream
+    The trials are drawn once, in substreams of :data:`MC_CHUNK`, substream
     ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, and read
-    at every ``|alpha|`` of the group.  ``min(jobs, tasks)`` threads take the
-    ``(group, substream)`` tasks in turn; ``jobs`` defaults to the CPUs this
-    process may use, at most :data:`MAX_JOBS`.  Each thread adds up
-    half-integer counts per experiment, which are exact in any order, so each
-    fraction is the same for any ``jobs`` and equals a lone call's.  Memory
-    does not grow with the trial count.
+    at every ``|alpha|``.  ``min(jobs, substreams)`` threads take the
+    substreams in turn; ``jobs`` defaults to the CPUs this process may use,
+    at most :data:`MAX_JOBS`.  Each thread adds up half-integer counts per
+    polarization, which are exact in any order, so each fraction is the same
+    for any ``jobs`` and equals a one-polarization call's.  Memory does not
+    grow with the trial count, and an empty ``alphas`` draws nothing.
     """
+    _check_polarization(alphas)
+    _check_count("shots", shots)
+    _check_count("trials", trials)
+    _check_count("seed", seed, least=0)
     if jobs is None:
         jobs = min(_usable_cpus(), MAX_JOBS)
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
-    grounds = (1.0 + np.abs([exp.alpha_true for exp in experiments])) / 2.0
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for index, exp in enumerate(experiments):
-        groups.setdefault((int(exp.shots), int(exp.trials), int(exp.seed)), []).append(index)
-    substreams = {key: (key[1] + MC_CHUNK - 1) // MC_CHUNK for key in groups}
-    tasks = ((key, np.array(members), substream) for key, members in groups.items()
-             for substream in range(substreams[key]))
+    if len(alphas) == 0:
+        return []
+    shots, trials, seed = int(shots), int(trials), int(seed)
+    grounds = (1.0 + np.abs(alphas)) / 2.0
+    substreams = (trials + MC_CHUNK - 1) // MC_CHUNK
+    tasks = iter(range(substreams))
     taking = threading.Lock()
 
     def work() -> np.ndarray:
-        wrong = np.zeros(len(experiments))
+        wrong = np.zeros(len(grounds))
         while True:
             with taking:
-                task = next(tasks, None)
-            if task is None:
+                index = next(tasks, None)
+            if index is None:
                 return wrong
-            key, members, substream = task
-            wrong[members] += _count_substream(*key, grounds[members], substream)
+            wrong += _count_substream(shots, trials, seed, grounds, index)
 
-    workers = max(1, min(jobs, sum(substreams.values())))
+    workers = min(jobs, substreams)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
-    return [float(wrong / exp.trials) for exp, wrong in zip(experiments, sum(parts))]
+    return [float(wrong / trials) for wrong in sum(parts)]
 
 
 @dataclass(frozen=True)
@@ -303,7 +290,11 @@ class ResourceComparison:
 
 def cooled_shots(total_budget: int, cost: int) -> int:
     """Cooled shots that ``total_budget`` fresh qubits buy at ``cost`` qubits
-    each; raises :class:`BudgetError` when that is not one."""
+    each; raises :class:`BudgetError` when an integer budget does not buy
+    one."""
+    _check_count("cost", cost)
+    if not isinstance(total_budget, numbers.Integral):
+        raise ValueError(f"need an integer total_budget, got {total_budget!r}")
     k_cooled = int(total_budget) // cost
     if k_cooled < 1:
         raise BudgetError(f"budget {total_budget} cannot afford one cooled shot (cost {cost})")
@@ -323,17 +314,19 @@ def resource_matched_comparisons(
     shots or on ``total_budget // cost`` shots at the ``alpha_enhanced`` of
     the steady state ``cooled[i]``, and compare wrong-sign error rates.
 
-    Every point is checked before any draw.  One
-    :func:`monte_carlo_sign_errors` call on ``jobs`` threads then samples
-    every point, the raw side from the seed ``_derived_seed(seed, 0)`` and
-    the cooled side from ``_derived_seed(seed, 1)``.  So one side's points
-    share their draws: their Monte Carlo cells are correlated across rows
-    and never grow with ``|alpha|``, and each row equals a one-point grid's
-    row."""
-    k_raw = int(total_budget)
+    ``alphas`` and ``cooled`` must have one length, and every point is
+    checked before any draw.  Then :func:`monte_carlo_sign_errors` runs once
+    per side, on ``jobs`` threads: the raw side draws from the seed
+    ``_derived_seed(seed, 0)`` and the cooled side from ``_derived_seed(seed,
+    1)``.  So one side's points share their draws: their Monte Carlo cells
+    are correlated across rows and never grow with ``|alpha|``, and each row
+    equals a one-point grid's row."""
+    if len(alphas) != len(cooled):
+        raise ValueError(f"need one steady state per alpha, got {len(alphas)} alphas "
+                         f"and {len(cooled)} steady states")
     k_cooled = cooled_shots(total_budget, cost)
-    raw_seed, cooled_seed = _derived_seed(seed, 0), _derived_seed(seed, 1)
-    points, experiments = [], []
+    k_raw = int(total_budget)
+    points = []
     for alpha, steady in zip(alphas, cooled):
         alpha_cooled = steady.alpha_enhanced
         if alpha == 0.0:
@@ -356,11 +349,11 @@ def resource_matched_comparisons(
             bound_cooled=bound_cooled,
             reduction_factor=reduction,
         ))
-        experiments += [ShotExperiment(alpha, k_raw, trials, raw_seed),
-                        ShotExperiment(alpha_cooled, k_cooled, trials, cooled_seed)]
-    errors = monte_carlo_sign_errors(experiments, jobs)
+    errors_raw = monte_carlo_sign_errors(alphas, k_raw, trials, _derived_seed(seed, 0), jobs)
+    errors_cooled = monte_carlo_sign_errors([point["alpha_cooled"] for point in points],
+                                            k_cooled, trials, _derived_seed(seed, 1), jobs)
     rows = []
-    for point, mc_raw, mc_cooled in zip(points, errors[::2], errors[1::2]):
+    for point, mc_raw, mc_cooled in zip(points, errors_raw, errors_cooled):
         ratio = mc_cooled / mc_raw if mc_raw > 0 else math.inf if mc_cooled > 0 else math.nan
         rows.append(ResourceComparison(**point, mc_error_raw=mc_raw, mc_error_cooled=mc_cooled,
                                        empirical_ratio=ratio))

@@ -28,7 +28,6 @@ from coolsign import (
     reduction_factor_ac,
     resource_matched_comparisons,
     steady_states,
-    ShotExperiment,
 )
 from coolsign.cli import main
 from kernel_matrix import round_matrix
@@ -195,7 +194,7 @@ def test_criterion_8_sampling_suite():
 
     for alpha, k in ((0.2, 25), (0.5, 10), (-0.4, 51), (0.1, 4)):
         exact = exact_sign_error(alpha, k)
-        mc = monte_carlo_sign_errors([ShotExperiment(alpha, k, 100_000, seed=20240612)])[0]
+        mc = monte_carlo_sign_errors([alpha], k, 100_000, seed=20240612)[0]
         stderr = math.sqrt(exact * (1 - exact) / 100_000)
         assert abs(mc - exact) <= 4 * stderr
 

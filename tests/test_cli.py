@@ -325,26 +325,28 @@ def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
     # without --jobs the pool is sized by the usable CPUs, patched to 2
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
     limit = int(jobs[1]) if jobs else 2
-    sizes, threads, pool, count = [], set(), sampling.ThreadPoolExecutor, sampling._count_substream
+    sizes, threads, pool, count = [], [], sampling.ThreadPoolExecutor, sampling._count_substream
 
     def recorded(max_workers):
         sizes.append(max_workers)
+        threads.append(set())
         return pool(max_workers)
 
     def counted(*args):
-        threads.add(threading.get_ident())
+        threads[-1].add(threading.get_ident())
         return count(*args)
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
     monkeypatch.setattr(sampling, "_count_substream", counted)
-    # 4 tasks: each side's 5 points share one group of 2 substreams
+    # one pool per side, one after the other: each side's 5 points share
+    # one call of 2 substreams, which cap its pool
     trials = str(sampling.MC_CHUNK + 1)
     code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", trials,
                  "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_OK
-    assert sizes == [limit]
-    assert 1 <= len(threads) <= limit
+    assert sizes == [min(limit, 2)] * 2
+    assert all(1 <= len(held) <= limit for held in threads)
 
 
 def test_sampling_suite_output_independent_of_usable_cpus(monkeypatch, capsys):

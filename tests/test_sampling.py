@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from coolsign import (
     BudgetError,
     RefrigeratorConfig,
-    ShotExperiment,
     exact_sign_error,
     monte_carlo_sign_errors,
     predict_error_bound,
@@ -210,39 +210,38 @@ class TestMonteCarlo:
     def test_within_clt_band_of_exact(self):
         for alpha, k in ((0.2, 25), (0.5, 10), (-0.4, 51), (0.1, 4)):
             exact = exact_sign_error(alpha, k)
-            mc = monte_carlo_sign_errors([ShotExperiment(alpha, k, 100_000, seed=20240612)])[0]
+            mc = monte_carlo_sign_errors([alpha], k, 100_000, seed=20240612)[0]
             stderr = math.sqrt(exact * (1 - exact) / 100_000)
             assert abs(mc - exact) <= 4 * stderr
 
     def test_pure_state_never_errs(self):
-        assert monte_carlo_sign_errors([ShotExperiment(1.0, 3, 1000, seed=1)])[0] == 0.0
+        assert monte_carlo_sign_errors([1.0], 3, 1000, seed=1) == [0.0]
 
     def test_same_seed_identical(self):
-        exp = ShotExperiment(0.3, 20, 50_000, seed=777)
-        assert monte_carlo_sign_errors([exp])[0] == monte_carlo_sign_errors([exp])[0]
+        assert (monte_carlo_sign_errors([0.3], 20, 50_000, seed=777)
+                == monte_carlo_sign_errors([0.3], 20, 50_000, seed=777))
 
     def test_different_seeds_differ(self):
-        a = monte_carlo_sign_errors([ShotExperiment(0.2, 25, 50_000, seed=1)])[0]
-        b = monte_carlo_sign_errors([ShotExperiment(0.2, 25, 50_000, seed=2)])[0]
+        a = monte_carlo_sign_errors([0.2], 25, 50_000, seed=1)[0]
+        b = monte_carlo_sign_errors([0.2], 25, 50_000, seed=2)[0]
         assert a != b
 
     def test_trials_not_multiple_of_chunk(self):
-        exp = ShotExperiment(0.2, 9, 5000, seed=5)
-        value = monte_carlo_sign_errors([exp])[0]
+        value = monte_carlo_sign_errors([0.2], 9, 5000, seed=5)[0]
         assert 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize("k", [24, 25])
     def test_exactly_even_in_alpha(self, k):
-        # the 99 experiments share (shots, trials, seed), so one draw serves
-        # them all and each reads it at p = (1 + |a|) / 2 alone: -a reads the
-        # p of a, and a larger |a| a p no smaller.  A ground probability
-        # formed from the signed polarization, as 1 - (1 + a)/2, would not
-        # equal (1 - a)/2 at 40 of these alphas
+        # one call draws once for its 99 alphas, and each reads the draw at
+        # p = (1 + |a|) / 2 alone: -a reads the p of a, and a larger |a| a p
+        # no smaller.  A ground probability formed from the signed
+        # polarization, as 1 - (1 + a)/2, would not equal (1 - a)/2 at 40 of
+        # these alphas
         alphas = np.round(np.arange(0.01, 0.9901, 0.01), 10).tolist()
         assert sum(1 - (1 + a) / 2 != (1 - a) / 2 for a in alphas) == 40
         trials = MC_CHUNK + 17
-        plus = monte_carlo_sign_errors([ShotExperiment(a, k, trials, seed=13) for a in alphas])
-        minus = monte_carlo_sign_errors([ShotExperiment(-a, k, trials, seed=13) for a in alphas])
+        plus = monte_carlo_sign_errors(alphas, k, trials, seed=13)
+        minus = monte_carlo_sign_errors([-a for a in alphas], k, trials, seed=13)
         assert minus == plus
         assert all(smaller >= larger for smaller, larger in zip(plus, plus[1:]))
         assert plus[0] > plus[-1]
@@ -262,32 +261,37 @@ class TestMonteCarlo:
     def test_ten_trials_at_a_trillion_shots(self):
         # one Beta draw per trial stands for its 10^12 shots; at alpha = 0.01
         # the majority is 10^4 standard deviations from a wrong sign
-        errors = monte_carlo_sign_errors(
-            [ShotExperiment(a, 10**12, 10, seed=1) for a in (0.0, 1e-6, 0.01)])
+        errors = monte_carlo_sign_errors([0.0, 1e-6, 0.01], 10**12, 10, seed=1)
         assert errors[0] >= errors[1] >= errors[2] == 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShotExperiment(0.2, 0, 10, seed=1)
-        with pytest.raises(ValueError):
-            ShotExperiment(0.2, 5, 0, seed=1)
-        with pytest.raises(ValueError):
-            ShotExperiment(1.2, 5, 10, seed=1)
+    def test_validation(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        for args, message in (
+            (([0.2], 0, 10, 1), "integer shots >= 1"),
+            (([0.2], 5, 0, 1), "integer trials >= 1"),
+            (([0.3, 1.2], 5, 10, 1), r"polarization must lie in \[-1, 1\], got 1.2"),
+            (([0.3, math.nan], 5, 10, 1), r"polarization must lie in \[-1, 1\], got nan"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                monte_carlo_sign_errors(*args, jobs=2)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_rejected_before_any_thread(self, monkeypatch, seed):
-        # numpy would reject both only inside a worker, after other tasks ran
+        # numpy would reject both only inside a worker
         def no_pool(*args, **kwargs):
             raise AssertionError("started a thread pool")
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="integer seed >= 0"):
-            monte_carlo_sign_errors([BATCH[0], ShotExperiment(0.2, 25, 100, seed=seed)], jobs=2)
+            monte_carlo_sign_errors([0.2], 25, 100, seed, jobs=2)
 
     @pytest.mark.parametrize("call", [
-        lambda: ShotExperiment(0.5, 2.5, 10, seed=1),
-        lambda: ShotExperiment(0.5, 3.0, 10, seed=1),
-        lambda: ShotExperiment(0.5, 3, 10.5, seed=1),
+        lambda: monte_carlo_sign_errors([0.5], 2.5, 10, seed=1),
+        lambda: monte_carlo_sign_errors([0.5], 3.0, 10, seed=1),
+        lambda: monte_carlo_sign_errors([0.5], 3, 10.5, seed=1),
         lambda: exact_sign_error(0.5, 2.5),
         lambda: predict_error_bound(0.5, 2.5),
         lambda: predict_error_bound(-0.5, 4.0),
@@ -298,70 +302,81 @@ class TestMonteCarlo:
             call()
 
     def test_numpy_integer_counts_accepted(self):
-        plain = ShotExperiment(0.3, 5, 1000, seed=1)
-        numpy_counts = ShotExperiment(0.3, np.int64(5), np.int32(1000), seed=np.uint8(1))
-        assert monte_carlo_sign_errors([numpy_counts]) == monte_carlo_sign_errors([plain])
+        plain = monte_carlo_sign_errors([0.3], 5, 1000, seed=1)
+        assert monte_carlo_sign_errors([0.3], np.int64(5), np.int32(1000), np.uint8(1)) == plain
         assert exact_sign_error(0.3, np.int64(25)) == exact_sign_error(0.3, 25)
         assert predict_error_bound(0.3, np.uint8(25)) == predict_error_bound(0.3, 25)
 
 
-def chunk_by_chunk(exp: ShotExperiment) -> float:
-    """The Monte Carlo as one loop over its substreams, a tie counting half:
-    substream ``i`` holds trials ``i * MC_CHUNK`` on and is drawn from
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  With ``t = (k + 1)
-    // 2``, an odd ``k`` draws each trial's ``U_(t)`` from Beta(t, t); an even
-    ``k`` draws ``U_(t+1)`` from Beta(t + 1, t) and then ``U_(t) = U_(t+1)
-    exp(-E / t)``, ``E`` exponential.  A trial errs where ``U_(t) >= p`` and
-    ties where ``U_(t) < p <= U_(t+1)``, compared trial by trial here with no
-    sort.  This per-substream float sum is what the batched counts must
-    reproduce bit for bit."""
-    p = (1.0 + abs(exp.alpha_true)) / 2.0
-    t = (exp.shots + 1) // 2
+def chunk_by_chunk(alpha: float, shots: int, trials: int, seed: int) -> float:
+    """The Monte Carlo at one ``alpha`` as one loop over its substreams, a
+    tie counting half: substream ``i`` holds trials ``i * MC_CHUNK`` on and
+    is drawn from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  With
+    ``t = (shots + 1) // 2``, an odd count draws each trial's ``U_(t)`` from
+    Beta(t, t); an even count draws ``U_(t+1)`` from Beta(t + 1, t) and then
+    ``U_(t) = U_(t+1) exp(-E / t)``, ``E`` exponential.  A trial errs where
+    ``U_(t) >= p`` and ties where ``U_(t) < p <= U_(t+1)``, compared trial by
+    trial here with no sort.  This per-substream float sum is what the
+    threaded counts must reproduce bit for bit."""
+    p = (1.0 + abs(alpha)) / 2.0
+    t = (shots + 1) // 2
     wrong = 0.0
-    for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK):
-        size = min(MC_CHUNK, exp.trials - i * MC_CHUNK)
-        rng = np.random.default_rng(np.random.SeedSequence(exp.seed, spawn_key=(i,)))
-        if exp.shots % 2:
+    for i in range((trials + MC_CHUNK - 1) // MC_CHUNK):
+        size = min(MC_CHUNK, trials - i * MC_CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        if shots % 2:
             lower = upper = rng.beta(t, t, size)
         else:
             upper = rng.beta(t + 1, t, size)
             lower = upper * np.exp(-rng.standard_exponential(size) / t)
         wrong += np.count_nonzero(lower >= p) + 0.5 * np.count_nonzero((lower < p) & (upper >= p))
-    return wrong / exp.trials
+    return wrong / trials
 
 
-#: negative alpha, alpha = +-1, even and odd shots, and trials that are a
-#: multiple of MC_CHUNK or not; 2+2+1+1+2+2 substreams
+#: ``(alphas, shots, trials, seed)`` calls: negative alpha, alpha = +-1,
+#: even and odd shots, and trials that are a multiple of MC_CHUNK or not;
+#: 2+2+1+1+2+2 substreams
 BATCH = [
-    ShotExperiment(0.2, 25, 3 * MC_CHUNK // 2 + 17, seed=3),
-    ShotExperiment(-0.3, 24, MC_CHUNK + 1, seed=4),
-    ShotExperiment(1.0, 7, 5000, seed=5),
-    ShotExperiment(-1.0, 8, 100, seed=6),
-    ShotExperiment(0.0, 10, MC_CHUNK + 3, seed=7),
-    ShotExperiment(0.05, 101, 2 * MC_CHUNK, seed=8),
+    ([0.2, -0.45], 25, 3 * MC_CHUNK // 2 + 17, 3),
+    ([-0.3], 24, MC_CHUNK + 1, 4),
+    ([1.0, -1.0], 7, 5000, 5),
+    ([-1.0], 8, 100, 6),
+    ([0.0], 10, MC_CHUNK + 3, 7),
+    ([0.05, 0.0, 0.5], 101, 2 * MC_CHUNK, 8),
 ]
 
-#: one group, the experiments sharing (shots, trials, seed): a negative
-#: alpha, alpha = 0 and 1, and one experiment twice; 2 substreams
-SHARED = [ShotExperiment(a, 24, MC_CHUNK + 5, seed=11) for a in (0.3, -0.1, 0.0, 0.3, 1.0, 0.05)]
+#: one call at many alphas: a negative alpha, alpha = 0 and 1, and one
+#: alpha twice; 2 substreams
+SHARED = ([0.3, -0.1, 0.0, 0.3, 1.0, 0.05], 24, MC_CHUNK + 5, 11)
 
 
 class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_equals_lone_calls_and_chunk_loop(self, jobs):
-        lone = [monte_carlo_sign_errors([exp])[0] for exp in BATCH + SHARED]
-        assert monte_carlo_sign_errors(BATCH + SHARED, jobs=jobs) == lone
-        assert lone == [chunk_by_chunk(exp) for exp in BATCH + SHARED]
+        for alphas, *rest in BATCH + [SHARED]:
+            lone = [monte_carlo_sign_errors([a], *rest)[0] for a in alphas]
+            assert monte_carlo_sign_errors(alphas, *rest, jobs=jobs) == lone
+            assert lone == [chunk_by_chunk(a, *rest) for a in alphas]
 
     def test_pure_states(self):
-        assert monte_carlo_sign_errors(BATCH[2:4], jobs=2) == [0.0, 0.0]
+        for alphas, *rest in BATCH[2:4]:
+            assert monte_carlo_sign_errors(alphas, *rest, jobs=2) == [0.0] * len(alphas)
 
     def test_same_experiment_twice(self):
-        assert monte_carlo_sign_errors([BATCH[0], BATCH[0]], jobs=2) == [
-            monte_carlo_sign_errors([BATCH[0]])[0]] * 2
+        alphas, *rest = BATCH[0]
+        assert monte_carlo_sign_errors([alphas[0]] * 2, *rest, jobs=2) == [
+            monte_carlo_sign_errors(alphas[:1], *rest)[0]] * 2
 
-    def test_empty(self):
-        assert monte_carlo_sign_errors([], jobs=3) == []
+    def test_empty(self, monkeypatch):
+        # validated, but nothing drawn and no thread started
+        def no_work(*args, **kwargs):
+            raise AssertionError("started a thread pool or drew a substream")
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_work)
+        monkeypatch.setattr(sampling, "_substream", no_work)
+        assert monte_carlo_sign_errors([], 24, MC_CHUNK + 1, 1, jobs=3) == []
+        with pytest.raises(ValueError, match="integer trials"):
+            monte_carlo_sign_errors([], 24, 0, 1)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_each_substream_drawn_once(self, monkeypatch, jobs):
@@ -372,25 +387,24 @@ class TestBatchedMonteCarlo:
             return substream(seed, index)
 
         monkeypatch.setattr(sampling, "_substream", recorded)
-        monte_carlo_sign_errors(BATCH + SHARED, jobs=jobs)
-        # the groups' seeds are distinct, so a key names its group; SHARED's
-        # six experiments draw each of their substreams once between them
-        expected = [(exp.seed, i) for exp in BATCH + SHARED[:1]
-                    for i in range((exp.trials + MC_CHUNK - 1) // MC_CHUNK)]
-        assert sorted(drawn) == expected
+        for alphas, shots, trials, seed in BATCH + [SHARED]:
+            drawn.clear()
+            monte_carlo_sign_errors(alphas, shots, trials, seed, jobs=jobs)
+            # however many alphas read it, each substream is drawn once
+            assert sorted(drawn) == [(seed, i) for i in range((trials + MC_CHUNK - 1) // MC_CHUNK)]
 
     def test_many_threads_take_each_task_once(self):
-        # eight threads, more than the cores, take 400 one-substream tasks from
-        # one shared generator with a switch forced every microsecond; a task
+        # eight threads, more than the cores, take 200 substreams from one
+        # shared iterator with a switch forced every microsecond; a substream
         # lost or taken twice moves a count
-        batch = [ShotExperiment(0.1, 3, 100 + i, seed=i) for i in range(400)]
+        alphas, shots, trials, seed = [0.1, 0.6], 3, 199 * MC_CHUNK + 100, 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = monte_carlo_sign_errors(batch, jobs=8)
+            threaded = monte_carlo_sign_errors(alphas, shots, trials, seed, jobs=8)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded == [chunk_by_chunk(exp) for exp in batch]
+        assert threaded == [chunk_by_chunk(a, shots, trials, seed) for a in alphas]
 
     def test_default_jobs_follow_usable_cpus(self, monkeypatch):
         sizes, pool = [], sampling.ThreadPoolExecutor
@@ -400,11 +414,12 @@ class TestBatchedMonteCarlo:
             return pool(max_workers)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
-        expected = [chunk_by_chunk(exp) for exp in BATCH]
+        alphas, shots, trials, seed = [0.2, -0.05], 4, 9 * MC_CHUNK + 1, 12
+        expected = [chunk_by_chunk(a, shots, trials, seed) for a in alphas]
         for cpus in (1, 4, 10**6):
             monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
-            assert monte_carlo_sign_errors(BATCH) == expected
-        # the batch's ten substreams cap the pool
+            assert monte_carlo_sign_errors(alphas, shots, trials, seed) == expected
+        # the call's ten substreams cap the pool
         assert sizes == [1, 4, 10]
 
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9])
@@ -414,7 +429,24 @@ class TestBatchedMonteCarlo:
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=str(MAX_JOBS)):
-            monte_carlo_sign_errors(BATCH, jobs=jobs)
+            monte_carlo_sign_errors(*SHARED, jobs=jobs)
+
+    def test_memory_flat_in_the_trial_count(self):
+        # the threads take substreams one at a time, so a call holds a few
+        # substreams' draws however many trials it has; pool.map, which
+        # submits a future per substream up front, adds about 1.8 KB each
+        def peak(substreams: int) -> int:
+            tracemalloc.reset_peak()
+            monte_carlo_sign_errors([0.1, 0.5], 3, substreams * MC_CHUNK, 1, jobs=2)
+            return tracemalloc.get_traced_memory()[1]
+
+        monte_carlo_sign_errors([0.1, 0.5], 3, 4 * MC_CHUNK, 1, jobs=2)
+        tracemalloc.start()
+        try:
+            small, large = peak(64), peak(256)
+        finally:
+            tracemalloc.stop()
+        assert abs(large - small) < MC_CHUNK * 8, (small, large)
 
     def test_comparisons_equal_lone_comparisons(self):
         cfg = RefrigeratorConfig(4, 2, 2)
@@ -437,7 +469,7 @@ def test_non_finite_polarization_rejected_fast():
         "from coolsign import sampling\n"
         "calls = [lambda a: sampling.exact_sign_error(a, 5),\n"
         "         lambda a: sampling.predict_error_bound(a, 11),\n"
-        "         lambda a: sampling.ShotExperiment(a, 5, 10, seed=1)]\n"
+        "         lambda a: sampling.monte_carlo_sign_errors([a], 5, 10, seed=1)]\n"
         "raised = []\n"
         "for alpha in (math.nan, math.inf, -math.inf):\n"
         "    for call in calls:\n"
@@ -498,6 +530,17 @@ class TestResourceMatchedComparison:
         with pytest.raises(BudgetError):
             compare(0.5, RefrigeratorConfig(5, 2, 5), 10, seed=1)
 
+    def test_one_steady_state_per_alpha(self, monkeypatch):
+        # a zip over both would drop the alphas past the last steady state
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(sampling, "monte_carlo_sign_errors", no_draw)
+        cfg = RefrigeratorConfig(5, 2, 5)
+        with pytest.raises(ValueError, match="got 3 alphas and 1 steady states"):
+            resource_matched_comparisons([0.3, 0.6, 0.9], steady_states(cfg, [0.3]), cfg.cost,
+                                         55, seed=1)
+
     def test_reduction_factor_reported(self):
         cfg = RefrigeratorConfig(4, 2, 2)
         rec = compare(0.6, cfg, 50, seed=2, trials=500)
@@ -520,6 +563,29 @@ class TestResourceMatchedComparison:
         assert a == b
         c = compare(0.4, cfg, 30, seed=124, trials=20_000)
         assert c.mc_error_raw != a.mc_error_raw
+
+
+class TestCooledShots:
+    @pytest.mark.parametrize("cost", [0, -1, 11.5])
+    def test_cost_must_be_a_count(self, cost):
+        # the error names cost, not a division by zero, k or the budget
+        with pytest.raises(ValueError, match=f"need an integer cost >= 1, got {cost}"):
+            sampling.cooled_shots(55, cost)
+
+    @pytest.mark.parametrize("budget", [55.9, "55"])
+    def test_budget_must_be_an_integer(self, budget):
+        # neither is rounded or parsed into a budget of 55
+        with pytest.raises(ValueError, match="need an integer total_budget") as excinfo:
+            sampling.cooled_shots(budget, 11)
+        assert not isinstance(excinfo.value, BudgetError)
+
+    @pytest.mark.parametrize("budget", [0, -3, 10])
+    def test_integer_budget_below_the_cost(self, budget):
+        with pytest.raises(BudgetError, match=f"budget {budget} cannot afford"):
+            sampling.cooled_shots(budget, 11)
+
+    def test_numpy_integers_accepted(self):
+        assert sampling.cooled_shots(np.int64(55), np.int32(11)) == sampling.cooled_shots(55, 11)
 
 
 def test_steady_state_feeds_cooled_polarization():

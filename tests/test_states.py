@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from coolsign import (
     PermutationSpec,
     RefrigeratorConfig,
-    ShotExperiment,
     alpha_ac,
     alpha_ac_erf,
     alpha_infinity,
@@ -20,6 +19,7 @@ from coolsign import (
     exact_sign_error,
     fibonacci,
     marginal_targets,
+    monte_carlo_sign_errors,
     optimal_bounds,
     pairwise_sum,
     predict_error_bound,
@@ -86,7 +86,7 @@ POLARIZATION_ENTRY_POINTS = {
     "optimal_bounds": lambda alpha: optimal_bounds(RefrigeratorConfig(5, 2, 3), [alpha]),
     "exact_sign_error": lambda alpha: exact_sign_error(alpha, 5),
     "predict_error_bound": lambda alpha: predict_error_bound(alpha, 5),
-    "ShotExperiment": lambda alpha: ShotExperiment(alpha, 5, 10, 1),
+    "monte_carlo": lambda alpha: monte_carlo_sign_errors([0.3, alpha], 5, 10, 1),
 }
 
 
