@@ -9,9 +9,10 @@ solves each figure's whole grid as one batched fixed point, ``--sample``
 included.  ``--sample`` then runs the Monte Carlo of every point in one
 :func:`coolsign.sampling.resource_matched_comparisons` call.  Each side,
 raw and cooled, draws one set of seeded substreams that all its points
-read, so a row equals a one-point grid's row.  The ``--jobs`` threads split
-those substreams; ``--jobs`` defaults to the CPUs this process may use, and
-the bytes are the same for any count.
+read, so a row equals a one-point grid's row.  ``--jobs N`` splits those
+substreams over the calling thread and up to ``N - 1`` threads each side
+starts, so ``--jobs 1`` starts none; ``--jobs`` defaults to the CPUs this
+process may use, and the bytes are the same for any count.
 
 Each mode reads its own sweep flags: ``--suite`` none of them, the
 single-shot figures ``--n``, ``--alpha-grid``, ``--out`` and ``--format``,
@@ -256,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", help="output data file")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     parser.add_argument("--jobs", type=int,
-                        help="worker threads that split the --sample Monte Carlo's seeded "
-                        "substreams, each drawn once for every grid point of its side, "
+                        help="workers that split the --sample Monte Carlo's seeded "
+                        "substreams, each drawn once for every grid point of its side: the "
+                        "calling thread and up to JOBS - 1 started threads, "
                         f"1 to {sampling.MAX_JOBS} (default: the CPUs this process may use; "
                         "output is byte-identical for any value)")
     return parser

@@ -26,12 +26,12 @@ the substream's index, so the substreams may run in any order on any
 number of threads and give the same counts.  Only ``|alpha|`` enters, so
 the fractions are exactly even in ``alpha`` for a given seed, as the exact
 ones are, and within a call they never grow with ``|alpha|``.  One
-substream is one task: the threads of one pool per
-:func:`monte_carlo_sign_errors` call take the tasks in turn; the pool is by
-default as large as the CPUs this process may use, and numpy releases the
-GIL while it draws.  Each task's count, a tie counting half, is a
-half-integer per polarization, which floats add exactly in any order, so
-the result is byte-identical for any thread count.
+substream is one task: a :func:`monte_carlo_sign_errors` call's workers,
+the calling thread and the threads of a pool it starts for the rest, take
+the tasks in turn.  They are by default as many as the CPUs this process
+may use, and numpy releases the GIL while it draws.  Each task's count, a
+tie counting half, is a half-integer per polarization, which floats add
+exactly in any order, so the result is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .states import _check_count, _check_polarization
 #: substreams are scheduled
 MC_CHUNK = 16384
 
-#: most worker threads a Monte Carlo call may start
+#: most workers a Monte Carlo call may draw on: the calling thread and at
+#: most ``MAX_JOBS - 1`` threads it starts
 MAX_JOBS = 256
 
 
@@ -229,12 +230,14 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
 
     The trials are drawn once, in substreams of :data:`MC_CHUNK`, substream
     ``i`` from ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, and read
-    at every ``|alpha|``.  ``min(jobs, substreams)`` threads take the
-    substreams in turn; ``jobs`` defaults to the CPUs this process may use,
-    at most :data:`MAX_JOBS`.  Each thread adds up half-integer counts per
-    polarization, which are exact in any order, so each fraction is the same
-    for any ``jobs`` and equals a one-polarization call's.  Memory does not
-    grow with the trial count, and an empty ``alphas`` draws nothing.
+    at every ``|alpha|``.  ``min(jobs, substreams)`` workers take the
+    substreams in turn: the calling thread and a pool it starts and joins
+    for the rest, so one worker starts no thread.  ``jobs`` defaults to the
+    CPUs this process may use, at most :data:`MAX_JOBS`.  Each worker adds
+    up half-integer counts per polarization, which are exact in any order,
+    so each fraction is the same for any ``jobs`` and equals a
+    one-polarization call's.  Memory does not grow with the trial count, and
+    an empty ``alphas`` draws nothing.
     """
     _check_polarization(alphas)
     _check_count("shots", shots)
@@ -242,7 +245,7 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
     _check_count("seed", seed, least=0)
     if jobs is None:
         jobs = min(_usable_cpus(), MAX_JOBS)
-    if not 1 <= jobs <= MAX_JOBS:
+    if not isinstance(jobs, numbers.Integral) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"need 1 <= jobs <= {MAX_JOBS}, got {jobs}")
     if len(alphas) == 0:
         return []
@@ -261,10 +264,16 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
                 return wrong
             wrong += _count_substream(shots, trials, seed, grounds, index)
 
-    workers = min(jobs, substreams)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = [future.result() for future in [pool.submit(work) for _ in range(workers)]]
-    return [float(wrong / trials) for wrong in sum(parts)]
+    # the calling thread is one of the workers, so one worker starts no pool
+    helpers = min(jobs, substreams) - 1
+    if helpers == 0:
+        return [float(wrong / trials) for wrong in work()]
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        counts = work()
+        for future in futures:
+            counts += future.result()
+    return [float(wrong / trials) for wrong in counts]
 
 
 @dataclass(frozen=True)
@@ -314,13 +323,15 @@ def resource_matched_comparisons(
     shots or on ``total_budget // cost`` shots at the ``alpha_enhanced`` of
     the steady state ``cooled[i]``, and compare wrong-sign error rates.
 
-    ``alphas`` and ``cooled`` must have one length, and every point is
-    checked before any draw.  Then :func:`monte_carlo_sign_errors` runs once
-    per side, on ``jobs`` threads: the raw side draws from the seed
-    ``_derived_seed(seed, 0)`` and the cooled side from ``_derived_seed(seed,
-    1)``.  So one side's points share their draws: their Monte Carlo cells
-    are correlated across rows and never grow with ``|alpha|``, and each row
-    equals a one-point grid's row."""
+    ``alphas`` and ``cooled`` must have one length, and the seed, the trial
+    count and every point are checked before any draw.  Then
+    :func:`monte_carlo_sign_errors` runs once per side, on ``jobs`` workers:
+    the raw side draws from the seed ``_derived_seed(seed, 0)`` and the
+    cooled side from ``_derived_seed(seed, 1)``.  So one side's points share
+    their draws: their Monte Carlo cells are correlated across rows and never
+    grow with ``|alpha|``, and each row equals a one-point grid's row."""
+    _check_count("seed", seed, least=0)
+    _check_count("trials", trials)
     if len(alphas) != len(cooled):
         raise ValueError(f"need one steady state per alpha, got {len(alphas)} alphas "
                          f"and {len(cooled)} steady states")

@@ -322,30 +322,38 @@ def test_figure_solves_every_round_count_in_one_call(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [["--jobs", "1"], ["--jobs", "3"], []])
 def test_sample_holds_at_most_jobs_threads(tmp_path, monkeypatch, jobs):
-    # without --jobs the pool is sized by the usable CPUs, patched to 2
+    # without --jobs the workers are the usable CPUs, patched to 2
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
     limit = int(jobs[1]) if jobs else 2
-    sizes, threads, pool, count = [], [], sampling.ThreadPoolExecutor, sampling._count_substream
+    sizes, threads = [], []
+    pool, count, call = (sampling.ThreadPoolExecutor, sampling._count_substream,
+                         sampling.monte_carlo_sign_errors)
 
     def recorded(max_workers):
         sizes.append(max_workers)
-        threads.append(set())
         return pool(max_workers)
+
+    def called(*args, **kwargs):
+        threads.append(set())
+        return call(*args, **kwargs)
 
     def counted(*args):
         threads[-1].add(threading.get_ident())
         return count(*args)
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(sampling, "monte_carlo_sign_errors", called)
     monkeypatch.setattr(sampling, "_count_substream", counted)
-    # one pool per side, one after the other: each side's 5 points share
-    # one call of 2 substreams, which cap its pool
+    # one call per side, one after the other: each side's 5 points share
+    # one call of 2 substreams, which cap its workers; the calling thread is
+    # one of them, so a pool holds the rest and one worker starts none
     trials = str(sampling.MC_CHUNK + 1)
     code = main(["--sample", "--n", "4", "--m", "2", "--rounds", "2", "--trials", trials,
                  "--budget", "100", "--alpha-grid", "0.1:0.9:0.2", *jobs,
                  "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_OK
-    assert sizes == [min(limit, 2)] * 2
+    assert sizes == ([min(limit, 2) - 1] * 2 if limit > 1 else [])
+    assert len(threads) == 2
     assert all(1 <= len(held) <= limit for held in threads)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -61,6 +62,17 @@ def wrong_sign_mpmath(alpha: float, k: int):
         if k % 2 == 0:
             total += mpmath.binomial(k, k // 2) * (p * q) ** (k // 2) / 2
         return +total
+
+
+@pytest.fixture
+def nothing_drawn(monkeypatch):
+    """Fail on any thread pool started or substream drawn: a one-worker
+    call draws on the calling thread with no pool."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("started a thread pool or drew a substream")
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_work)
+    monkeypatch.setattr(sampling, "_substream", no_work)
 
 
 class TestChebyshevBound:
@@ -264,11 +276,7 @@ class TestMonteCarlo:
         errors = monte_carlo_sign_errors([0.0, 1e-6, 0.01], 10**12, 10, seed=1)
         assert errors[0] >= errors[1] >= errors[2] == 0.0
 
-    def test_validation(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a thread pool")
-
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+    def test_validation(self, nothing_drawn):
         for args, message in (
             (([0.2], 0, 10, 1), "integer shots >= 1"),
             (([0.2], 5, 0, 1), "integer trials >= 1"),
@@ -279,12 +287,8 @@ class TestMonteCarlo:
                 monte_carlo_sign_errors(*args, jobs=2)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_bad_seed_rejected_before_any_thread(self, monkeypatch, seed):
+    def test_bad_seed_rejected_before_any_thread(self, nothing_drawn, seed):
         # numpy would reject both only inside a worker
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a thread pool")
-
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="integer seed >= 0"):
             monte_carlo_sign_errors([0.2], 25, 100, seed, jobs=2)
 
@@ -367,13 +371,8 @@ class TestBatchedMonteCarlo:
         assert monte_carlo_sign_errors([alphas[0]] * 2, *rest, jobs=2) == [
             monte_carlo_sign_errors(alphas[:1], *rest)[0]] * 2
 
-    def test_empty(self, monkeypatch):
+    def test_empty(self, nothing_drawn):
         # validated, but nothing drawn and no thread started
-        def no_work(*args, **kwargs):
-            raise AssertionError("started a thread pool or drew a substream")
-
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_work)
-        monkeypatch.setattr(sampling, "_substream", no_work)
         assert monte_carlo_sign_errors([], 24, MC_CHUNK + 1, 1, jobs=3) == []
         with pytest.raises(ValueError, match="integer trials"):
             monte_carlo_sign_errors([], 24, 0, 1)
@@ -419,15 +418,48 @@ class TestBatchedMonteCarlo:
         for cpus in (1, 4, 10**6):
             monkeypatch.setattr(sampling, "_usable_cpus", lambda cpus=cpus: cpus)
             assert monte_carlo_sign_errors(alphas, shots, trials, seed) == expected
-        # the call's ten substreams cap the pool
-        assert sizes == [1, 4, 10]
+        # 1, 4 and 10 workers, the call's ten substreams capping the last;
+        # the calling thread is one of them, so one CPU starts no pool
+        assert sizes == [3, 9]
 
-    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9])
-    def test_jobs_outside_range_start_no_thread(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs, trials", [
+        (1, 3 * MC_CHUNK + 1), (5, MC_CHUNK), (None, 7)])
+    def test_one_worker_draws_on_the_calling_thread(self, monkeypatch, jobs, trials):
+        drawn, substream = [], sampling._substream
+
         def no_pool(*args, **kwargs):
             raise AssertionError("started a thread pool")
 
+        def recorded(seed, index):
+            drawn.append((threading.get_ident(), index))
+            return substream(seed, index)
+
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(sampling, "_substream", recorded)
+        alphas, shots, seed = [0.1, -0.4], 6, 2
+        assert monte_carlo_sign_errors(alphas, shots, trials, seed, jobs=jobs) == [
+            chunk_by_chunk(a, shots, trials, seed) for a in alphas]
+        substreams = (trials + MC_CHUNK - 1) // MC_CHUNK
+        assert drawn == [(threading.get_ident(), i) for i in range(substreams)]
+
+    @pytest.mark.parametrize("failing", [0, 5])
+    def test_failed_draw_leaves_no_thread_running(self, monkeypatch, failing):
+        # the caller most likely draws substream 0, and the pool's one thread 5
+        count = sampling._count_substream
+
+        def broken(shots, trials, seed, grounds, index):
+            if index == failing:
+                raise RuntimeError(f"substream {index} failed")
+            return count(shots, trials, seed, grounds, index)
+
+        monkeypatch.setattr(sampling, "_count_substream", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"substream {failing} failed"):
+            monte_carlo_sign_errors([0.2, 0.5], 5, 7 * MC_CHUNK, 1, jobs=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9, 2.5, 1.0, "2"])
+    def test_jobs_outside_range_start_no_thread(self, nothing_drawn, jobs):
         with pytest.raises(ValueError, match=str(MAX_JOBS)):
             monte_carlo_sign_errors(*SHARED, jobs=jobs)
 
@@ -540,6 +572,23 @@ class TestResourceMatchedComparison:
         with pytest.raises(ValueError, match="got 3 alphas and 1 steady states"):
             resource_matched_comparisons([0.3, 0.6, 0.9], steady_states(cfg, [0.3]), cfg.cost,
                                          55, seed=1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(seed=-1), "need an integer seed >= 0"),
+        (dict(seed=1.5), "need an integer seed >= 0"),
+        (dict(seed="3"), "need an integer seed >= 0"),
+        (dict(seed=1, trials=0), "need an integer trials >= 1"),
+    ], ids=["seed=-1", "seed=1.5", "seed='3'", "trials=0"])
+    def test_seed_and_trials_checked_first(self, monkeypatch, nothing_drawn, bad, message):
+        # numpy would reject a bad seed only while deriving a side's seed
+        def no_tail(*args, **kwargs):
+            raise AssertionError("summed an exact tail")
+
+        cfg = RefrigeratorConfig(3, 2, 1)
+        cooled = steady_states(cfg, [0.5])
+        monkeypatch.setattr(sampling, "exact_sign_error", no_tail)
+        with pytest.raises(ValueError, match=message):
+            resource_matched_comparisons([0.5], cooled, cfg.cost, 30, **bad)
 
     def test_reduction_factor_reported(self):
         cfg = RefrigeratorConfig(4, 2, 2)
