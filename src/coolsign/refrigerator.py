@@ -152,10 +152,14 @@ class SteadyStateResult:
         The enhanced term is ``4 ground excited / (ground - excited)^2``, read
         off both masses: it stays finite when ``alpha_enhanced`` rounds to
         +-1, a drift that scales both masses alike leaves it as it is, and it
-        is exactly even in ``alpha`` because the two masses swap.
+        is exactly even in ``alpha`` because the two masses swap.  Where
+        ``alpha^2`` or the mass difference rounds to 0 it raises
+        ZeroDivisionError naming ``alpha``.
         """
         if alpha == 0.0:
             raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
+        if self.ground == self.excited or alpha * alpha == 0.0:
+            raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
         enhanced = 4.0 * (self.ground * self.excited) / (self.ground - self.excited) ** 2
         if enhanced == 0.0:
             return math.inf

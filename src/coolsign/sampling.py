@@ -237,7 +237,8 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
     up half-integer counts per polarization, which are exact in any order,
     so each fraction is the same for any ``jobs`` and equals a
     one-polarization call's.  Memory does not grow with the trial count, and
-    an empty ``alphas`` draws nothing.
+    an empty ``alphas`` draws nothing.  A failed draw, or an interrupt, hands
+    out no further substream, so the call ends after the draws in progress.
     """
     _check_polarization(alphas)
     _check_count("shots", shots)
@@ -255,14 +256,25 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
     tasks = iter(range(substreams))
     taking = threading.Lock()
 
+    def stop() -> None:
+        # hand out nothing more; the iterator is not drained, as it may hold
+        # any number of substreams
+        nonlocal tasks
+        with taking:
+            tasks = iter(())
+
     def work() -> np.ndarray:
         wrong = np.zeros(len(grounds))
-        while True:
-            with taking:
-                index = next(tasks, None)
-            if index is None:
-                return wrong
-            wrong += _count_substream(shots, trials, seed, grounds, index)
+        try:
+            while True:
+                with taking:
+                    index = next(tasks, None)
+                if index is None:
+                    return wrong
+                wrong += _count_substream(shots, trials, seed, grounds, index)
+        except BaseException:
+            stop()
+            raise
 
     # the calling thread is one of the workers, so one worker starts no pool
     helpers = min(jobs, substreams) - 1
@@ -270,9 +282,13 @@ def monte_carlo_sign_errors(alphas: Sequence[float], shots: int, trials: int, se
         return [float(wrong / trials) for wrong in work()]
     with ThreadPoolExecutor(max_workers=helpers) as pool:
         futures = [pool.submit(work) for _ in range(helpers)]
-        counts = work()
-        for future in futures:
-            counts += future.result()
+        try:
+            counts = work()
+            for future in futures:
+                counts += future.result()
+        except BaseException:  # an interrupt while waiting stops the helpers too
+            stop()
+            raise
     return [float(wrong / trials) for wrong in counts]
 
 

@@ -132,9 +132,10 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
         return math.inf
     xi = abs(compression_xi(n, alpha))  # exactly xi at |alpha|: the form is odd
     c = math.erfc(xi)  # twice the excited mass u: 4u(1-u) = c(2-c)
-    den = c * (2.0 - c) / math.erf(xi) ** 2
+    square = math.erf(xi) ** 2
+    den = c * (2.0 - c) / square if square else math.inf
     if den == 0.0:
         return math.inf
-    if den == math.inf:
+    if den == math.inf or alpha * alpha == 0.0:
         raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
     return (1.0 - alpha * alpha) / (alpha * alpha) / den / n

@@ -31,7 +31,7 @@ from coolsign import (
 )
 from coolsign.cli import main
 from kernel_matrix import round_matrix
-from oracles import full_round, sum_last
+from oracles import full_round, sum_last, wrong_sign_fraction
 
 
 def report(number: int, label: str, elapsed: float, budget: float) -> None:
@@ -164,6 +164,7 @@ def test_criterion_6_klocal_asymptotics():
             for pop in pops[:1:-1]:
                 product = np.kron(product, np.array([pop, 1.0 - pop]))
             assert np.abs(fixed - product).max() < 1e-9
+            assert abs(marginal_targets(fixed) - alpha_infinity_3local(n, alpha)) < 1e-9
     assert alpha_infinity_3local(5, 0.5) == pytest.approx((3**5 - 1) / (3**5 + 1), abs=1e-12)
     report(6, "3-local steady state factorizes into fibonacci-population product",
            time.perf_counter() - start, 10.0)
@@ -188,8 +189,7 @@ def test_criterion_7_upper_bound_dominance():
 def test_criterion_8_sampling_suite():
     start = time.perf_counter()
     # independently coded binomial CDF in exact rational arithmetic
-    p, q = Fraction(6, 10), Fraction(4, 10)
-    cdf = sum(math.comb(25, s) * p**s * q ** (25 - s) for s in range(13))
+    cdf = wrong_sign_fraction(Fraction(1, 5), 25)
     assert abs(exact_sign_error(0.2, 25) - float(cdf)) < 1e-12
 
     for alpha, k in ((0.2, 25), (0.5, 10), (-0.4, 51), (0.1, 4)):

@@ -696,14 +696,30 @@ class TestExitCodes:
         assert err.startswith("coolsign: ") and "alpha = 1e-150" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha", ["1e-155", "1e-158", "1e-160"])
+    @pytest.mark.parametrize("alpha", ["1e-155", "1e-158", "1e-160", "1e-163"])
     def test_single_shot_reduction_underflow_is_usage_error(self, tmp_path, capsys, alpha):
-        # erf(xi)^2 and alpha^2 are both subnormal here: inf / inf once wrote nan
+        # erf(xi)^2 and alpha^2 are both subnormal here, or 0 from 1e-163:
+        # inf / inf once wrote nan, and x / 0 named no alpha
         out = tmp_path / "x.csv"
         code = main(["--figure", "single-shot-reduction", "--alpha-grid",
                      f"{alpha}:{alpha}:1", "--out", str(out)])
         assert code == EXIT_USAGE
-        assert self.one_line(capsys).endswith("; a grid polarization is too close to 0\n")
+        assert self.one_line(capsys) == (f"coolsign: reduction factor underflows at alpha = "
+                                         f"{alpha}; a grid polarization is too close to 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure, alpha", [("bqr-reduction", "3e-17"),
+                                               ("klocal-reduction", "1e-17")])
+    def test_refrigerator_reduction_underflow_names_the_alpha(self, tmp_path, capsys, figure,
+                                                              alpha):
+        # the target's two masses round to the same value, which once raised
+        # a bare "float division by zero"
+        out = tmp_path / "x.csv"
+        code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--alpha-grid",
+                     f"{alpha}:{alpha}:1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert self.one_line(capsys) == (f"coolsign: reduction factor underflows at alpha = "
+                                         f"{alpha}; a grid polarization is too close to 0\n")
         assert not out.exists()
 
     def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):

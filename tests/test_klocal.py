@@ -12,7 +12,6 @@ from coolsign import (
     build_uqr,
     build_uqr_3local,
     fibonacci,
-    marginal_targets,
     optimal_bounds,
     product_probs,
     steady_states,
@@ -53,15 +52,6 @@ def expected_m5_3local(p):
 def reduction_qr(cfg, alpha):
     """The refrigerator's reduction factor at one polarization."""
     return steady_states(cfg, [alpha])[0].reduction_factor(alpha, cfg.cost)
-
-
-def stationary_by_power_iteration(matrix):
-    power = matrix
-    for _ in range(60):  # matrix^(2^60) via repeated squaring
-        power = power @ power
-        power /= power.sum(axis=0, keepdims=True)
-    vec = power[:, 0]
-    return vec / vec.sum()
 
 
 class TestPermutation:
@@ -204,18 +194,6 @@ class TestAsymptoticPopulations:
     def test_alpha_target_consistency(self):
         pops = asymptotic_population_vector(6, 0.55)
         assert 2 * pops[-1] - 1 == pytest.approx(alpha_infinity_3local(6, 0.55), abs=1e-14)
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_steady_state_factorizes(self, n):
-        for alpha in (0.2, 0.5, 0.8):
-            matrix = round_matrix(n, 2, alpha, build_uqr_3local(n))
-            fixed = stationary_by_power_iteration(matrix)
-            pops = asymptotic_population_vector(n, alpha)
-            product = np.array([1.0])
-            for pop in pops[:1:-1]:  # target first, down to the last auxiliary
-                product = np.kron(product, np.array([pop, 1.0 - pop]))
-            assert np.abs(fixed - product).max() < 1e-9
-            assert abs(marginal_targets(fixed) - alpha_infinity_3local(n, alpha)) < 1e-9
 
 
 class TestReduction3Local:

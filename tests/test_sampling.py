@@ -27,22 +27,7 @@ from coolsign import (
     steady_states,
 )
 from coolsign.sampling import MAX_JOBS, MC_CHUNK, _stirlerr
-
-
-def binomial_cdf_fraction(successes, k, p: Fraction) -> Fraction:
-    """Independently coded binomial CDF in exact rational arithmetic."""
-    q = 1 - p
-    return sum(math.comb(k, s) * p**s * q ** (k - s) for s in range(successes + 1))
-
-
-def wrong_sign_fraction(alpha: float, k: int) -> Fraction:
-    """The wrong-sign probability with ``p`` and ``q`` the exact rationals of
-    the float ``alpha``: the lower tail, plus half the tie for even ``k``."""
-    p = (1 + abs(Fraction(alpha))) / 2
-    tail = binomial_cdf_fraction((k - 1) // 2, k, p)
-    if k % 2 == 0:
-        tail += Fraction(1, 2) * math.comb(k, k // 2) * (p * (1 - p)) ** (k // 2)
-    return tail
+from oracles import wrong_sign_fraction
 
 
 def wrong_sign_mpmath(alpha: float, k: int):
@@ -120,15 +105,14 @@ class TestPredictErrorBound:
 
 class TestExactSignError:
     def test_binomial_cdf_oracle(self):
-        expected = binomial_cdf_fraction(12, 25, Fraction(6, 10))
+        expected = wrong_sign_fraction(Fraction(1, 5), 25)
         assert exact_sign_error(0.2, 25) == pytest.approx(float(expected), abs=1e-12)
         assert exact_sign_error(0.2, 25) == pytest.approx(0.1538, abs=1e-4)
 
     def test_even_shots_tie_weight(self):
         p = Fraction(3, 4)
-        expected = binomial_cdf_fraction(1, 4, p) + Fraction(1, 2) * (
-            math.comb(4, 2) * p**2 * (1 - p) ** 2
-        )
+        expected = wrong_sign_fraction(Fraction(1, 2), 4)
+        assert expected == (1 - p) ** 4 + 4 * p * (1 - p) ** 3 + 3 * p**2 * (1 - p) ** 2
         assert exact_sign_error(0.5, 4) == pytest.approx(float(expected), abs=1e-14)
 
     def test_symmetric_at_zero(self):
@@ -445,9 +429,10 @@ class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("failing", [0, 5])
     def test_failed_draw_leaves_no_thread_running(self, monkeypatch, failing):
         # the caller most likely draws substream 0, and the pool's one thread 5
-        count = sampling._count_substream
+        count, drawn = sampling._count_substream, []
 
         def broken(shots, trials, seed, grounds, index):
+            drawn.append(index)
             if index == failing:
                 raise RuntimeError(f"substream {index} failed")
             return count(shots, trials, seed, grounds, index)
@@ -455,8 +440,10 @@ class TestBatchedMonteCarlo:
         monkeypatch.setattr(sampling, "_count_substream", broken)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"substream {failing} failed"):
-            monte_carlo_sign_errors([0.2, 0.5], 5, 7 * MC_CHUNK, 1, jobs=2)
+            monte_carlo_sign_errors([0.2, 0.5], 5, 62 * MC_CHUNK, 1, jobs=2)
         assert threading.active_count() == before
+        # the other worker ends after its draw in progress, not after all 62
+        assert len(drawn) - drawn.index(failing) - 1 <= 4, drawn
 
     @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 10**9, 2.5, 1.0, "2"])
     def test_jobs_outside_range_start_no_thread(self, nothing_drawn, jobs):

@@ -225,6 +225,15 @@ class TestReductionFactorAc:
             reduction_factor_ac(n, 1e-158)
         assert reduction_factor_ac(n, 1e-154) == pytest.approx(2 / math.pi, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e-163, 1e-162])
+    def test_underflow_names_the_alpha(self, alpha):
+        # erf(xi)^2 rounds to 0 at n = 3, and alpha^2 alone at n = 10^20:
+        # each once raised a bare division by zero
+        for n in (3, 10**20):
+            with pytest.raises(ZeroDivisionError, match=rf"^reduction factor underflows at "
+                                                        rf"alpha = {alpha!r}$"):
+                reduction_factor_ac(n, alpha)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_empty_register(self, n):
         with pytest.raises(ValueError):
