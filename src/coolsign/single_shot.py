@@ -94,16 +94,22 @@ def _power_ratio(alpha: float, exponent: int) -> float:
 
     Evaluated through the equivalent power ratio
     ``((1+a)^K - (1-a)^K) / ((1+a)^K + (1-a)^K)`` whenever the powers stay
-    within floating-point range, and through ``tanh`` when one overflows.
-    The ratio form is exact for small ``K`` and exactly odd in ``alpha``.
-    ``K = 1`` returns ``alpha`` itself, so that ``(1 + t) / 2`` reproduces
-    the reservoir population ``(1 + alpha) / 2`` bit for bit.
+    within floating-point range, and through ``tanh`` when one overflows or
+    ``|alpha| < 0.01``.  The ratio form is exact for small ``K`` and exactly
+    odd in ``alpha``, and so are ``tanh`` and ``atanh``.  ``K = 1`` returns
+    ``alpha`` itself, so that ``(1 + t) / 2`` reproduces the reservoir
+    population ``(1 + alpha) / 2`` bit for bit.
     """
     _check_polarization(alpha)
     if abs(alpha) == 1.0:
         return math.copysign(1.0, alpha)
     if exponent == 1:
         return alpha
+    # 1 +- alpha rounds before the powers, so the ratio cancels toward 0 as
+    # alpha does (5.5e-2 relative at 1e-15, and 0 from 1e-17); tanh keeps
+    # 3.2e-16 below 0.01, where the default grids start, so their bytes stay
+    if abs(alpha) < 0.01:
+        return math.tanh(exponent * math.atanh(alpha))
     try:
         hi = (1.0 + alpha) ** exponent
         lo = (1.0 - alpha) ** exponent

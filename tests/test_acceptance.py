@@ -31,7 +31,7 @@ from coolsign import (
 )
 from coolsign.cli import main
 from kernel_matrix import round_matrix
-from oracles import full_round, sum_last, wrong_sign_fraction
+from oracles import full_round, gth, sum_last, wrong_sign_fraction
 
 
 def report(number: int, label: str, elapsed: float, budget: float) -> None:
@@ -153,12 +153,8 @@ def test_criterion_6_klocal_asymptotics():
     start = time.perf_counter()
     for n in (4, 5, 6):
         for alpha in (0.2, 0.5, 0.8):
-            matrix = round_matrix(n, 2, alpha, build_uqr_3local(n))
-            power = matrix
-            for _ in range(40):  # matrix^(2^40): far past mixing
-                power = power @ power
-                power /= power.sum(axis=0, keepdims=True)
-            fixed = power[:, 0] / power[:, 0].sum()
+            # the round matrix is column-stochastic
+            fixed = gth(round_matrix(n, 2, alpha, build_uqr_3local(n)).T)
             pops = asymptotic_population_vector(n, alpha)
             product = np.array([1.0])
             for pop in pops[:1:-1]:

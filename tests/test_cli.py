@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from coolsign import (
@@ -47,16 +49,28 @@ def read_csv(path):
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
 
 
-def forbid_work(monkeypatch):
-    """Fail the test at any steady state, bound or single-shot curve: a
-    check that should reject before any work reached it."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("started work")
+def started_work(*args, **kwargs):
+    raise AssertionError("started work")
 
-    monkeypatch.setattr(refrigerator, "steady_states", no_work)
-    monkeypatch.setattr(refrigerator, "optimal_bounds", no_work)
-    monkeypatch.setattr(single_shot, "reduction_factor_ac", no_work)
-    monkeypatch.setattr(single_shot, "alpha_ac", no_work)
+
+def forbid_work(monkeypatch):
+    """Fail the test at any steady state, bound, single-shot curve, draw or
+    thread pool: a check that should reject before any work reached it."""
+    for module, name in ((refrigerator, "steady_states"), (refrigerator, "optimal_bounds"),
+                         (single_shot, "alpha_ac"), (single_shot, "reduction_factor_ac"),
+                         (sampling, "resource_matched_comparisons"),
+                         (sampling, "monte_carlo_sign_errors"), (sampling, "ThreadPoolExecutor")):
+        monkeypatch.setattr(module, name, started_work)
+
+
+def uniform_gth(rows):
+    """A broken GTH: the uniform vector, which no recycle cycle keeps."""
+    return np.full(rows.shape[:-1], 1.0 / rows.shape[-1])
+
+
+def out_of_memory(cfg, alphas):
+    """Stands in for the 128 GiB carried chain of n = 20 without allocating it."""
+    raise MemoryError("Unable to allocate 128. GiB")
 
 
 class TestAlphaGridParsing:
@@ -191,36 +205,14 @@ class TestFigureCommand:
         assert payload["columns"] == ["alpha", "n3", "baseline"]
         assert payload["rows"][0][1] == alpha_ac(3, payload["rows"][0][0])
 
-    def test_unknown_figure_usage_error(self, tmp_path, capsys):
-        code = main(["--figure", "nonsense", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("coolsign: ") and err.count("\n") == 1
-        assert "--figure" in err and "nonsense" in err
+    def test_unknown_figure_usage_error(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unknown-figure")
 
-    def test_reduction_grid_with_zero_rejected(self, tmp_path, capsys, monkeypatch):
-        forbid_work(monkeypatch)
-        out = tmp_path / "x.csv"
-        for argv in (["--figure", "single-shot-reduction", "--alpha-grid", "0.0:0.5:0.1"],
-                     ["--figure", "bqr-reduction", "--n", "5", "--rounds", "3",
-                      "--alpha-grid=-0.5:0.5:0.5"]):
-            assert main(argv + ["--out", str(out)]) == EXIT_USAGE
-            assert capsys.readouterr().err == ("coolsign: reduction-factor sweeps need a grid "
-                                               "within (0, 1]\n")
-        assert not out.exists()
+    def test_missing_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "no-out")
 
-    def test_missing_out_is_usage_error(self):
-        assert main(["--figure", "single-shot-polarization"]) == EXIT_USAGE
-
-    def test_unwritable_path(self, capsys):
-        # a figure and --sample reach the same writer
-        for argv in (["--figure", "single-shot-polarization", "--n", "3"],
-                     ["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10"]):
-            code = main(argv + ["--alpha-grid", "0.2:0.8:0.2", "--out", "/nonexistent-dir/x.csv"])
-            assert code == EXIT_IO
-            err = capsys.readouterr().err
-            assert err.startswith("coolsign: cannot write /nonexistent-dir/x.csv: ")
-            assert err.count("\n") == 1 and "Traceback" not in err
+    def test_unwritable_path(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unwritable", "unwritable-sample")
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -378,11 +370,8 @@ class TestVerifyCommand:
         assert "[PASS]" in output and "[FAIL]" not in output
         assert output.endswith(f"suite {suite}: all {checks} checks passed\n")
 
-    def test_unknown_suite(self, capsys):
-        assert main(["--suite", "bogus"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("coolsign: ") and err.count("\n") == 1
-        assert "--suite" in err and "bogus" in err
+    def test_unknown_suite(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unknown-suite")
 
 
 class TestSampleCommand:
@@ -437,153 +426,31 @@ class TestSampleCommand:
                            ("empirical_ratio", 0.5, "nan")}
 
     def test_budget_too_small(self, tmp_path, capsys, monkeypatch):
-        # rejected before any refrigerator work
-        def no_work(*args, **kwargs):
-            raise AssertionError("solved a steady state")
-
-        monkeypatch.setattr(refrigerator, "steady_states", no_work)
-        out = tmp_path / "x.csv"
-        code = main(
-            ["--sample", "--n", "5", "--m", "2", "--rounds", "5",
-             "--alpha-grid", "0.5:0.5:0.1", "--budget", "10", "--trials", "100",
-             "--out", str(out)]
-        )
-        assert code == EXIT_BUDGET
-        assert capsys.readouterr().err == (
-            "coolsign: budget 10 cannot afford one cooled shot (cost 11)\n")
-        assert not out.exists()
+        check_exit_paths(tmp_path, capsys, monkeypatch, "budget")
 
 
 class TestExitCodes:
-    """One test per documented exit code that the classes above do not cover;
-    every failure is one line on stderr, never a traceback."""
+    """Exit 1, which prints its verdict on standard output, and exits 0 that
+    once failed; the rest of the exit paths are rows of :data:`EXIT_PATHS`."""
 
-    def one_line(self, capsys):
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        return err
-
-    @pytest.mark.parametrize("flag, text", [("--n", "5,x"), ("--n", ","), ("--rounds", ""),
-                                            ("--rounds", "3,4.5")])
-    def test_list_error_names_the_flag(self, tmp_path, capsys, flag, text):
-        code = main(["--figure", "bqr-polarization", flag, text, "--alpha-grid", "0.5:0.5:0.1",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        assert (f"coolsign: {flag} expects comma-separated integers, got {text!r}\n"
-                == self.one_line(capsys))
+    def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch,
+                         "convergence", "convergence-sample", "convergence-bound")
 
     def test_verification_failure(self, capsys, monkeypatch):
         failing = verify.CheckResult("always fails", False, 1.0, 0.0)
         monkeypatch.setitem(verify.SUITES, "theorem1", lambda: [failing])
         assert main(["--suite", "theorem1"]) == EXIT_VERIFY
-        assert "FAILED" in self.one_line(capsys)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "FAILED" in err
 
     def test_solver_failure_in_a_suite_is_a_fail_line(self, capsys, monkeypatch):
         # a broken GTH makes every steady state fail its one-cycle check
-        monkeypatch.setattr(refrigerator, "_stationary_gth",
-                            lambda rows: np.full(rows.shape[:-1], 1.0 / rows.shape[-1]))
+        monkeypatch.setattr(refrigerator, "_stationary_gth", uniform_gth)
         assert main(["--suite", "bqr-oracle"]) == EXIT_VERIFY
         captured = capsys.readouterr()
         assert "[FAIL] bqr steady state vs full recycle cycle" in captured.out
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-    def test_config_rejected_is_usage_error(self, tmp_path, capsys):
-        code = main(["--figure", "bqr-reduction", "--n", "5", "--m", "9",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        assert "m=9" in self.one_line(capsys)
-
-    def test_polarization_out_of_range_is_usage_error(self, tmp_path, capsys):
-        code = main(["--figure", "bqr-polarization", "--n", "4", "--rounds", "1",
-                     "--alpha-grid", "0.5:1.5:0.5", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        assert "1.5" in self.one_line(capsys)
-
-    def test_sample_config_rejected_is_usage_error(self, tmp_path, capsys):
-        code = main(["--sample", "--n", "4", "--m", "4", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_USAGE
-        self.one_line(capsys)
-
-    def test_refrigerator_figures_do_not_read_locality(self, tmp_path, capsys, monkeypatch):
-        # each figure fixes its own staircase, so even the matching value is
-        # rejected, before any work
-        forbid_work(monkeypatch)
-        out = tmp_path / "x.csv"
-        for figure in [f for f, staircase in FIGURES.items() if staircase]:
-            for locality in refrigerator.LOCALITIES:
-                code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--locality",
-                             locality, "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
-                assert code == EXIT_USAGE
-                assert (f"coolsign: --figure {figure} does not read --locality\n"
-                        == self.one_line(capsys))
-        assert not out.exists()
-
-    def test_refrigerator_figures_take_one_register(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        for figure in [f for f, locality in FIGURES.items() if locality]:
-            code = main(["--figure", figure, "--n", "5,8", "--rounds", "3",
-                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
-            assert code == EXIT_USAGE
-            assert "--n 5,8" in self.one_line(capsys)
-        assert not out.exists()
-
-    def test_sample_takes_one_register_and_schedule(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert main(["--sample", "--n", "5,7", "--rounds", "3,9", "--out", str(out)]) == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert "--n 5,7" in err and "--rounds 3,9" in err
-        assert main(["--sample", "--n", "5", "--rounds", "3,9", "--out", str(out)]) == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert "--rounds 3,9" in err and "--n" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv,flag,value", [
-        (["--figure", "single-shot-polarization", "--n", "5,3,05"], "--n", 5),
-        (["--figure", "bqr-polarization", "--n", "5", "--rounds", "3,4,3"], "--rounds", 3),
-        (["--figure", "klocal-reduction", "--n", "5", "--rounds", "3,3"], "--rounds", 3),
-    ])
-    def test_repeated_value_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag,
-                                           value):
-        # each value names a column; rejected before any work
-        def no_work(*args, **kwargs):
-            raise AssertionError("started work")
-
-        monkeypatch.setattr(refrigerator, "steady_states", no_work)
-        monkeypatch.setattr(single_shot, "alpha_ac", no_work)
-        out = tmp_path / "x.csv"
-        assert main(argv + ["--alpha-grid", "0.5:0.5:0.1", "--out", str(out)]) == EXIT_USAGE
-        assert f"coolsign: {flag} lists {value} more than once\n" == self.one_line(capsys)
-        assert not out.exists()
-
-    def test_suite_reads_no_sweep_flag(self, tmp_path, capsys):
-        argv = ["--suite", "klocal-fixedpoint", "--n", "5,8", "--rounds", "3,9", "--budget", "1"]
-        assert main(argv) == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert all(flag in err for flag in ("--suite", "--n", "--rounds", "--budget"))
-        out = tmp_path / "x.csv"
-        for flags in (["--out", str(out)], ["--format", "json"], ["--jobs", "2"], ["--n", "x"]):
-            assert main(["--suite", "theorem1"] + flags) == EXIT_USAGE
-            assert flags[0] in self.one_line(capsys)
-        assert not out.exists()
-
-    def test_figures_reject_flags_they_do_not_read(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        argv = ["--figure", "single-shot-polarization", "--alpha-grid", "0.5:0.5:0.1",
-                "--out", str(out)]
-        assert main(argv + ["--m", "7", "--rounds", "3,9", "--seed", "4", "--locality",
-                            "3local", "--trials", "0", "--jobs", "2"]) == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert all(flag in err for flag in ("--m", "--rounds", "--seed", "--locality", "--trials",
-                                            "--jobs"))
-        for figure in [f for f, locality in FIGURES.items() if locality]:
-            for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4"),
-                                ("--jobs", "2")):
-                code = main(["--figure", figure, "--n", "4", "--rounds", "3",
-                             "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), flag, value])
-                assert code == EXIT_USAGE
-                assert (f"coolsign: --figure {figure} does not read {flag}\n"
-                        == self.one_line(capsys))
-        assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["single-shot-reduction", "bqr-polarization"])
     def test_figures_accept_format(self, tmp_path, figure):
@@ -591,170 +458,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.json"), "--format", "json"])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
-        out = tmp_path / "x.csv"
-        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
-                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
-        assert code == EXIT_USAGE
-        assert f"coolsign: --jobs must be at least 1, got {jobs}\n" == self.one_line(capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("jobs", [str(sampling.MAX_JOBS + 1), str(10**9)])
-    def test_jobs_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
-        # rejected before any work, and without starting a thread
-        def no_work(*args, **kwargs):
-            raise AssertionError("started work")
-
-        monkeypatch.setattr(refrigerator, "steady_states", no_work)
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_work)
-        out = tmp_path / "x.csv"
-        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "1000000",
-                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--jobs", jobs])
-        assert code == EXIT_USAGE
-        assert (f"coolsign: --jobs {jobs} is more than {sampling.MAX_JOBS}\n"
-                == self.one_line(capsys))
-        assert not out.exists()
-
-    def test_seed_below_zero_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
-                     "--alpha-grid", "0.5:0.5:0.1", "--out", str(out), "--seed", "-1"])
-        assert code == EXIT_USAGE
-        assert "coolsign: --seed must be at least 0, got -1\n" == self.one_line(capsys)
-        assert not out.exists()
-
-    def test_trials_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # rejected before any refrigerator work
-        def no_work(*args, **kwargs):
-            raise AssertionError("solved a steady state")
-
-        monkeypatch.setattr(refrigerator, "steady_states", no_work)
-        out = tmp_path / "x.csv"
-        for trials in ("0", "-3"):
-            code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", trials,
-                         "--alpha-grid", "0.5:0.5:0.1", "--out", str(out)])
-            assert code == EXIT_USAGE
-            assert f"coolsign: --trials must be at least 1, got {trials}\n" == self.one_line(capsys)
-            assert not out.exists()
-
-    @pytest.mark.parametrize("budget", [str(10**20), str(2**63 - 1), str(10**12 + 1)])
-    def test_budget_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, budget):
-        # rejected before any point is sampled
-        def no_work(*args, **kwargs):
-            raise AssertionError("sampled a point")
-
-        monkeypatch.setattr(sampling, "resource_matched_comparisons", no_work)
-        out = tmp_path / "x.csv"
-        code = main(["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--trials", "1",
-                     "--alpha-grid", "0.5:0.5:1", "--out", str(out), "--budget", budget])
-        assert code == EXIT_USAGE
-        assert f"coolsign: --budget {budget} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("n", [str(10**12 + 1), "3," + str(10**16)])
-    def test_single_shot_n_above_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, n):
-        # a single-shot --n is the shot count of an exact binomial tail, as
-        # --budget is; rejected before any work
-        forbid_work(monkeypatch)
-        out = tmp_path / "x.csv"
-        code = main(["--figure", "single-shot-polarization", "--n", n,
-                     "--alpha-grid", "1e-8:1e-8:1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        largest = max(int(v) for v in n.split(","))
-        assert f"coolsign: --n {largest} is more than {MAX_BUDGET}\n" == self.one_line(capsys)
-        assert not out.exists()
-
-    def test_polarization_typed_near_zero(self, tmp_path, capsys):
-        # written as typed where the arithmetic holds, one usage line where
-        # alpha^2 or the cooled polarization underflows
+    def test_polarization_typed_near_zero(self, tmp_path):
+        # written as typed where the arithmetic holds; the usage lines where
+        # alpha^2 or the cooled polarization underflows are rows of EXIT_PATHS
         out = tmp_path / "x.csv"
         code = main(["--sample", "--n", "3", "--m", "2", "--rounds", "1", "--trials", "10",
                      "--alpha-grid", "1e-13:1e-13:1", "--out", str(out)])
         assert code == EXIT_OK
         assert read_csv(out)[1][0][0] == 1e-13
-        for argv in (["--figure", "bqr-reduction", "--n", "4", "--rounds", "1"],
-                     ["--figure", "single-shot-reduction"], ["--sample", "--trials", "10"]):
-            code = main(argv + ["--alpha-grid", "1e-300:1e-300:1", "--out", str(out)])
-            assert code == EXIT_USAGE
-            assert "too close to 0" in self.one_line(capsys)
-
-    def test_cooled_polarization_rounding_to_zero_names_the_grid_alpha(self, tmp_path, capsys,
-                                                                       monkeypatch):
-        # the steady state rounds the cooled polarization at 1e-150 to 0; the
-        # message once named alpha = 0, a value never typed.  Every point is
-        # checked before any draw
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew a trial")
-
-        monkeypatch.setattr(sampling, "monte_carlo_sign_errors", no_draw)
-        out = tmp_path / "x.csv"
-        code = main(["--sample", "--trials", "10", "--alpha-grid", "1e-150:1e-150:1",
-                     "--out", str(out)])
-        assert code == EXIT_USAGE
-        err = self.one_line(capsys)
-        assert err.startswith("coolsign: ") and "alpha = 1e-150" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("alpha", ["1e-155", "1e-158", "1e-160", "1e-163"])
-    def test_single_shot_reduction_underflow_is_usage_error(self, tmp_path, capsys, alpha):
-        # erf(xi)^2 and alpha^2 are both subnormal here, or 0 from 1e-163:
-        # inf / inf once wrote nan, and x / 0 named no alpha
-        out = tmp_path / "x.csv"
-        code = main(["--figure", "single-shot-reduction", "--alpha-grid",
-                     f"{alpha}:{alpha}:1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert self.one_line(capsys) == (f"coolsign: reduction factor underflows at alpha = "
-                                         f"{alpha}; a grid polarization is too close to 0\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("figure, alpha", [("bqr-reduction", "3e-17"),
-                                               ("klocal-reduction", "1e-17")])
-    def test_refrigerator_reduction_underflow_names_the_alpha(self, tmp_path, capsys, figure,
-                                                              alpha):
-        # the target's two masses round to the same value, which once raised
-        # a bare "float division by zero"
-        out = tmp_path / "x.csv"
-        code = main(["--figure", figure, "--n", "5", "--rounds", "3", "--alpha-grid",
-                     f"{alpha}:{alpha}:1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        assert self.one_line(capsys) == (f"coolsign: reduction factor underflows at alpha = "
-                                         f"{alpha}; a grid polarization is too close to 0\n")
-        assert not out.exists()
-
-    def test_register_too_large_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # stands in for the 128 GiB carried chain of n = 20 without allocating it
-        def out_of_memory(cfg, alphas):
-            raise MemoryError("Unable to allocate 128. GiB")
-
-        monkeypatch.setattr(refrigerator, "steady_states", out_of_memory)
-        for mode in (["--figure", "bqr-polarization"], ["--sample", "--trials", "10"]):
-            code = main(mode + ["--n", "20", "--rounds", "3", "--alpha-grid", "0.5:0.5:0.1",
-                                "--out", str(tmp_path / "x.csv")])
-            assert code == EXIT_USAGE
-            err = self.one_line(capsys)
-            assert "n=20" in err and "m=2" in err
-
-    def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
-        # a broken GTH hands the check the uniform vector, which no cycle
-        # keeps; one sort cycle leaves the oracle short of its fixed point
-        def uniform(rows):
-            return np.full(rows.shape[:-1], 1.0 / rows.shape[-1])
-
-        for mode, broken, value, solve in (
-                (["--figure", "bqr-polarization"], "_stationary_gth", uniform, "steady state"),
-                (["--sample", "--trials", "10"], "_stationary_gth", uniform, "steady state"),
-                (["--figure", "bqr-reduction"], "MAX_CYCLES", 1, "optimal bound")):
-            out = tmp_path / "x.csv"
-            with monkeypatch.context() as patch:
-                patch.setattr(refrigerator, broken, value)
-                code = main(mode + ["--n", "4", "--rounds", "3", "--alpha-grid",
-                                    "0.25:0.25:0.1", "--out", str(out)])
-            assert code == EXIT_CONVERGENCE
-            err = self.one_line(capsys)
-            assert solve in err
-            assert "alpha=0.25" in err and "rounds=3" in err and "residual" in err
-            assert not out.exists()
 
     def test_saturated_sample_point(self, tmp_path):
         # the rounds drift the target's total mass above 1 here; its
@@ -771,15 +482,251 @@ class TestExitCodes:
             assert code == EXIT_OK
 
 
+#: a row's ``early``: refused before any work, so it runs under :func:`forbid_work`
+EARLY, LATE = True, False
+POINT = "--alpha-grid 0.5:0.5:0.1 --out {out}"
+TINY = "; a grid polarization is too close to 0"
+BQR_FIGURES = [figure for figure, staircase in FIGURES.items() if staircase]
+UNWRITABLE = "/nonexistent-dir/x.csv"
+
+#: every documented exit from 2 to 5, by name: ``(argv, code, pattern, early,
+#: patches)``.  ``argv`` is split as a shell would, with ``{out}`` the output
+#: path; ``pattern`` is fullmatched against the one stderr line after its
+#: ``coolsign: ``; ``patches`` are ``(module, name, value)`` triples that break
+#: a part for the row
+EXIT_PATHS = {
+    # argparse's own errors
+    "no-mode": ("", EXIT_USAGE,
+                re.escape("one of the arguments --figure --suite --sample is required"), EARLY,
+                ()),
+    "two-modes": ("--figure bqr-reduction --suite theorem1 --out {out}", EXIT_USAGE,
+                  re.escape("argument --suite: not allowed with argument --figure"), EARLY, ()),
+    "unknown-figure": ("--figure nonsense --out {out}", EXIT_USAGE,
+                       r"argument --figure: invalid choice: 'nonsense' \(.*\)", EARLY, ()),
+    "unknown-suite": ("--suite bogus", EXIT_USAGE,
+                      r"argument --suite: invalid choice: 'bogus' \(.*\)", EARLY, ()),
+    "argparse-type": ("--sample --m abc --out {out}", EXIT_USAGE,
+                      re.escape("argument --m: invalid int value: 'abc'"), EARLY, ()),
+    # the sweep flags, as parsed
+    "grid": ("--figure single-shot-polarization --alpha-grid a:b:c --out {out}", EXIT_USAGE,
+             re.escape("--alpha-grid expects start:stop:step, got 'a:b:c'"), EARLY, ()),
+    "grid-order": ("--figure single-shot-polarization --alpha-grid 0.5:0.1:0.1 --out {out}",
+                   EXIT_USAGE, re.escape("--alpha-grid needs finite bounds, step > 0 and stop >= "
+                                         "start, got '0.5:0.1:0.1'"), EARLY, ()),
+    "n-list": ("--figure single-shot-polarization --n 5,x --out {out}", EXIT_USAGE,
+               re.escape("--n expects comma-separated integers, got '5,x'"), EARLY, ()),
+    **{f"list{flag}={text}": (f"--figure bqr-polarization {flag} '{text}' " + POINT, EXIT_USAGE,
+                              re.escape(f"{flag} expects comma-separated integers, got {text!r}"),
+                              EARLY, ())
+       for flag, text in (("--n", "5,x"), ("--n", ","), ("--rounds", ""), ("--rounds", "3,4.5"))},
+    "no-out": ("--figure single-shot-polarization", EXIT_USAGE,
+               re.escape("--out PATH is required for --figure/--sample"), EARLY, ()),
+    # a sweep flag the mode does not read; each refrigerator figure fixes its
+    # own staircase, so even the matching --locality is one
+    "unread-flag": ("--figure single-shot-polarization --m 3 --out {out}", EXIT_USAGE,
+                    re.escape("--figure single-shot-polarization does not read --m"), EARLY, ()),
+    "unread-flags": ("--figure single-shot-polarization --m 7 --rounds 3,9 --seed 4 --locality "
+                     "3local --trials 0 --jobs 2 " + POINT, EXIT_USAGE,
+                     re.escape("--figure single-shot-polarization does not read --m, --rounds, "
+                               "--locality, --trials, --seed, --jobs"), EARLY, ()),
+    **{f"{figure}{flag}": (f"--figure {figure} --n 4 --rounds 3 {flag} {value} " + POINT,
+                           EXIT_USAGE, re.escape(f"--figure {figure} does not read {flag}"),
+                           EARLY, ())
+       for figure in BQR_FIGURES
+       for flag, value in (("--budget", "5"), ("--trials", "10"), ("--seed", "4"),
+                           ("--jobs", "2"))},
+    **{f"{figure}-{locality}": (f"--figure {figure} --n 5 --rounds 3 --locality {locality} "
+                                + POINT, EXIT_USAGE,
+                                re.escape(f"--figure {figure} does not read --locality"),
+                                EARLY, ())
+       for figure in BQR_FIGURES for locality in refrigerator.LOCALITIES},
+    "suite-flags": ("--suite klocal-fixedpoint --n 5,8 --rounds 3,9 --budget 1", EXIT_USAGE,
+                    re.escape("--suite does not read --n, --rounds, --budget"), EARLY, ()),
+    **{f"suite{flag}": (f"--suite theorem1 {flag} {value}", EXIT_USAGE,
+                        re.escape(f"--suite does not read {flag}"), EARLY, ())
+       for flag, value in (("--out", "{out}"), ("--format", "json"), ("--jobs", "2"),
+                           ("--n", "x"))},
+    # one register, and for --sample one schedule; each value names a column
+    **{f"{figure}-registers": (f"--figure {figure} --n 5,8 --rounds 3 " + POINT, EXIT_USAGE,
+                               re.escape(f"--figure {figure} takes one value per flag, "
+                                         f"got --n 5,8"), EARLY, ())
+       for figure in BQR_FIGURES},
+    "sample-registers": ("--sample --n 5,7 --rounds 3,9 --out {out}", EXIT_USAGE,
+                         re.escape("--sample takes one value per flag, got --n 5,7 --rounds 3,9"),
+                         EARLY, ()),
+    "sample-schedules": ("--sample --n 5 --rounds 3,9 --out {out}", EXIT_USAGE,
+                         re.escape("--sample takes one value per flag, got --rounds 3,9"),
+                         EARLY, ()),
+    "repeated-n": ("--figure single-shot-polarization --n 5,3,05 " + POINT, EXIT_USAGE,
+                   re.escape("--n lists 5 more than once"), EARLY, ()),
+    "repeated-rounds": ("--figure bqr-polarization --n 5 --rounds 3,4,3 " + POINT, EXIT_USAGE,
+                        re.escape("--rounds lists 3 more than once"), EARLY, ()),
+    "repeated-rounds-3local": ("--figure klocal-reduction --n 5 --rounds 3,3 " + POINT,
+                               EXIT_USAGE, re.escape("--rounds lists 3 more than once"), EARLY,
+                               ()),
+    # the least and largest values; a single-shot --n is the shot count of an
+    # exact binomial tail, as --budget is
+    **{f"jobs{jobs}": ("--sample --n 3 --m 2 --rounds 1 --trials 10 --jobs " + jobs + " " + POINT,
+                       EXIT_USAGE, re.escape(f"--jobs must be at least 1, got {jobs}"), EARLY, ())
+       for jobs in ("0", "-2")},
+    **{f"jobs{jobs}": ("--sample --n 3 --m 2 --rounds 1 --trials 1000000 --jobs " + jobs + " "
+                       + POINT, EXIT_USAGE,
+                       re.escape(f"--jobs {jobs} is more than {sampling.MAX_JOBS}"), EARLY, ())
+       for jobs in (str(sampling.MAX_JOBS + 1), str(10**9))},
+    "seed-1": ("--sample --n 3 --m 2 --rounds 1 --trials 10 --seed -1 " + POINT, EXIT_USAGE,
+               re.escape("--seed must be at least 0, got -1"), EARLY, ()),
+    **{f"trials{trials}": (f"--sample --n 5 --m 2 --rounds 5 --trials {trials} " + POINT,
+                           EXIT_USAGE, re.escape(f"--trials must be at least 1, got {trials}"),
+                           EARLY, ())
+       for trials in ("0", "-3")},
+    **{f"budget{budget}": ("--sample --n 5 --m 2 --rounds 5 --trials 1 --alpha-grid 0.5:0.5:1 "
+                           f"--budget {budget} --out {{out}}", EXIT_USAGE,
+                           re.escape(f"--budget {budget} is more than {MAX_BUDGET}"), EARLY, ())
+       for budget in (str(10**20), str(2**63 - 1), str(10**12 + 1))},
+    **{f"n{n}": (f"--figure single-shot-polarization --n {n} --alpha-grid 1e-8:1e-8:1 "
+                 "--out {out}", EXIT_USAGE,
+                 re.escape(f"--n {largest} is more than {MAX_BUDGET}"), EARLY, ())
+       for n, largest in ((str(10**12 + 1), 10**12 + 1), ("3," + str(10**16), 10**16))},
+    # the parameters a config or grid rejects
+    "config": ("--figure bqr-reduction --n 5 --m 9 --out {out}", EXIT_USAGE,
+               re.escape("need 1 <= m <= n-1, got m=9, n=5"), EARLY, ()),
+    "sample-config": ("--sample --n 4 --m 4 --out {out}", EXIT_USAGE,
+                      re.escape("need 1 <= m <= n-1, got m=4, n=4"), EARLY, ()),
+    **{f"{figure}-zero": (f"--figure {figure} {grid} --out {{out}}", EXIT_USAGE,
+                          re.escape("reduction-factor sweeps need a grid within (0, 1]"), EARLY,
+                          ())
+       for figure, grid in (("single-shot-reduction", "--alpha-grid 0.0:0.5:0.1"),
+                            ("bqr-reduction", "--n 5 --rounds 3 --alpha-grid=-0.5:0.5:0.5"))},
+    # refused inside the steady-state solve
+    "polarization-range": ("--figure bqr-polarization --n 4 --rounds 1 --alpha-grid 0.5:1.5:0.5 "
+                           "--out {out}", EXIT_USAGE,
+                           re.escape("polarization must lie in [-1, 1], got 1.5"), LATE, ()),
+    # a polarization so close to 0 that alpha^2, erf(xi)^2, the target's two
+    # masses or the cooled polarization round away; every --sample point is
+    # checked before any draw
+    **{name: (argv + " --alpha-grid 1e-300:1e-300:1 --out {out}", EXIT_USAGE,
+              re.escape(message + TINY), LATE, ())
+       for name, argv, message in (
+           ("bqr-reduction-1e-300", "--figure bqr-reduction --n 4 --rounds 1",
+            "reduction factor underflows at alpha = 1e-300"),
+           ("single-shot-reduction-1e-300", "--figure single-shot-reduction",
+            "reduction factor underflows at alpha = 1e-300"),
+           ("sample-1e-300", "--sample --trials 10",
+            "the cooled polarization at alpha = 1e-300 rounds to 0"))},
+    "sample-1e-150": ("--sample --trials 10 --alpha-grid 1e-150:1e-150:1 --out {out}", EXIT_USAGE,
+                      re.escape("the cooled polarization at alpha = 1e-150 rounds to 0" + TINY),
+                      LATE, ((sampling, "monte_carlo_sign_errors", started_work),)),
+    **{f"{figure}-{alpha}": (f"--figure {figure} {flags}--alpha-grid {alpha}:{alpha}:1 "
+                             "--out {out}", EXIT_USAGE,
+                             re.escape(f"reduction factor underflows at alpha = {alpha}" + TINY),
+                             LATE, ())
+       for figure, flags, alpha in (
+           *(("single-shot-reduction", "", alpha)
+             for alpha in ("1e-155", "1e-158", "1e-160", "1e-163")),
+           ("bqr-reduction", "--n 5 --rounds 3 ", "3e-17"),
+           ("klocal-reduction", "--n 5 --rounds 3 ", "1e-17"))},
+    # a register too large to simulate in memory
+    **{name: (mode + " --n 20 --rounds 3 " + POINT, EXIT_USAGE,
+              re.escape("a register of n=20 qubits with m=2 resets is too large to simulate "
+                        "in memory"), LATE, ((refrigerator, "steady_states", out_of_memory),))
+       for name, mode in (("bqr-polarization-memory", "--figure bqr-polarization"),
+                          ("sample-memory", "--sample --trials 10"))},
+    # 3: the output file cannot be written; a figure and --sample reach the
+    # same writer
+    "unwritable": ("--figure single-shot-polarization --n 3 --alpha-grid 0.2:0.8:0.2 --out "
+                   + UNWRITABLE, EXIT_IO, re.escape(f"cannot write {UNWRITABLE}: ") + ".+", LATE,
+                   ()),
+    "unwritable-sample": ("--sample --n 3 --m 2 --rounds 1 --trials 10 --alpha-grid 0.2:0.8:0.2 "
+                          "--out " + UNWRITABLE, EXIT_IO,
+                          re.escape(f"cannot write {UNWRITABLE}: ") + ".+", LATE, ()),
+    # 4: a budget below one cooled shot
+    "budget": ("--sample --budget 10 --trials 10 " + POINT, EXIT_BUDGET,
+               re.escape("budget 10 cannot afford one cooled shot (cost 11)"), EARLY, ()),
+    # 5: a fixed point outside the residual tolerance; a broken GTH hands the
+    # check the uniform vector, and one sort cycle leaves the bound short
+    **{name: (mode + " --n 4 --rounds 3 --alpha-grid 0.25:0.25:0.1 --out {out}",
+              EXIT_CONVERGENCE,
+              re.escape(f"{solve} at alpha=0.25, rounds=3: relative residual ") + r"\S+"
+              + re.escape(f" is not within {refrigerator.RESIDUAL_TOL:g}"), LATE, patches)
+       for name, mode, solve, patches in (
+           ("convergence", "--figure bqr-polarization", "steady state",
+            ((refrigerator, "_stationary_gth", uniform_gth),)),
+           ("convergence-sample", "--sample --trials 10", "steady state",
+            ((refrigerator, "_stationary_gth", uniform_gth),)),
+           ("convergence-bound", "--figure bqr-reduction", "optimal bound",
+            ((refrigerator, "MAX_CYCLES", 1),)))},
+}
+
+
+def check_exit_paths(tmp_path, capsys, monkeypatch, *names):
+    """Run the :data:`EXIT_PATHS` rows ``names``, each under its own patches."""
+    for row in names:
+        argv, code, pattern, early, patches = EXIT_PATHS[row]
+        with monkeypatch.context() as patch:
+            if early:
+                forbid_work(patch)
+            for module, name, value in patches:
+                patch.setattr(module, name, value)
+            argv = [arg.format(out=tmp_path / "x.csv") for arg in shlex.split(argv)]
+            assert main(argv) == code, row
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("coolsign: ") and err.endswith("\n") and err.count("\n") == 1, err
+        assert "Traceback" not in err and captured.out == ""
+        assert re.fullmatch(pattern, err[len("coolsign: "):-1]), err
+        assert not any(tmp_path.iterdir())
+        assert not any(os.path.exists(path)
+                       for flag, path in zip(argv, argv[1:]) if flag == "--out")
+
+
+@pytest.mark.parametrize("row", list(EXIT_PATHS), ids=list(EXIT_PATHS))
+def test_every_exit_path_prints_one_coolsign_line(tmp_path, capsys, monkeypatch, row):
+    check_exit_paths(tmp_path, capsys, monkeypatch, row)
+
+
+def test_mutually_exclusive_modes(tmp_path, capsys, monkeypatch):
+    check_exit_paths(tmp_path, capsys, monkeypatch, "two-modes")
+
+
 def run_quietly(argv):
-    """Exit code and standard error of one in-process run."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    """Exit code, standard output and standard error of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
+def read_table(path, fmt):
+    """A written file's columns and rows: CSV cells as text, JSON cells as
+    their values."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        return payload["columns"], payload["rows"]
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, rows
+
+
+def same_cell(text, value):
+    """A CSV cell against its JSON cell; a non-finite JSON cell is written as
+    the string the CSV holds."""
+    return text == value if isinstance(value, str) else float(text) == value
+
+
+def grids(starts, spans):
+    """``start:stop:step`` in hundredths, the stop at most 0.99."""
+    return st.builds(
+        lambda start, span, step: f"{start / 100}:{min(start + span, 99) / 100}:{step / 100}",
+        starts, spans, st.integers(10, 100),
+    )
+
+
+# within (0, 1), which every mode reads, and within (-1, 1), which only the
+# reduction figures refuse
+POSITIVE_GRIDS = grids(st.integers(1, 99), st.integers(0, 60))
+SIGNED_GRIDS = grids(st.integers(-99, 99), st.integers(0, 90))
 GRIDS = st.one_of(
+    POSITIVE_GRIDS, SIGNED_GRIDS,
     st.builds(
         lambda start, stop, step: f"{start / 100}:{stop / 100}:{step / 100}",
         st.integers(-150, 150), st.integers(-150, 150), st.integers(10, 100),
@@ -787,83 +734,77 @@ GRIDS = st.one_of(
     st.sampled_from(["1:2", "a:b:c", "0.5:0.1:0.1", "0.1:0.9:0", "0:inf:1", "nan:0.5:0.1"]),
 )
 
-SINGLE_SHOT_ARGV = st.builds(
-    lambda figure, n_list, grid: ["--figure", figure, "--n", ",".join(map(str, n_list)),
-                                  "--alpha-grid=" + grid],
-    st.sampled_from(["single-shot-polarization", "single-shot-reduction"]),
-    st.lists(st.integers(-2, 3000), min_size=1, max_size=3),
-    GRIDS,
+
+def n_lists(values, unique):
+    return st.lists(values, min_size=1, max_size=3, unique=unique).map(
+        lambda n: ",".join(map(str, n)))
+
+
+def command(modes, **flags):
+    """A drawn mode, then each flag as ``--flag=value``; a flag that draws None
+    is left out."""
+    parts = [values.map(lambda v, flag="--" + name.replace("_", "-"):
+                        [] if v is None else [f"{flag}={v}"])
+             for name, values in flags.items()]
+    return st.tuples(modes, *parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+SINGLE_SHOT = st.sampled_from([["--figure", "single-shot-polarization"],
+                               ["--figure", "single-shot-reduction"]])
+BQR = st.sampled_from([["--figure", figure] for figure in BQR_FIGURES])
+SAMPLE = st.just(["--sample", "--trials=100"])
+LOCALITY = st.none() | st.sampled_from(refrigerator.LOCALITIES)
+FORMAT = st.sampled_from([None, "csv", "json"])
+
+# about half the command lines are drawn valid, so that they write a file
+VALID_ARGV = st.one_of(
+    command(SINGLE_SHOT, n=n_lists(st.integers(1, 3000), unique=True),
+            alpha_grid=POSITIVE_GRIDS, format=FORMAT),
+    command(BQR, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 3),
+            alpha_grid=POSITIVE_GRIDS, format=FORMAT),
+    command(SAMPLE, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 3),
+            locality=LOCALITY, budget=st.none() | st.integers(11, 10**6),
+            alpha_grid=SIGNED_GRIDS, format=FORMAT),
+)
+ANY_ARGV = st.one_of(
+    command(SINGLE_SHOT, n=n_lists(st.integers(-2, 3000), unique=False), alpha_grid=GRIDS,
+            format=FORMAT),
+    command(BQR | SAMPLE, n=st.integers(-1, 6), m=st.integers(-1, 7), rounds=st.integers(-1, 3),
+            locality=LOCALITY, budget=st.none() | st.integers(-1, 10**6), alpha_grid=GRIDS,
+            format=FORMAT),
 )
 
-REFRIGERATOR_ARGV = st.builds(
-    lambda mode, n, m, rounds, locality, grid: (
-        mode + ["--n", str(n), "--m", str(m), "--rounds", str(rounds), "--alpha-grid=" + grid]
-        + (["--locality", locality] if locality else [])
-    ),
-    st.sampled_from([["--figure", "bqr-polarization"], ["--figure", "bqr-reduction"],
-                     ["--figure", "klocal-reduction"], ["--sample", "--trials", "100"]]),
-    st.integers(-1, 6), st.integers(-1, 7), st.integers(-1, 3),
-    st.sampled_from([None, "full", "3local"]),
-    GRIDS,
-)
 
-
-@settings(max_examples=60, deadline=None)
-@given(argv=st.one_of(SINGLE_SHOT_ARGV, REFRIGERATOR_ARGV))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=VALID_ARGV | ANY_ARGV)
 @example(argv=["--figure", "single-shot-polarization", "--n", "3,2001",
                "--alpha-grid", "0.1:0.1:0.1"])
 @example(argv=["--figure", "single-shot-reduction", "--n", "3", "--alpha-grid=a:b:c"])
 def test_any_argv_exits_cleanly(tmp_path_factory, argv):
-    out = tmp_path_factory.mktemp("argv") / "x.csv"
-    code, err = run_quietly(argv + ["--out", str(out)])
-    assert code in (EXIT_OK, EXIT_USAGE), (argv, err)
+    folder = tmp_path_factory.mktemp("argv")
+    out = folder / "x.out"
+    code, stdout, err = run_quietly(argv + ["--out", str(out)])
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BUDGET, EXIT_CONVERGENCE), (argv, err)
     assert "Traceback" not in err
     if code != EXIT_OK:
         assert err.startswith("coolsign: ") and err.count("\n") == 1, (argv, err)
-
-
-def test_mutually_exclusive_modes():
-    assert main(["--figure", "bqr-reduction", "--suite", "theorem1"]) == EXIT_USAGE
-
-
-def test_mode_required():
-    assert main([]) == EXIT_USAGE
-
-
-UNWRITABLE = "/nonexistent-dir/x.csv"
-
-
-@pytest.mark.parametrize("argv, code", [
-    pytest.param(["--figure", "single-shot-polarization", "--alpha-grid", "a:b:c", "--out"],
-                 EXIT_USAGE, id="grid"),
-    pytest.param(["--figure", "single-shot-polarization", "--n", "5,x", "--out"], EXIT_USAGE,
-                 id="n-list"),
-    pytest.param(["--figure", "single-shot-polarization"], EXIT_USAGE, id="no-out"),
-    pytest.param(["--sample", "--m", "abc", "--out"], EXIT_USAGE, id="argparse-type"),
-    pytest.param(["--figure", "bqr-reduction", "--suite", "theorem1", "--out"], EXIT_USAGE,
-                 id="two-modes"),
-    pytest.param(["--figure", "nonsense", "--out"], EXIT_USAGE, id="unknown-figure"),
-    pytest.param(["--suite", "bogus"], EXIT_USAGE, id="unknown-suite"),
-    pytest.param(["--figure", "single-shot-polarization", "--m", "3", "--out"], EXIT_USAGE,
-                 id="unread-flag"),
-    pytest.param(["--figure", "single-shot-polarization", "--n", "3", "--out", UNWRITABLE],
-                 EXIT_IO, id="unwritable"),
-    pytest.param(["--sample", "--budget", "10", "--trials", "10", "--alpha-grid",
-                  "0.5:0.5:0.1", "--out"], EXIT_BUDGET, id="budget"),
-    pytest.param(["--figure", "bqr-polarization", "--n", "4", "--rounds", "3",
-                  "--alpha-grid", "0.25:0.25:0.1", "--out"], EXIT_CONVERGENCE,
-                 id="convergence"),
-])
-def test_every_exit_path_prints_one_coolsign_line(tmp_path, capsys, monkeypatch, argv, code):
-    if code == EXIT_CONVERGENCE:  # a broken GTH hands the check a vector no cycle keeps
-        monkeypatch.setattr(refrigerator, "_stationary_gth",
-                            lambda rows: np.full(rows.shape[:-1], 1.0 / rows.shape[-1]))
-    out = tmp_path / "x.csv"
-    assert main(argv + [str(out)] if argv[-1] == "--out" else argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("coolsign: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
-    assert not out.exists() and not os.path.exists(UNWRITABLE)
+        assert stdout == "" and not out.exists(), argv
+        return
+    fmt = "json" if "--format=json" in argv else "csv"
+    header, rows = read_table(out, fmt)
+    assert stdout == f"wrote {out} ({len(rows)} rows, {len(header)} columns)\n"
+    assert all(len(row) == len(header) for row in rows), argv
+    # the same command in the other format: the same columns and cells
+    other_fmt = "json" if fmt == "csv" else "csv"
+    other = folder / "other.out"
+    assert run_quietly(argv + [f"--format={other_fmt}", "--out", str(other)])[0] == EXIT_OK
+    tables = {fmt: (header, rows), other_fmt: read_table(other, other_fmt)}
+    (columns, csv_rows), (json_columns, json_rows) = tables["csv"], tables["json"]
+    assert json_columns == columns and len(json_rows) == len(csv_rows), argv
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert len(json_row) == len(csv_row), argv
+        assert all(map(same_cell, csv_row, json_row)), (argv, csv_row, json_row)
 
 
 def test_no_mode_imports_scipy(tmp_path):

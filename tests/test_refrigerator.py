@@ -14,6 +14,7 @@ from coolsign import (
     RefrigeratorConfig,
     SteadyStateResult,
     alpha_infinity,
+    alpha_infinity_3local,
     build_uqr,
     build_uqr_3local,
     marginal_targets,
@@ -360,14 +361,9 @@ class TestSteadyState:
 def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality, alpha):
     assume(m <= n - 1)
     cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
-    # the full-register history after 2^60 cycles, by repeated squaring of
-    # the cycle's matrix, whose column j is the recycled image of e_j
-    power = full_cycle(np.eye(1 << n), cfg, alpha)[0].T
-    for _ in range(60):
-        power = power @ power
-        power /= power.sum(axis=0, keepdims=True)
-    history = power @ product_probs(alpha, n)
-    cycle_start = history / history.sum()
+    # the full-register history's limit: the stationary vector of the cycle's
+    # matrix, whose row j is the recycled image of e_j
+    cycle_start = gth(full_cycle(np.eye(1 << n), cfg, alpha)[0])
     evolved = full_cycle(cycle_start, cfg, alpha)[1]
     result = steady_states(cfg, [alpha])[0]
     assert abs(result.alpha_enhanced - marginal_targets(evolved)) < 1e-9
@@ -734,6 +730,23 @@ class TestAlphaInfinity:
     def test_huge_exponent_saturates(self):
         assert alpha_infinity(40, 2, 0.5) == 1.0
 
+    def test_relative_accuracy_down_to_tiny_polarizations(self):
+        # 1 +- alpha rounds before the power ratio's powers: alpha_infinity(5, 2,
+        # 1e-17) once read 0
+        mpmath = pytest.importorskip("mpmath")
+        limits = [(K, lambda a, n=n, m=m: alpha_infinity(n, m, a))
+                  for n, m, K in ((3, 2, 2), (5, 2, 8), (6, 1, 16), (8, 4, 32), (22, 1, 2**20))]
+        limits += [(K, lambda a, n=n: alpha_infinity_3local(n, a))
+                   for n, K in ((4, 3), (5, 5), (10, 55))]
+        for alpha in np.logspace(-300, -1, 300):
+            alpha = float(alpha)
+            for K, limit in limits:
+                with mpmath.workdps(50):
+                    want = float(mpmath.tanh(K * mpmath.atanh(mpmath.mpf(alpha))))
+                assert limit(alpha) == pytest.approx(want, rel=1e-14, abs=0), (K, alpha)
+                assert limit(-alpha) == -limit(alpha)
+
+
 class TestReductionFactorQr:
     def test_three_qubit_arithmetic(self):
         # same gain algebra as the single-shot case, with cost m*rounds+1 = 3
@@ -827,7 +840,7 @@ class TestOptimalBound:
             # README fig4, whose bound column fig6 prints too
             (RefrigeratorConfig(5, 2, 9), parse_alpha_grid("0.01:0.99:0.01")),
             # an excited mass near 1e-50, which an absolute stop cannot see
-            (RefrigeratorConfig(7, 2, 20), (0.96, 0.99)),
+            (RefrigeratorConfig(7, 2, 20), (0.9, 0.93, 0.96, 0.99)),
         ],
         ids=["fig4", "n7-r20"],
     )

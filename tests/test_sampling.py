@@ -584,13 +584,17 @@ class TestResourceMatchedComparison:
 
     def test_exactly_odd_in_alpha(self):
         # every cell at -a is the cell at a, with the two polarizations
-        # negated; 1 - (1 + a)/2 != (1 - a)/2 in floats at a = 0.37
+        # negated; 1 - (1 + a)/2 != (1 - a)/2 in floats at a = 0.37.  Cells
+        # compare as written, so a signed zero shows and NaN equals NaN: at
+        # 0.6 every wrong-sign fraction is 0, at 0.02 none is
         cfg = RefrigeratorConfig(5, 2, 5)
-        plus = compare(0.37, cfg, 55, seed=9, trials=MC_CHUNK + 17)
-        minus = compare(-0.37, cfg, 55, seed=9, trials=MC_CHUNK + 17)
-        assert minus == dataclasses.replace(plus, alpha=-plus.alpha,
-                                            alpha_cooled=-plus.alpha_cooled)
-        assert 0 < plus.mc_error_raw < 1 and 0 < plus.mc_error_cooled < 1
+        for alpha in (0.37, 0.6, 0.02):
+            plus = compare(alpha, cfg, 10_000, seed=9, trials=MC_CHUNK + 17)
+            minus = compare(-alpha, cfg, 10_000, seed=9, trials=MC_CHUNK + 17)
+            mirror = dataclasses.replace(plus, alpha=-plus.alpha, alpha_cooled=-plus.alpha_cooled)
+            assert list(map(repr, dataclasses.astuple(minus))) == list(
+                map(repr, dataclasses.astuple(mirror))), alpha
+        assert 0 < plus.mc_error_raw < 1 and 0 < plus.mc_error_cooled < 1  # at 0.02
 
     def test_seed_determinism(self):
         cfg = RefrigeratorConfig(4, 2, 1)
