@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .klocal import build_uqr_3local
-from .single_shot import _power_ratio
+from .single_shot import _power_ratio, _reduction
 from .states import (
     PermutationSpec,
     _attach,
@@ -152,18 +152,10 @@ class SteadyStateResult:
         The enhanced term is ``4 ground excited / (ground - excited)^2``, read
         off both masses: it stays finite when ``alpha_enhanced`` rounds to
         +-1, a drift that scales both masses alike leaves it as it is, and it
-        is exactly even in ``alpha`` because the two masses swap.  Where
-        ``alpha^2`` or the mass difference rounds to 0 it raises
-        ZeroDivisionError naming ``alpha``.
+        is exactly even in ``alpha`` because the two masses swap.
         """
-        if alpha == 0.0:
-            raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
-        if self.ground == self.excited or alpha * alpha == 0.0:
-            raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
-        enhanced = 4.0 * (self.ground * self.excited) / (self.ground - self.excited) ** 2
-        if enhanced == 0.0:
-            return math.inf
-        return (1.0 - alpha * alpha) / (alpha * alpha) / enhanced / cost
+        g, e = self.ground, self.excited
+        return _reduction(alpha, 4.0 * (g * e) / (g - e) ** 2 if g != e else math.inf, cost)
 
 
 @lru_cache(maxsize=None, typed=True)  # n = 3.0 must not hit n = 3's entry

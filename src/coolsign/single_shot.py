@@ -118,6 +118,20 @@ def _power_ratio(alpha: float, exponent: int) -> float:
     return (hi - lo) / (hi + lo)
 
 
+def _reduction(alpha: float, enhanced: float, cost: float) -> float:
+    """``(alpha^-2 - 1) / enhanced / cost``, where ``enhanced`` is the
+    enhanced polarization's ``alpha_e^-2 - 1``: ZeroDivisionError at
+    ``alpha = 0``, and naming ``alpha`` where ``enhanced`` is ``inf`` or
+    ``alpha^2`` rounds to 0; ``inf`` where ``enhanced`` is 0."""
+    if alpha == 0.0:
+        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
+    if enhanced == math.inf or alpha * alpha == 0.0:
+        raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
+    if enhanced == 0.0:
+        return math.inf
+    return (1.0 - alpha * alpha) / (alpha * alpha) / enhanced / cost
+
+
 def reduction_factor_ac(n: int, alpha: float) -> float:
     """Error-bound reduction from single-shot compression at matched budget.
 
@@ -128,20 +142,12 @@ def reduction_factor_ac(n: int, alpha: float) -> float:
     grid polarizations up to 0.99 at any ``n``, and the enhanced
     polarization is ``erf(xi)`` itself, not ``1 - erfc(xi)``, so the factor
     keeps its relative accuracy as ``alpha -> 0``, down to where ``erf(xi)^2``
-    underflows (``|alpha|`` below about 5e-155), which raises
-    ZeroDivisionError as ``alpha = 0`` does.
+    underflows (``|alpha|`` below about 5e-155).
     """
     _check_count("n", n)
-    if alpha == 0.0:
-        raise ZeroDivisionError("reduction factor is undefined at alpha = 0")
     if abs(alpha) == 1:
         return math.inf
     xi = abs(compression_xi(n, alpha))  # exactly xi at |alpha|: the form is odd
     c = math.erfc(xi)  # twice the excited mass u: 4u(1-u) = c(2-c)
     square = math.erf(xi) ** 2
-    den = c * (2.0 - c) / square if square else math.inf
-    if den == 0.0:
-        return math.inf
-    if den == math.inf or alpha * alpha == 0.0:
-        raise ZeroDivisionError(f"reduction factor underflows at alpha = {alpha!r}")
-    return (1.0 - alpha * alpha) / (alpha * alpha) / den / n
+    return _reduction(alpha, c * (2.0 - c) / square if square else math.inf, n)

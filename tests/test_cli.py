@@ -389,24 +389,6 @@ class TestSampleCommand:
         assert len(rows) == 9
         assert rows[0][1] == 300 and rows[0][2] == 100
 
-    def test_byte_identical_across_parallelism(self, tmp_path):
-        args = ["--sample", "--n", "4", "--m", "2", "--rounds", "2",
-                "--alpha-grid", "0.2:0.8:0.2", "--budget", "100", "--trials", "5000",
-                "--seed", "99"]
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(first), "--jobs", "1"]) == EXIT_OK
-        assert main(args + ["--out", str(second), "--jobs", "4"]) == EXIT_OK
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_repeat_run_identical(self, tmp_path):
-        args = ["--sample", "--n", "3", "--m", "2", "--rounds", "1",
-                "--alpha-grid", "0.3:0.6:0.3", "--budget", "60", "--trials", "2000",
-                "--seed", "17"]
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(args + ["--out", str(first)])
-        main(args + ["--out", str(second)])
-        assert first.read_bytes() == second.read_bytes()
-
     def test_json_writes_non_finite_cells_as_strings(self, tmp_path):
         # at alpha = 0 the reduction factor is NaN, and at |alpha| = 0.5 both
         # Monte Carlo errors are 0, so their ratio is NaN
@@ -733,6 +715,11 @@ GRIDS = st.one_of(
     ),
     st.sampled_from(["1:2", "a:b:c", "0.5:0.1:0.1", "0.1:0.9:0", "0:inf:1", "nan:0.5:0.1"]),
 )
+# one point at each edge of the float range the grids can hold, of either sign
+EDGE_GRIDS = st.sampled_from([
+    f"{sign}{v!r}:{sign}{v!r}:1" for sign in ("", "-")
+    for v in (0.0, 1.0, 5e-324, 1e-320, 1e-300, 1e-170, 1e-14, 1e-8, 0.999, 1 - 2**-53, 1 + 2**-52)
+])
 
 
 def n_lists(values, unique):
@@ -760,11 +747,11 @@ FORMAT = st.sampled_from([None, "csv", "json"])
 VALID_ARGV = st.one_of(
     command(SINGLE_SHOT, n=n_lists(st.integers(1, 3000), unique=True),
             alpha_grid=POSITIVE_GRIDS, format=FORMAT),
-    command(BQR, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 3),
-            alpha_grid=POSITIVE_GRIDS, format=FORMAT),
+    command(BQR, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 40),
+            alpha_grid=POSITIVE_GRIDS | EDGE_GRIDS, format=FORMAT),
     command(SAMPLE, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 3),
             locality=LOCALITY, budget=st.none() | st.integers(11, 10**6),
-            alpha_grid=SIGNED_GRIDS, format=FORMAT),
+            alpha_grid=SIGNED_GRIDS | EDGE_GRIDS, format=FORMAT),
 )
 ANY_ARGV = st.one_of(
     command(SINGLE_SHOT, n=n_lists(st.integers(-2, 3000), unique=False), alpha_grid=GRIDS,
