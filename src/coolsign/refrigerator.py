@@ -18,7 +18,7 @@ sparsely from the same index map, and checked by one kernel cycle
 runs the same kernel on the identity.  Each solver hands
 :func:`_solve_grid` a compression, a start and a cycle budget;
 :func:`_solve_grid` runs every solve's cycles and judges them all by one
-relative residual.
+relative residual; a row leaves the batch in the cycle it settles.
 
 A grid of reservoir polarizations, at one or more round counts, is solved
 as one batch.  Each distinct ``(round count, |alpha|)`` pair owns a row
@@ -234,14 +234,15 @@ def _solve_grid(
     ``cycles`` cycles.  A row settles at the first iterate whose own cycle
     moves every entry by at most :data:`RESIDUAL_TOL` relative, ``|image -
     a| <= tol max(image, a)``, where an entry that is 0 on both sides moves
-    0 and a NaN never settles.  It keeps that iterate, its evolved vector
-    and that move as its residual; settled rows step on with the rest, but
-    rows never mix.  A negative alpha gets the mirror image of its
-    ``|alpha|`` result, which is its own solve bit for bit: the kernel, the
-    staircases and the sort commute with the bit flip.  The first row of a
-    chunk that did not settle raises :class:`ConvergenceError`, naming
-    ``what``, the first grid alpha of that row, its rounds and its last move
-    (``inf`` if no cycle ran).
+    0 and a NaN never settles.  It leaves the batch in the cycle it settles,
+    with that iterate, its evolved vector's target masses and that move as
+    its residual; the rest step on, and rows never mix.  A negative alpha
+    gets the mirror image of its ``|alpha|`` result, which is its own solve
+    bit for bit: the kernel, the staircases and the sort commute with the
+    bit flip.  The first row of a chunk still in the batch when the budget
+    ends raises :class:`ConvergenceError`, naming ``what``, the first grid
+    alpha of that row, its rounds and its last move (``inf`` if no cycle
+    ran).
     """
     grid = [float(alpha) for alpha in alphas]
     distinct = list(dict.fromkeys(abs(alpha) for alpha in grid))
@@ -252,34 +253,31 @@ def _solve_grid(
     size = max(1, CHUNK_BYTES // (8 * half * half))
     solved: dict[tuple[int, float], SteadyStateResult] = {}
     for low in range(0, len(pairs), size):
-        rounds, chunk = (np.array(column) for column in zip(*pairs[low:low + size]))
+        keys = pairs[low:low + size]
+        rounds, chunk = (np.array(column) for column in zip(*keys))
         step, a = _recycle_step(cfg, chunk, compress, rounds), start(rounds, chunk)
-        fixed, fixed_evolved = np.empty_like(a), np.empty_like(a)
-        residual = np.full(chunk.shape, np.inf)
-        unsettled = np.ones(chunk.shape, dtype=bool)
+        live, move = np.arange(len(keys)), np.full(chunk.shape, np.inf)
         for _ in range(cycles):
             image, evolved = step(a)
             move = np.abs(image - a)
             np.divide(move, np.maximum(image, a), out=move, where=move > 0.0)
             move = move.max(axis=-1)
-            np.copyto(residual, move, where=unsettled)
-            now = unsettled & (move <= RESIDUAL_TOL)
-            if now.any():
-                fixed[now], fixed_evolved[now] = a[now], evolved[now]
-                unsettled &= ~now
-                if not unsettled.any():
+            settled = move <= RESIDUAL_TOL
+            if settled.any():
+                rows = zip(live[settled], a[settled], move[settled], *_target(evolved[settled]))
+                for row, fixed, *measured in rows:  # residual, ground, excited
+                    solved[keys[row]] = SteadyStateResult(fixed, *map(float, measured))
+                live, image, move = live[~settled], image[~settled], move[~settled]
+                if not live.size:
                     break
+                step = _recycle_step(cfg, chunk[live], compress, rounds[live])
             a = image
-        if unsettled.any():
-            row = int(np.flatnonzero(unsettled)[0])
+        if live.size:
+            row = live[0]
             alpha = next(alpha for alpha in grid if abs(alpha) == chunk[row])
             raise ConvergenceError(f"{what} at alpha={alpha!r}, rounds={rounds[row]}: relative "
-                                   f"residual {residual[row]:.3e} is not within "
-                                   f"{RESIDUAL_TOL:g}", float(residual[row]))
-        ground, excited = _target(fixed_evolved)
-        for i, key in enumerate(pairs[low:low + size]):
-            solved[key] = SteadyStateResult(fixed[i], float(residual[i]), float(ground[i]),
-                                            float(excited[i]))
+                                   f"residual {move[0]:.3e} is not within "
+                                   f"{RESIDUAL_TOL:g}", float(move[0]))
     return [[_mirror(solved[cfg.rounds, -alpha]) if alpha < 0 else solved[cfg.rounds, alpha]
              for alpha in grid] for cfg in cfgs]
 
@@ -421,7 +419,8 @@ def steady_states(cfg, alphas) -> list:
 def alpha_infinity(n: int, m: int, alpha: float) -> float:
     """Cooling-limit polarization ``tanh(m 2^(n-m-1) artanh(alpha))``, by the
     power ratio of :func:`coolsign.single_shot._power_ratio`: exact for small
-    exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd."""
+    exponents (``alpha_infinity(3, 2, 0.5) == 0.8``) and exactly odd.  The
+    steady state tends to it as the rounds grow for ``m >= 2`` only."""
     _check_register(n, m)
     return _power_ratio(alpha, m * (1 << (n - m - 1)))
 

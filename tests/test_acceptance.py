@@ -142,10 +142,11 @@ def test_criterion_4_round_matrix_reproduction():
 
 def test_criterion_5_asymptotic_polarization():
     start = time.perf_counter()
-    for n in (3, 4, 5):
+    # the closed form is the limit for m >= 2; at m = 1 the staircase never cools
+    for n, m in ((3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3), (5, 4)):
         for alpha in (0.2, 0.5, 0.8):
-            result = steady_states(RefrigeratorConfig(n, 2, 200), [alpha])[0]
-            assert abs(result.alpha_enhanced - alpha_infinity(n, 2, alpha)) < 1e-6
+            result = steady_states(RefrigeratorConfig(n, m, 200), [alpha])[0]
+            assert abs(result.alpha_enhanced - alpha_infinity(n, m, alpha)) < 1e-6, (n, m, alpha)
     assert alpha_infinity(3, 2, 0.5) == 0.8
     report(5, "200-round polarization reaches tanh(m 2^(n-m-1) artanh) limit",
            time.perf_counter() - start, 10.0)

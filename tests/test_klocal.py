@@ -72,11 +72,6 @@ class TestPermutation:
             probs = product_probs(0.61, n)
             assert np.array_equal(inverse(perm(probs)), probs)
 
-    def test_bijection(self):
-        for n in (3, 4, 5, 6, 7):
-            perm = build_uqr_3local(n).perm
-            assert np.array_equal(np.sort(perm), np.arange(1 << n))
-
     def test_requires_three_qubits(self):
         with pytest.raises(ValueError):
             build_uqr_3local(2)
@@ -175,11 +170,6 @@ class TestAsymptoticPopulations:
 
 
 class TestReduction3Local:
-    def test_n3_equals_full_staircase(self):
-        cfg = RefrigeratorConfig(3, 2, 4)
-        local_cfg = RefrigeratorConfig(3, 2, 4, locality="3local")
-        assert reduction_qr(local_cfg, 0.5) == reduction_qr(cfg, 0.5)
-
     def test_never_exceeds_full_staircase_from_three_rounds(self):
         for rounds in (1, 3, 5, 9):
             for alpha in (0.2, 0.4, 0.6, 0.8):

@@ -254,13 +254,6 @@ class TestSteadyState:
             result = steady_states(cfg, [alpha])[0]
             assert abs(result.alpha_enhanced - enhanced) < 1e-10
 
-    def test_residual_contract(self):
-        cfg = RefrigeratorConfig(5, 2, 3)
-        for alpha in (0.4, -0.4):
-            result = steady_states(cfg, [alpha])[0]
-            recycled, _ = recycle(result.a_fixed, cfg, alpha)
-            assert np.abs(recycled - result.a_fixed).sum() <= 1e-12
-
     def test_sign_preserved_and_exactly_odd(self):
         for n, m, rounds in ((4, 1, 3), (5, 2, 5), (6, 3, 2), (7, 2, 9)):
             cfg = RefrigeratorConfig(n, m, rounds)
@@ -316,10 +309,11 @@ class TestSteadyState:
 
     @pytest.mark.parametrize(
         "cfg,alpha",
-        [(RefrigeratorConfig(8, 2, 3), 0.98), (RefrigeratorConfig(7, 2, 4, locality="3local"), 0.99)],
+        [(RefrigeratorConfig(8, 2, 3), 0.98), (RefrigeratorConfig(7, 2, 4, locality="3local"), 0.99),
+         (RefrigeratorConfig(5, 2, 3), 0.4), (RefrigeratorConfig(5, 2, 3), -0.4)],
     )
     def test_converges_near_saturation(self, cfg, alpha):
-        # power iteration from the product state stalled on these cells
+        # power iteration from the product state stalled on the first two cells
         result = steady_states(cfg, [alpha])[0]
         assert result.residual <= 1e-12
         recycled, enhanced = recycle(result.a_fixed, cfg, alpha)
@@ -629,7 +623,9 @@ def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality):
                                            steady(cfg, alpha)[0], rtol=1e-14, atol=0)
 
 
-def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
+@pytest.fixture
+def stepped_rows(monkeypatch):
+    """The row count of each recycle step call, in call order."""
     steps = []
 
     def counted(cfg, alphas, compress, rounds):
@@ -642,9 +638,22 @@ def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch):
         return recorded
 
     monkeypatch.setattr(refrigerator, "_recycle_step", counted)
+    return steps
+
+
+def test_steady_states_run_one_cycle_per_chunk_and_no_fixed_point(monkeypatch, stepped_rows):
     monkeypatch.setattr(refrigerator, "CHUNK_BYTES", 2 * 8 * 8 * 8)  # two points per chunk
     steady_states(RefrigeratorConfig(6, 2, 3), [0.3, -0.9, 0.0, 0.9, 1.0, -0.3, 0.6])
-    assert steps == [2, 2, 1]
+    assert stepped_rows == [2, 2, 1]
+
+
+def test_settled_rows_leave_the_batch(stepped_rows):
+    # the bound at 0.6 settles in its 17th cycle and steps no more; 0.3 in its 28th
+    cfg, grid = RefrigeratorConfig(5, 2, 9), [0.3, -0.6]
+    results = optimal_bounds(cfg, grid)
+    assert stepped_rows == [2] * 17 + [1] * 11
+    for alpha, got in zip(grid, results):
+        assert_same_result(got, optimal_bounds(cfg, [alpha])[0])
 
 
 @pytest.mark.parametrize("locality", LOCALITIES)
@@ -813,8 +822,7 @@ class TestOptimalBound:
 
     def test_negative_bias_sorts_ascending(self):
         cfg = RefrigeratorConfig(4, 2, 2)
-        up, down = optimal_bounds(cfg, [0.6])[0], optimal_bounds(cfg, [-0.6])[0]
-        assert down.alpha_enhanced == pytest.approx(-up.alpha_enhanced, abs=1e-13)
+        assert_same_result(optimal_bounds(cfg, [-0.6])[0], _mirror(optimal_bounds(cfg, [0.6])[0]))
 
     @pytest.mark.parametrize(
         "cfg,grid",
