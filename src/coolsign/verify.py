@@ -2,7 +2,7 @@
 
 Each suite re-derives a module's key guarantees on a fixed grid and reports
 worst-case residuals, so a release can be smoke-checked without the test
-harness.  Grids are deliberately the same ones the acceptance tests pin.
+harness.  Acceptance criteria 1, 6 and 8 run these suites as shipped.
 
 The theorem-1 and bqr-oracle suites run a register size's polarization grid
 as rows along a leading axis.  Their references (the sorted full register,
@@ -60,12 +60,12 @@ def verify_theorem1() -> list[CheckResult]:
     sign_ok = True
     for n in range(3, 10):
         closed = np.array([single_shot.alpha_ac(n, a) for a in alphas.tolist()])
+        # the value sort reads no sign, so it holds |alpha_ac|
         targets = np.concatenate([
-            states.marginal_targets(
-                single_shot.compress_products(states.product_probs(block, n), n))
+            states.marginal_targets(np.sort(states.product_probs(block, n))[..., ::-1])
             for block in _blocks(alphas, 8 << n)
         ])
-        worst_closed = max(worst_closed, float(np.max(np.abs(closed - targets))))
+        worst_closed = max(worst_closed, float(np.max(np.abs(np.abs(closed) - targets))))
         worst_gain = max(worst_gain, float(np.max(np.abs(alphas) - np.abs(closed))))
         sign_ok &= bool(np.all(np.sign(closed) == np.sign(alphas)))
     spot = abs(single_shot.alpha_ac(3, 0.5) - float(Fraction(11, 16)))
