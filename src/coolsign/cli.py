@@ -34,10 +34,12 @@ a refrigerator figure or of ``--n`` or ``--rounds`` values for
 ``--sample``, a value repeated in ``--n`` or ``--rounds``, a ``--jobs``,
 ``--seed`` or ``--trials`` below its least value, a ``--budget`` or
 ``--n`` above :data:`MAX_BUDGET` or a ``--jobs`` above
-:data:`coolsign.sampling.MAX_JOBS`, and a register too large to simulate in
-memory), 3 output I/O error, 4 budget too small, 5 a fixed point whose
-relative residual is not within :data:`coolsign.refrigerator.RESIDUAL_TOL`,
-as judged by the one cycle loop :func:`coolsign.refrigerator._solve_grid`:
+:data:`coolsign.sampling.MAX_JOBS`, an ``--m 1`` for a refrigerator figure
+or ``--sample``, since the staircase needs two resets to cool, and a
+register too large to simulate in memory), 3 output I/O error, 4 budget
+too small, 5 a fixed point whose relative residual is not within
+:data:`coolsign.refrigerator.RESIDUAL_TOL`, as judged by the one cycle
+loop :func:`coolsign.refrigerator._solve_grid`:
 a steady state after its one-cycle check, or a sort-oracle bound after
 :data:`coolsign.refrigerator.MAX_CYCLES` cycles.  Each exit 2 to 5,
 argparse's own errors included, prints one stderr line,
@@ -335,6 +337,9 @@ def _sweep(args: argparse.Namespace, mode: str,
         repeated = [value for value in values if values.count(value) > 1]
         if repeated:
             raise ValueError(f"{flag} lists {repeated[0]} more than once")
+    # with one reset neither staircase cools past the raw polarization
+    if (locality or args.sample) and args.m == 1:
+        raise ValueError("the staircase needs two resets to cool, got --m 1")
     reduction = "reduction" in (args.figure or "")
     if reduction and any(a <= 0.0 for a in alpha_grid):
         raise ValueError("reduction-factor sweeps need a grid within (0, 1]")

@@ -1,8 +1,8 @@
-"""Full-register oracle of the refrigerator: every round runs on the whole
-``2^n`` diagonal in plain numpy, and the staircases are listed here one
-transposition at a time, so no code is shared with the package.  Rows along
-leading axes run side by side.  Every helper keeps the type of the
-polarization, so a ``Fraction`` alpha runs the whole oracle exactly."""
+"""Full-register oracle of the refrigerator, for the ``--suite`` checks and
+the tests: every round runs on the whole ``2^n`` diagonal in plain numpy,
+the staircases are listed one transposition at a time, and nothing else of
+the package is imported.  Rows along leading axes run side by side.  Every
+helper keeps the polarization's type, so a ``Fraction`` runs it exactly."""
 
 import math
 from fractions import Fraction

@@ -171,7 +171,8 @@ def compression_permutation_for(cfg: RefrigeratorConfig) -> PermutationSpec:
     return {"full": build_uqr, "3local": build_uqr_3local}[cfg.locality](cfg.n)
 
 
-#: relabels full-register population rows, as a staircase's PermutationSpec does
+#: relabels full-register population rows, as a staircase's PermutationSpec
+#: does; the round hands it a fresh array, which it may overwrite
 Compression = Callable[[np.ndarray], np.ndarray]
 
 
@@ -440,7 +441,8 @@ def optimal_bounds(cfg: RefrigeratorConfig, alphas) -> list[SteadyStateResult]:
     """
 
     def sort(full: np.ndarray) -> np.ndarray:
-        return np.sort(full, axis=-1)[..., ::-1]
+        full.sort(axis=-1)
+        return full[..., ::-1]
 
     def fresh(rounds: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         return product_probs(chunk, cfg.n - cfg.m)

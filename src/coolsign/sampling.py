@@ -345,7 +345,12 @@ def resource_matched_comparisons(
     the raw side draws from the seed ``_derived_seed(seed, 0)`` and the
     cooled side from ``_derived_seed(seed, 1)``.  So one side's points share
     their draws: their Monte Carlo cells are correlated across rows and never
-    grow with ``|alpha|``, and each row equals a one-point grid's row."""
+    grow with ``|alpha|``, and each row equals a one-point grid's row.
+
+    ``exact_error_cooled``, ``mc_error_cooled`` and ``bound_cooled`` treat
+    the ``k_cooled`` outputs as independent draws at ``alpha_cooled``; in
+    fact successive outputs of one recycling refrigerator share its carried
+    register, so they are correlated."""
     _check_count("seed", seed, least=0)
     _check_count("trials", trials)
     if len(alphas) != len(cooled):

@@ -4,6 +4,12 @@ Each suite re-derives a module's key guarantees on a fixed grid and reports
 worst-case residuals, so a release can be smoke-checked without the test
 harness.  Acceptance criteria 1, 6 and 8 run these suites as shipped.
 
+References: theorem1 sorts the full product register by value, which reads
+no sign.  The rest come from :mod:`coolsign.oracles`: bqr-oracle builds the
+full recycle cycle on its listed staircase and solves it by its GTH, as
+klocal-fixedpoint solves the 3-local round map, and sampling reads the
+binomial tail's exact rational.
+
 The theorem-1 and bqr-oracle suites run a register size's polarization grid
 as rows along a leading axis.  Their references (the sorted full register,
 and the full recycle cycle the steady states are checked against) go in
@@ -17,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
-from . import klocal, refrigerator, sampling, single_shot, states
+from . import klocal, oracles, refrigerator, sampling, single_shot, states
 
 
 #: bytes of rows one block of a suite may hold; its temporaries are a few
@@ -77,19 +82,6 @@ def verify_theorem1() -> list[CheckResult]:
     ]
 
 
-def _listed_staircase(n: int) -> states.PermutationSpec:
-    """The full staircase composed one transposition at a time, listed from
-    the basis patterns ``x 0 1...1 <-> x 1 0...0`` of each width j = 3..n:
-    an oracle that shares no code with :func:`refrigerator.build_uqr`."""
-    image = np.arange(1 << n)
-    for j in range(3, n + 1):
-        low = (np.arange(1 << (n - j)) << j) + (1 << (j - 1)) - 1
-        swap = np.arange(1 << n)
-        swap[low], swap[low + 1] = low + 1, low
-        image = swap[image]
-    return states.PermutationSpec(n, image)
-
-
 def _round_rows(n: int, m: int, alpha, perm: states.PermutationSpec) -> np.ndarray:
     """One round as a row-stochastic matrix: row ``i`` is the round kernel's
     image of ``e_i`` with fresh resets attached.  An array of polarizations
@@ -105,7 +97,8 @@ def verify_bqr_oracle() -> list[CheckResult]:
     worst = 0.0
     try:
         for n in range(3, 8):
-            listed = _listed_staircase(n)
+            # the staircase is an involution, so its labels are their own inverse
+            listed = states.PermutationSpec(n, oracles.staircase_labels(n, "full"))
             for m in (1, 2, 3):
                 if m > n - 1:
                     continue
@@ -116,18 +109,17 @@ def verify_bqr_oracle() -> list[CheckResult]:
                 want = []
                 for block in _blocks(alphas, eye.nbytes << m):
                     step = refrigerator._recycle_step(cfg, block[:, None], listed)
-                    want.append(refrigerator._stationary_gth(
+                    want.append(oracles.gth(
                         step(np.broadcast_to(eye, block.shape + eye.shape))[0]))
                 want = np.concatenate(want)
                 worst = float(np.max([worst, np.abs(got - want).max()]))  # keeps a NaN
     except refrigerator.ConvergenceError as exc:
         worst = exc.residual
-    col_worst = 0.0
-    rng = np.random.default_rng(20240611)
-    for _ in range(5):
-        alpha = float(rng.uniform(-0.95, 0.95))
-        rows = _round_rows(5, 2, alpha, refrigerator.build_uqr(5))
-        col_worst = max(col_worst, float(np.abs(rows.sum(axis=-1) - 1.0).max()))
+    # five draws of default_rng(20240611).uniform(-0.95, 0.95), written out
+    drawn = np.array([-0.589682295312506, 0.9497555243232962, 0.16465570776146565,
+                      0.6366909918468342, -0.4451468367680138])
+    rows = _round_rows(5, 2, drawn, refrigerator.build_uqr(5))
+    col_worst = float(np.abs(rows.sum(axis=-1) - 1.0).max())
     return [
         _check("bqr steady state vs full recycle cycle (n<=7)", worst, 1e-12),
         _check("bqr round matrices column-stochastic", col_worst, 1e-12),
@@ -140,7 +132,7 @@ def verify_klocal_fixedpoint() -> list[CheckResult]:
     for n in (4, 5, 6):
         perm = klocal.build_uqr_3local(n)
         for alpha in (0.2, 0.5, 0.8):
-            fixed = refrigerator._stationary_gth(_round_rows(n, 2, alpha, perm))
+            fixed = oracles.gth(_round_rows(n, 2, alpha, perm))
             pops = klocal.asymptotic_population_vector(n, alpha)
             product = np.array([1.0])
             for pop in pops[:1:-1]:  # target down to last auxiliary
@@ -155,9 +147,7 @@ def verify_klocal_fixedpoint() -> list[CheckResult]:
 
 
 def verify_sampling() -> list[CheckResult]:
-    oracle = sum(
-        comb(25, s) * Fraction(6, 10) ** s * Fraction(4, 10) ** (25 - s) for s in range(13)
-    )
+    oracle = oracles.wrong_sign_fraction(Fraction(1, 5), 25)
     cdf_residual = abs(sampling.exact_sign_error(0.2, 25) - float(oracle))
 
     worst_band = 0.0

@@ -1,7 +1,7 @@
 """One round as a dense matrix, read off the package's round kernel.
 
-Unlike ``oracles``, this runs the kernel itself: column ``j`` of the matrix
-is the kernel's image of ``e_j`` with fresh resets attached.
+Unlike :mod:`coolsign.oracles`, this runs the kernel itself: column ``j``
+of the matrix is the kernel's image of ``e_j`` with fresh resets attached.
 """
 
 import numpy as np

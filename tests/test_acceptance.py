@@ -30,9 +30,9 @@ from coolsign import (
     steady_states,
 )
 from coolsign.cli import main
+from coolsign.oracles import full_round, sum_last
 from coolsign.verify import verify_klocal_fixedpoint, verify_sampling, verify_theorem1
 from kernel_matrix import round_matrix
-from oracles import full_round, sum_last
 
 
 def report(number: int, label: str, elapsed: float, budget: float) -> None:

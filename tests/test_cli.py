@@ -578,6 +578,11 @@ EXIT_PATHS = {
                           ())
        for figure, grid in (("single-shot-reduction", "--alpha-grid 0.0:0.5:0.1"),
                             ("bqr-reduction", "--n 5 --rounds 3 --alpha-grid=-0.5:0.5:0.5"))},
+    # one reset: the staircase never cools, so no refrigerator mode takes it
+    **{f"{name}-m1": (mode + " --n 5 --m 1 --rounds 3 " + POINT, EXIT_USAGE,
+                      re.escape("the staircase needs two resets to cool, got --m 1"), EARLY, ())
+       for name, mode in [*((figure, f"--figure {figure}") for figure in BQR_FIGURES),
+                          ("sample", "--sample")]},
     # refused inside the steady-state solve
     "polarization-range": ("--figure bqr-polarization --n 4 --rounds 1 --alpha-grid 0.5:1.5:0.5 "
                            "--out {out}", EXIT_USAGE,
@@ -746,9 +751,9 @@ FORMAT = st.sampled_from([None, "csv", "json"])
 VALID_ARGV = st.one_of(
     command(SINGLE_SHOT, n=n_lists(st.integers(1, 3000), unique=True),
             alpha_grid=POSITIVE_GRIDS, format=FORMAT),
-    command(BQR, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 40),
+    command(BQR, n=st.integers(3, 6), m=st.integers(2, 3), rounds=st.integers(1, 40),
             alpha_grid=POSITIVE_GRIDS | EDGE_GRIDS, format=FORMAT),
-    command(SAMPLE, n=st.integers(3, 6), m=st.integers(1, 2), rounds=st.integers(1, 3),
+    command(SAMPLE, n=st.integers(3, 6), m=st.integers(2, 3), rounds=st.integers(1, 3),
             locality=LOCALITY, budget=st.none() | st.integers(11, 10**6),
             alpha_grid=SIGNED_GRIDS | EDGE_GRIDS, format=FORMAT),
 )
@@ -787,6 +792,14 @@ def test_any_argv_exits_cleanly(tmp_path_factory, argv):
     header, rows = read_table(out, fmt)
     assert stdout == f"wrote {out} ({len(rows)} rows, {len(header)} columns)\n"
     assert all(len(row) == len(header) for row in rows), argv
+    # a polarization, a wrong-sign probability (at most a coin's) and a bound
+    # on one, each within its range
+    polarization = argv[1].endswith("polarization")
+    for column, *cells in zip(header, *rows):
+        if polarization or column.startswith(("alpha", "exact_error_", "bound_")):
+            low = -1.0 if polarization or column.startswith("alpha") else 0.0
+            high = 0.5 if column.startswith("exact_error_") else 1.0
+            assert all(low <= float(cell) <= high for cell in cells), (argv, column, cells)
     # the same command in the other format: the same columns and cells
     other_fmt = "json" if fmt == "csv" else "csv"
     other = folder / "other.out"
@@ -801,8 +814,11 @@ def test_any_argv_exits_cleanly(tmp_path_factory, argv):
 
 def test_no_mode_imports_scipy(tmp_path):
     """The package runs on numpy alone: a one-point ``--sample``, ``--suite
-    all`` and the README's first figure load no ``scipy`` module."""
+    all`` and the README's first figure load no ``scipy`` module.  Run
+    first, ``--suite bqr-oracle`` draws no random number, so it loads no
+    ``numpy.random`` that importing the command line did not."""
     argvs = [
+        ["--suite", "bqr-oracle"],
         ["--sample", "--n", "5", "--m", "2", "--rounds", "5", "--budget", "10000",
          "--trials", "1000", "--seed", "7", "--alpha-grid", "0.5:0.5:0.1",
          "--out", str(tmp_path / "sample.csv")],
@@ -811,15 +827,19 @@ def test_no_mode_imports_scipy(tmp_path):
     ]
     code = ("import json, sys\n"
             "from coolsign.cli import main\n"
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "argvs = json.loads(sys.argv[1])\n"
+            "random = ['numpy.random' in sys.modules]\n"
+            "codes = [main(argvs[0])]\n"
+            "random.append('numpy.random' in sys.modules)\n"
+            "codes += [main(argv) for argv in argvs[1:]]\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-            "print(json.dumps([codes, loaded]))\n")
+            "print(json.dumps([codes, random, loaded]))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, (imported, after_suite), loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [EXIT_OK] * len(argvs)
-    assert loaded == []
+    assert after_suite == imported and loaded == []

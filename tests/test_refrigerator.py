@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +25,18 @@ from coolsign import (
     steady_states,
     window_swaps,
 )
-from coolsign import refrigerator
+from coolsign import oracles, refrigerator
 from coolsign.cli import parse_alpha_grid
+from coolsign.oracles import (
+    attach,
+    full_round,
+    gth,
+    qubits,
+    staircase_transpositions,
+    steady,
+    sum_last,
+    swap_by_swap,
+)
 from coolsign.refrigerator import (
     GTH_PANEL,
     LOCALITIES,
@@ -39,17 +50,6 @@ from coolsign.refrigerator import (
 )
 from coolsign.states import PermutationSpec, ground_excited_pair, product_probs
 from kernel_matrix import round_matrix
-from oracles import (
-    attach,
-    full_cycle,
-    full_round,
-    gth,
-    qubits,
-    staircase_transpositions,
-    steady,
-    sum_last,
-    swap_by_swap,
-)
 
 
 def uniform_gth(rows):
@@ -85,13 +85,16 @@ def moved_labels(perm):
 
 
 def test_oracles_import_nothing_from_the_package():
-    # an oracle that shared code with the package would share its faults
-    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    # an oracle that shared code with the package would share its faults:
+    # numpy and the standard library only, and no relative import
+    tree = ast.parse(Path(oracles.__file__).read_text())
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
-    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
     assert "numpy" in modules
-    assert not [name for name in modules if name.split(".")[0] == "coolsign"]
+    assert not [name for name in modules
+                if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}]
 
 
 class TestCompressionPermutations:
@@ -100,6 +103,9 @@ class TestCompressionPermutations:
         for locality, build in (("full", build_uqr), ("3local", build_uqr_3local)):
             expect = swap_by_swap(n, staircase_transpositions(n, locality))
             assert np.array_equal(moved_labels(build(n)), expect), locality
+        # the full staircase is an involution, so its labels are its index map
+        full = oracles.staircase_labels(n, "full")
+        assert np.array_equal(full[full], np.arange(1 << n))
         half = 1 << (n - 1)
         single = swap_by_swap(n, [(half - 1, half)])
         assert np.array_equal(moved_labels(window_swaps(n, [(0, n)])), single)
@@ -132,21 +138,6 @@ class TestCompressionPermutations:
         perm = build_uqr(5)
         assert np.array_equal(perm.perm[:3], [0, 1, 2])
         assert np.array_equal(perm.perm[-3:], [29, 30, 31])
-
-    def test_uqr_moves_only_staircase_patterns(self):
-        for n in (3, 4, 5, 6, 7):
-            perm = build_uqr(n).perm
-            moved = {int(i) for i in np.nonzero(perm != np.arange(1 << n))[0]}
-            expected = set()
-            for j in range(3, n + 1):
-                half = 1 << (j - 1)
-                for x in range(1 << (n - j)):
-                    expected |= {x * (1 << j) + half - 1, x * (1 << j) + half}
-            assert moved == expected
-
-    def test_uqr3_involution(self):
-        perm = build_uqr(3).perm
-        assert np.array_equal(perm[perm], np.arange(8))
 
     def test_uqr_bijection_for_all_n(self):
         for n in range(3, 9):
@@ -241,19 +232,6 @@ class TestSteadyState:
         assert result.alpha_enhanced == 0.0
         assert result.residual == 0.0
 
-    def test_matches_full_recycle_history(self):
-        cfg = RefrigeratorConfig(5, 2, 9)
-        for alpha in (0.5, -0.5, 0.2):
-            full = product_probs(alpha, 5)
-            enhanced = math.inf
-            for _ in range(200):
-                full, evolved = full_cycle(full, cfg, alpha)
-                previous, enhanced = enhanced, marginal_targets(evolved)
-                if abs(enhanced - previous) <= 1e-14:
-                    break
-            result = steady_states(cfg, [alpha])[0]
-            assert abs(result.alpha_enhanced - enhanced) < 1e-10
-
     def test_sign_preserved_and_exactly_odd(self):
         for n, m, rounds in ((4, 1, 3), (5, 2, 5), (6, 3, 2), (7, 2, 9)):
             cfg = RefrigeratorConfig(n, m, rounds)
@@ -331,27 +309,6 @@ class TestSteadyState:
             result = steady_states(RefrigeratorConfig(5, 2, 3), [alpha])[0]
             assert result.alpha_enhanced == alpha
             assert result.residual == 0.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(3, 7),
-    m=st.integers(1, 3),
-    rounds=st.integers(1, 5),
-    locality=st.sampled_from(["full", "3local"]),
-    alpha=st.floats(-0.97, 0.97, exclude_min=True, exclude_max=True),
-)
-def test_seeded_steady_state_matches_full_recycle_history(n, m, rounds, locality, alpha):
-    assume(m <= n - 1)
-    cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
-    # the full-register history's limit: the stationary vector of the cycle's
-    # matrix, whose row j is the recycled image of e_j
-    cycle_start = gth(full_cycle(np.eye(1 << n), cfg, alpha)[0])
-    evolved = full_cycle(cycle_start, cfg, alpha)[1]
-    result = steady_states(cfg, [alpha])[0]
-    assert abs(result.alpha_enhanced - marginal_targets(evolved)) < 1e-9
-    assert np.abs(result.a_fixed - sum_last(cycle_start, m)).max() < 1e-9
-    assert steady_states(cfg, [-alpha])[0].alpha_enhanced == -result.alpha_enhanced
 
 
 @settings(max_examples=25, deadline=None)
@@ -613,14 +570,17 @@ def test_carried_cycle_rows_match_the_dense_power(n, m, locality):
 def test_seed_is_the_stationary_vector_of_the_full_cycle(n, locality):
     # the fixed point, the carried chain's stationary vector with the
     # recycled fresh qubit appended, is with fresh resets appended the
-    # stationary vector of the whole cycle on the full 2^n register
+    # stationary vector of the whole cycle on the full 2^n register, the
+    # limit of the full register's history; so are the target's masses
     alphas = [0.1, 0.37, 0.9, 0.999]
     for m in range(1, min(3, n - 1) + 1):
         for rounds in (1, 3, 9):
             cfg = RefrigeratorConfig(n, m, rounds, locality=locality)
             for result, alpha in zip(steady_states(cfg, alphas), alphas):
-                np.testing.assert_allclose(attach(result.a_fixed, qubits(alpha, m)),
-                                           steady(cfg, alpha)[0], rtol=1e-14, atol=0)
+                stationary, ground, excited = steady(cfg, alpha)
+                np.testing.assert_allclose(
+                    [*attach(result.a_fixed, qubits(alpha, m)), result.ground, result.excited],
+                    [*stationary, ground, excited], rtol=1e-14, atol=0)
 
 
 @pytest.fixture

@@ -26,8 +26,8 @@ from coolsign import (
     sampling,
     steady_states,
 )
+from coolsign.oracles import wrong_sign_fraction
 from coolsign.sampling import MAX_JOBS, MC_CHUNK, _stirlerr
-from oracles import wrong_sign_fraction
 
 
 def wrong_sign_mpmath(alpha: float, k: int):
