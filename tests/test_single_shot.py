@@ -13,6 +13,7 @@ from coolsign import (
     product_probs,
     reduction_factor_ac,
 )
+from coolsign.oracles import wrong_sign_fraction
 
 
 def sort_oracle_marginal(n, alpha):
@@ -27,14 +28,11 @@ def sort_oracle_marginal(n, alpha):
 
 
 def alpha_ac_fraction(n, alpha):
-    """Exact rational evaluation of the compressed target polarization."""
-    p = (1 + Fraction(alpha)) / 2
-    q = 1 - p
-    total = sum(
-        math.comb(n, i) * (p ** (n - i) * q**i - q ** (n - i) * p**i)
-        for i in range((n - 1) // 2 + 1)
-    )
-    return total
+    """Exact rational compressed target polarization, ``sign(alpha) (1 - 2w)``
+    with ``w`` the oracle's wrong-sign probability of a majority of ``n``
+    shots, half a tie included."""
+    sign = (alpha > 0) - (alpha < 0)
+    return sign * (1 - 2 * wrong_sign_fraction(alpha, n))
 
 
 def compressed(alpha, n):
