@@ -351,6 +351,22 @@ def test_sampling_suite_output_independent_of_usable_cpus(monkeypatch, capsys):
     assert outputs[0] == outputs[1]
 
 
+class TestFigureCommand:
+    def test_unknown_figure_usage_error(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unknown-figure")
+
+    def test_missing_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "no-out")
+
+    def test_unwritable_path(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unwritable", "unwritable-sample")
+
+
+class TestSampleCommand:
+    def test_budget_too_small(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "budget")
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite, checks", [
         pytest.param(suite, checks, id=suite) for suite, checks in
@@ -362,11 +378,19 @@ class TestVerifyCommand:
         assert "[PASS]" in output and "[FAIL]" not in output
         assert output.endswith(f"suite {suite}: all {checks} checks passed\n")
 
+    def test_unknown_suite(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch, "unknown-suite")
+
 
 class TestExitCodes:
-    """Exit 1, which prints its verdict on standard output, and the exits 0
-    on a default grid that once failed; the rest of the exits are rows of
-    :data:`SUCCESS_PATHS` and :data:`EXIT_PATHS`."""
+    """Exit 1, which prints its verdict on standard output, the exits when a
+    solve does not converge, and the exits 0 on a default grid that once
+    failed; the rest of the exits are rows of :data:`SUCCESS_PATHS` and
+    :data:`EXIT_PATHS`."""
+
+    def test_convergence_failure(self, tmp_path, capsys, monkeypatch):
+        check_exit_paths(tmp_path, capsys, monkeypatch,
+                         "convergence", "convergence-sample", "convergence-bound")
 
     def test_verification_failure(self, capsys, monkeypatch):
         failing = verify.CheckResult("always fails", False, 1.0, 0.0)
@@ -572,28 +596,34 @@ EXIT_PATHS = {
 }
 
 
-def check_exit_paths(tmp_path, capsys, monkeypatch, row):
-    """Run the :data:`EXIT_PATHS` row ``row`` under its own patches."""
-    argv, code, pattern, early, patches = EXIT_PATHS[row]
-    with monkeypatch.context() as patch:
-        if early:
-            forbid_work(patch)
-        for module, name, value in patches:
-            patch.setattr(module, name, value)
-        argv = [arg.format(out=tmp_path / "x.csv") for arg in shlex.split(argv)]
-        assert main(argv) == code, row
-    captured = capsys.readouterr()
-    err = captured.err
-    assert err.startswith("coolsign: ") and err.endswith("\n") and err.count("\n") == 1, err
-    assert "Traceback" not in err and captured.out == ""
-    assert re.fullmatch(pattern, err[len("coolsign: "):-1]), err
-    assert not any(tmp_path.iterdir())
-    assert not any(os.path.exists(path) for flag, path in zip(argv, argv[1:]) if flag == "--out")
+def check_exit_paths(tmp_path, capsys, monkeypatch, *names):
+    """Run the :data:`EXIT_PATHS` rows ``names``, each under its own patches."""
+    for row in names:
+        argv, code, pattern, early, patches = EXIT_PATHS[row]
+        with monkeypatch.context() as patch:
+            if early:
+                forbid_work(patch)
+            for module, name, value in patches:
+                patch.setattr(module, name, value)
+            argv = [arg.format(out=tmp_path / "x.csv") for arg in shlex.split(argv)]
+            assert main(argv) == code, row
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("coolsign: ") and err.endswith("\n") and err.count("\n") == 1, err
+        assert "Traceback" not in err and captured.out == ""
+        assert re.fullmatch(pattern, err[len("coolsign: "):-1]), err
+        assert not any(tmp_path.iterdir())
+        assert not any(os.path.exists(path)
+                       for flag, path in zip(argv, argv[1:]) if flag == "--out")
 
 
 @pytest.mark.parametrize("row", list(EXIT_PATHS), ids=list(EXIT_PATHS))
 def test_every_exit_path_prints_one_coolsign_line(tmp_path, capsys, monkeypatch, row):
     check_exit_paths(tmp_path, capsys, monkeypatch, row)
+
+
+def test_mutually_exclusive_modes(tmp_path, capsys, monkeypatch):
+    check_exit_paths(tmp_path, capsys, monkeypatch, "two-modes")
 
 
 def run_quietly(argv):
